@@ -7,7 +7,9 @@ computation cannot complete, 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import re
 import sys
+from functools import lru_cache
 
 from . import closed_forms as cfm
 from .cache import cached, canonical_json
@@ -250,14 +252,25 @@ def _cmd_closed_form(args) -> int:
     return 0
 
 
+@lru_cache(maxsize=64)
+def _diagonal_values(s: int, t: int, p_last: int) -> tuple:
+    """Vector multiplicities along the diagonal family (s, t) for p = 0..p_last.
+
+    Taken from the weight-shift recursion, the slow part of a fit query;
+    repeated queries share the cached tuple, which nobody can mutate.
+    """
+    recs = recur_multiplicity("vector", p_last)
+    return tuple(recs[p](cfm.diagonal_weight(s, t, p)) for p in range(p_last + 1))
+
+
 def _cmd_fit(args) -> int:
     if not 1 <= args.s <= 6:
         print("--s must be 1..6", file=sys.stderr)
         return 2
     hi = args.pmax + 4
-    recs = recur_multiplicity("vector", hi + 3)
+    values = _diagonal_values(args.s, args.t, hi + 3)
     xs = list(range(6, hi + 1))
-    ys = [recs[p](cfm.diagonal_weight(args.s, args.t, p)) for p in xs]
+    ys = [values[p] for p in xs]
     try:
         fit = cfm.fit_polynomial(xs, ys)
     except cfm.PolynomialityError as exc:
@@ -269,7 +282,7 @@ def _cmd_fit(args) -> int:
             {
                 "p": p,
                 "fit": str(fit(p)),
-                "recurrence": str(recs[p](cfm.diagonal_weight(args.s, args.t, p))),
+                "recurrence": str(values[p]),
             }
         )
     coeffs = [str(c) for c in fit.coefficients()]
@@ -333,8 +346,35 @@ _DISPATCH = {
 }
 
 
+@lru_cache(maxsize=1)
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one instance serves every call
+    return build_parser()
+
+
+_NEGATIVE_VALUE = re.compile(r"-\d")
+
+
+def _attach_weight_values(argv):
+    """Rewrite `--weight -1,0` as `--weight=-1,0`.
+
+    argparse takes a separate value with a leading minus that is not a plain
+    number for an option, so a weight whose first coordinate is negative
+    would otherwise be rejected.
+    """
+    out = []
+    for arg in argv:
+        if out and out[-1] == "--weight" and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"--weight={arg}"
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    args = _parser().parse_args(_attach_weight_values(argv))
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -273,6 +273,7 @@ def tensor_with_vector(mu: Weight):
     else:
         # not covered by a printed case; the general rule is still mult-free here
         step = single_step_decompose(mu, 1)
-        assert all(m == 1 for m in step.values())
+        if any(m != 1 for m in step.values()):
+            raise RuntimeError(f"L^{mu.text()} (x) vector is not multiplicity free")
         return sorted(step)
     return sorted(cand)

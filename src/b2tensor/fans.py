@@ -35,7 +35,7 @@ from .engine import (
     m_extended,
     tensor_power_weights,
 )
-from .lattice import MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, to_dominant_regular
+from .lattice import MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, reflect_to_chamber
 from .series import LatticeSeries, denominator_product, singular_element
 
 
@@ -74,20 +74,28 @@ def _tb_strict(j: int, i: int) -> int:
     return comb(j, i) if 0 < i <= j else 0
 
 
+def _nonzero_range(first: int, last: int, offset: int, step: int, width: int) -> range:
+    """The i in first..last with 0 <= offset - step*i <= width.
+
+    Outside this range the truncated binomial tb(width, offset - step*i) is
+    zero under both readings (C(j,i) vanishes unless 0 <= i <= j), so a sum
+    over i may skip those terms exactly.
+    """
+    lo = max(first, -((width - offset) // step))  # ceil((offset - width) / step)
+    hi = min(last, offset // step)
+    return range(lo, hi + 1)
+
+
 def _fan_closed(p: int, a: int, b: int, tb) -> int:
     total = 0
     for k in range(1, p + 1):
-        for l in range(1, k + 1):
-            for m in range(1, p - k + 2):
-                sign = -1 if (k + a + b) % 2 else 1
-                total += (
-                    sign
-                    * tb(p - 1, k - 1)
-                    * tb(k - 1, l - 1)
-                    * tb(p - k, m - 1)
-                    * tb(p - k, b + k - 3 * l + 2)
-                    * tb(k - 1, a - k - 3 * m + 4)
-                )
+        sign = -1 if (k + a + b) % 2 else 1
+        outer = sign * tb(p - 1, k - 1)
+        ms = _nonzero_range(1, p - k + 1, a - k + 4, 3, k - 1)
+        for l in _nonzero_range(1, k, b + k + 2, 3, p - k):
+            left = outer * tb(k - 1, l - 1) * tb(p - k, b + k - 3 * l + 2)
+            for m in ms:
+                total += left * tb(p - k, m - 1) * tb(k - 1, a - k - 3 * m + 4)
     return total
 
 
@@ -151,17 +159,14 @@ def singular_power_as_sum(result: DecompositionResult) -> LatticeSeries:
 def _vector_singular(p: int, c: int, d: int, tb) -> int:
     total = 0
     for k in range(1, p + 2):
-        for l in range(1, k + 1):
-            for m in range(1, p - k + 3):
-                sign = -1 if (k - d - c + p - 4 * (l + m) + 7) % 2 else 1
-                total += (
-                    sign
-                    * tb(p, k - 1)
-                    * tb(k - 1, l - 1)
-                    * tb(p - k + 1, m - 1)
-                    * tb(p - k + 1, -d + 2 * k - 5 * (l - 1) - 2)
-                    * tb(k - 1, p - c - 2 * k - 5 * (m - 1) + 2)
-                )
+        # the printed sign exponent k-d-c+p-4(l+m)+7 has the parity of k-d-c+p+7
+        sign = -1 if (k - d - c + p + 7) % 2 else 1
+        outer = sign * tb(p, k - 1)
+        ms = _nonzero_range(1, p - k + 2, p - c - 2 * k + 7, 5, k - 1)
+        for l in _nonzero_range(1, k, -d + 2 * k + 3, 5, p - k + 1):
+            left = outer * tb(k - 1, l - 1) * tb(p - k + 1, -d + 2 * k - 5 * (l - 1) - 2)
+            for m in ms:
+                total += left * tb(p - k + 1, m - 1) * tb(k - 1, p - c - 2 * k - 5 * (m - 1) + 2)
     return total
 
 
@@ -295,12 +300,12 @@ def _diff_row(w: Weight, printed: int, direct: int) -> dict:
 
 
 def _support_halo(series: LatticeSeries, step: int = 2):
-    pts = set(series.support())
-    for w in list(pts):
+    pts = set()
+    for d1, d2 in series.by_tuple():
         for da in (-step, 0, step):
             for db in (-step, 0, step):
-                pts.add(Weight(w.d1 + da, w.d2 + db))
-    return sorted(pts)
+                pts.add((d1 + da, d2 + db))
+    return [Weight(d1, d2) for d1, d2 in sorted(pts)]
 
 
 # ---------------------------------------------------------------------------
@@ -322,41 +327,38 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
     name = MODULE_NAME[i]
     if p == 0:
         return MultiplicityFunction(name, 0, {Weight(0, 0): 1})
-    fan = fan_with_zero(p)
-    zero = Weight(0, 0)
-    if fan.coeff(zero) != -1:
+    fan = fan_with_zero(p).by_tuple()
+    if fan.get((0, 0)) != -1:
         raise RuntimeError("degenerate leading fan coefficient")
-    shifts = [(g, c) for g, c in fan.items() if g != zero]
-    source = singular_power_projected(i, p)
+    shifts = [(g1, g2, c) for (g1, g2), c in fan.items() if (g1, g2) != (0, 0)]
+    source = singular_power_projected(i, p).by_tuple()
     top = 2 * p if i == 1 else p
+    r1, r2 = RHO.d1, RHO.d2
 
-    known: dict = {}
-
-    def lookup(nu: Weight) -> int:
-        if nu.d1 > top or nu.d1 + nu.d2 > 2 * p:
-            return 0  # beyond the support of the p-th power
-        try:
-            return known[nu]
-        except KeyError:
-            raise RuntimeError(f"fan solve order broke at dependency {nu.text()}") from None
-
-    def m_at(nu: Weight) -> int:
-        rep, sign = to_dominant_regular(nu + RHO)
-        if sign == 0:
-            return 0
-        return sign * lookup(rep - RHO)
-
+    known: dict = {}  # (d1, d2) -> M, dominant points solved so far
     for nu in _coset_rows(i, p):
-        val = source.coeff(nu)
-        for g, c in shifts:
-            val += c * m_at(nu + g)
+        n1, n2 = nu[0] + r1, nu[1] + r2
+        val = source.get(nu, 0)
+        for g1, g2, c in shifts:
+            a, b, sign = reflect_to_chamber(n1 + g1, n2 + g2)
+            if sign == 0:
+                continue
+            rep = (a - r1, b - r2)
+            if rep[0] > top or rep[0] + rep[1] > 2 * p:
+                continue  # beyond the support of the p-th power
+            try:
+                val += sign * c * known[rep]
+            except KeyError:
+                raise RuntimeError(
+                    f"fan solve order broke at dependency {Weight(*rep).text()}"
+                ) from None
         known[nu] = val
-    dom = {w: m for w, m in known.items() if m}
+    dom = {Weight(*w): m for w, m in known.items() if m}
     return MultiplicityFunction(name, p, dom)
 
 
 def _coset_rows(i: int, p: int):
-    """Dominant lattice points for module i, power p, in solve order."""
+    """Dominant lattice points (d1, d2) for module i, power p, in solve order."""
     top = 2 * p if i == 1 else p
     out = []
     d1 = top
@@ -364,7 +366,7 @@ def _coset_rows(i: int, p: int):
         d2 = d1
         while d2 >= d1 % 2:
             if d1 + d2 <= 2 * p:
-                out.append(Weight(d1, d2))
+                out.append((d1, d2))
             d2 -= 2
         d1 -= 2
     return out

@@ -129,23 +129,36 @@ def is_strictly_dominant(lam: Weight) -> bool:
     return lam.d1 > lam.d2 > 0
 
 
+def reflect_to_chamber(d1: int, d2: int):
+    """Reflect the doubled point (d1, d2) into the open chamber, tracking the determinant.
+
+    Returns (a, b, sign) with a > b > 0 and sign = +-1, the determinant of
+    the Weyl element that maps (d1, d2) to (a, b). Wall points (|d1| = |d2|
+    or a zero coordinate) are fixed by some reflection, so their signed
+    orbit sum vanishes: they get sign 0 and come back unchanged. Works on
+    plain integers so that hot loops need not build Weights.
+    """
+    if d1 == 0 or d2 == 0 or d1 == d2 or d1 == -d2:
+        return d1, d2, 0
+    sign = 1
+    if d1 < 0:
+        d1, sign = -d1, -sign
+    if d2 < 0:
+        d2, sign = -d2, -sign
+    if d1 < d2:
+        d1, d2, sign = d2, d1, -sign
+    return d1, d2, sign
+
+
 def to_dominant_regular(lam: Weight):
     """Reflect lam into the open chamber, tracking the determinant.
 
-    Returns (representative, sign). Wall points (|d1| = |d2| or a zero
-    coordinate) are fixed by some reflection, so their signed orbit sum
-    vanishes: they get sign 0 and are returned unchanged.
+    Returns (representative, sign); wall points get sign 0 and are returned
+    unchanged. See reflect_to_chamber.
     """
-    a, b = lam.d1, lam.d2
-    if a == 0 or b == 0 or a == b or a == -b:
+    a, b, sign = reflect_to_chamber(lam.d1, lam.d2)
+    if sign == 0:
         return lam, 0
-    sign = 1
-    if a < 0:
-        a, sign = -a, -sign
-    if b < 0:
-        b, sign = -b, -sign
-    if a < b:
-        a, b, sign = b, a, -sign
     return Weight(a, b), sign
 
 
@@ -160,9 +173,10 @@ def dim_irrep(lam: Weight) -> int:
         raise ValueError(f"{lam} is not dominant")
     a = lam.d1 + 3
     b = lam.d2 + 1
-    num = a * b * (a * a - b * b)
-    assert num % 24 == 0
-    return num // 24
+    num, rem = divmod(a * b * (a * a - b * b), 24)
+    if rem:
+        raise ArithmeticError(f"dimension of {lam} is not an integer")
+    return num
 
 
 def weights_of_fundamental(i: int):

@@ -3,20 +3,26 @@
 These are elements of the group ring Z[P]: formal sums of exponentials of
 lattice points. Characters, signed orbit sums and fans are all stored this
 way. Multiplication is convolution; everything is exact.
+
+Inside a LatticeSeries the terms live in a dict keyed by plain (d1, d2)
+tuples of doubled coordinates, so the convolution adds integer pairs and
+hashes tuples instead of building and hashing a Weight per term product.
+Weight remains the type at the boundary: the constructor, items(),
+support(), coeff() and JSON all take or give Weights. Hot loops outside
+this module read the tuple-keyed terms through by_tuple().
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from types import MappingProxyType
 
 from .lattice import (
     POSITIVE_ROOTS,
     RHO,
     WEYL_GROUP,
     Weight,
-    dim_irrep,
     is_dominant,
-    to_dominant_regular,
 )
 
 
@@ -30,24 +36,41 @@ class LatticeSeries:
         if terms:
             for w, c in (terms.items() if isinstance(terms, dict) else terms):
                 if c:
-                    clean[w] = clean.get(w, 0) + c
-                    if clean[w] == 0:
-                        del clean[w]
+                    key = (w.d1, w.d2)
+                    clean[key] = clean.get(key, 0) + c
+                    if clean[key] == 0:
+                        del clean[key]
         self._terms = clean
+
+    @classmethod
+    def _from_tuples(cls, terms: dict) -> "LatticeSeries":
+        # terms: (d1, d2) -> coefficient, zeros already dropped, owned by the result
+        out = cls.__new__(cls)
+        out._terms = terms
+        return out
 
     @classmethod
     def unit(cls, w: Weight = Weight(0, 0), coeff: int = 1) -> "LatticeSeries":
         return cls({w: coeff})
 
+    def by_tuple(self):
+        """Read-only view of the terms as (d1, d2) -> nonzero coefficient.
+
+        Keys are plain tuples of doubled coordinates, in no particular order.
+        This is the one way for code outside this class to reach the terms
+        without building a Weight per lookup.
+        """
+        return MappingProxyType(self._terms)
+
     def items(self):
-        # deterministic order for serialization and iteration
-        return sorted(self._terms.items())
+        # deterministic order for serialization and iteration; tuple order is Weight order
+        return [(Weight(d1, d2), c) for (d1, d2), c in sorted(self._terms.items())]
 
     def coeff(self, w: Weight) -> int:
-        return self._terms.get(w, 0)
+        return self._terms.get((w.d1, w.d2), 0)
 
     def support(self):
-        return sorted(self._terms)
+        return [Weight(d1, d2) for d1, d2 in sorted(self._terms)]
 
     def mass(self) -> int:
         return sum(self._terms.values())
@@ -66,13 +89,13 @@ class LatticeSeries:
 
     def __add__(self, other: "LatticeSeries") -> "LatticeSeries":
         out = dict(self._terms)
-        for w, c in other._terms.items():
-            n = out.get(w, 0) + c
+        for k, c in other._terms.items():
+            n = out.get(k, 0) + c
             if n:
-                out[w] = n
+                out[k] = n
             else:
-                out.pop(w, None)
-        return LatticeSeries(out)
+                out.pop(k, None)
+        return LatticeSeries._from_tuples(out)
 
     def __sub__(self, other: "LatticeSeries") -> "LatticeSeries":
         return self + other.scale(-1)
@@ -80,45 +103,46 @@ class LatticeSeries:
     def scale(self, c: int) -> "LatticeSeries":
         if c == 0:
             return LatticeSeries()
-        return LatticeSeries({w: c * v for w, v in self._terms.items()})
+        return LatticeSeries._from_tuples({k: c * v for k, v in self._terms.items()})
 
     def __mul__(self, other: "LatticeSeries") -> "LatticeSeries":
-        # convolution: e^a * e^b = e^(a+b); iterate over the smaller support
+        # convolution: e^a * e^b = e^(a+b); the smaller support is the outer loop
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        inner = tuple(b.items())
         out = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                k = wa + wb
-                n = out.get(k, 0) + ca * cb
-                if n:
-                    out[k] = n
-                else:
-                    del out[k]
-        return LatticeSeries(out)
+        get = out.get
+        for (a1, a2), ca in a.items():
+            for (b1, b2), cb in inner:
+                k = (a1 + b1, a2 + b2)
+                out[k] = get(k, 0) + ca * cb
+        return LatticeSeries._from_tuples({k: c for k, c in out.items() if c})
 
     def power(self, n: int) -> "LatticeSeries":
         if n < 0:
             raise ValueError("negative power")
+        # Repeated multiplication by the base, not binary exponentiation: every
+        # caller raises a small factor (an 8-term singular element or R), and
+        # squaring a large sparse operand costs far more than n passes of it
+        # against 8 terms.
         acc = LatticeSeries.unit()
-        base = self
-        while n:
-            if n & 1:
-                acc = acc * base
-            base = base * base if n > 1 else base
-            n >>= 1
+        for _ in range(n):
+            acc = acc * self
         return acc
 
     def translate(self, shift: Weight) -> "LatticeSeries":
-        return LatticeSeries({w + shift: c for w, c in self._terms.items()})
+        s1, s2 = shift.d1, shift.d2
+        return LatticeSeries._from_tuples(
+            {(d1 + s1, d2 + s2): c for (d1, d2), c in self._terms.items()}
+        )
 
     def reflect(self) -> "LatticeSeries":
         """Image under the full reflection w -> -w."""
-        return LatticeSeries({-w: c for w, c in self._terms.items()})
+        return LatticeSeries._from_tuples({(-d1, -d2): c for (d1, d2), c in self._terms.items()})
 
     def apply_weyl(self, w) -> "LatticeSeries":
-        return LatticeSeries({w.apply(x): c for x, c in self._terms.items()})
+        return LatticeSeries({w.apply(x): c for x, c in self.items()})
 
     def is_weyl_invariant(self) -> bool:
         return all(self.apply_weyl(w) == self for w in WEYL_GROUP)
@@ -127,8 +151,8 @@ class LatticeSeries:
         """Exact bounding box ((min d1, max d1), (min d2, max d2)), doubled coords."""
         if not self._terms:
             return (0, 0), (0, 0)
-        d1s = [w.d1 for w in self._terms]
-        d2s = [w.d2 for w in self._terms]
+        d1s = [d1 for d1, _ in self._terms]
+        d2s = [d2 for _, d2 in self._terms]
         return (min(d1s), max(d1s)), (min(d2s), max(d2s))
 
     def to_json_obj(self):
@@ -152,7 +176,9 @@ def singular_element(lam: Weight) -> LatticeSeries:
     terms = {}
     for w in WEYL_GROUP:
         terms[w.apply(shifted) - RHO] = w.det
-    assert len(terms) == 8  # lam+rho is regular, orbit is free
+    if len(terms) != 8:
+        # lam+rho is regular, so its orbit is free
+        raise RuntimeError(f"orbit of {lam}+rho has {len(terms)} points, expected 8")
     return LatticeSeries(terms)
 
 
@@ -231,7 +257,8 @@ def weight_multiplicities(lam: Weight) -> LatticeSeries:
                 total += n * _ip4(nu, alpha)
                 k += 1
         val, rem = divmod(2 * total, denom)
-        assert rem == 0, "Freudenthal recursion produced a non-integer"
+        if rem:
+            raise ArithmeticError(f"Freudenthal recursion produced a non-integer at {mu}")
         if val:
             mult[mu] = val
 

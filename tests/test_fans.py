@@ -21,7 +21,16 @@ from b2tensor import (
     spinor_singular_closed,
     vector_singular_closed,
 )
-from b2tensor.fans import _support_halo, diff_report, fan_line_structure, singular_power_as_sum
+from b2tensor.fans import (
+    _fan_closed,
+    _support_halo,
+    _tb_lax,
+    _tb_strict,
+    _vector_singular,
+    diff_report,
+    fan_line_structure,
+    singular_power_as_sum,
+)
 
 
 def test_pairwise_fan_has_seven_signed_shifts():
@@ -146,3 +155,65 @@ def test_step_audit_totals_equal_multiplicity(p):
 def test_singular_contribution_at_known_weight():
     for p in range(2, 8):
         assert singular_power_projected(1, p).coeff(Weight.make(p - 2, 1)) == p * (p - 1)
+
+
+# brute-force triple sums exactly as published, every index in its full range;
+# the library versions skip the terms where a truncated binomial vanishes
+
+
+def brute_fan_closed(p, a, b, tb):
+    total = 0
+    for k in range(1, p + 1):
+        for l in range(1, k + 1):
+            for m in range(1, p - k + 2):
+                sign = -1 if (k + a + b) % 2 else 1
+                total += (
+                    sign
+                    * tb(p - 1, k - 1)
+                    * tb(k - 1, l - 1)
+                    * tb(p - k, m - 1)
+                    * tb(p - k, b + k - 3 * l + 2)
+                    * tb(k - 1, a - k - 3 * m + 4)
+                )
+    return total
+
+
+def brute_vector_singular(p, c, d, tb):
+    total = 0
+    for k in range(1, p + 2):
+        for l in range(1, k + 1):
+            for m in range(1, p - k + 3):
+                sign = -1 if (k - d - c + p - 4 * (l + m) + 7) % 2 else 1
+                total += (
+                    sign
+                    * tb(p, k - 1)
+                    * tb(k - 1, l - 1)
+                    * tb(p - k + 1, m - 1)
+                    * tb(p - k + 1, -d + 2 * k - 5 * (l - 1) - 2)
+                    * tb(k - 1, p - c - 2 * k - 5 * (m - 1) + 2)
+                )
+    return total
+
+
+def _index_box(series, margin):
+    # integer (halved) coordinates covering the support plus margin on every side
+    (lo1, hi1), (lo2, hi2) = series.support_bounds()
+    return [
+        (a, b)
+        for a in range(lo1 // 2 - margin, hi1 // 2 + margin + 1)
+        for b in range(lo2 // 2 - margin, hi2 // 2 + margin + 1)
+    ]
+
+
+@pytest.mark.parametrize("tb", [_tb_lax, _tb_strict], ids=["lax", "strict"])
+def test_pruned_fan_closed_equals_brute_force(tb):
+    for p in range(1, 9):
+        for a, b in _index_box(fan_with_zero(p), margin=2):
+            assert _fan_closed(p, a, b, tb) == brute_fan_closed(p, a, b, tb), (p, a, b)
+
+
+@pytest.mark.parametrize("tb", [_tb_lax, _tb_strict], ids=["lax", "strict"])
+def test_pruned_vector_singular_equals_brute_force(tb):
+    for p in range(1, 9):
+        for c, d in _index_box(singular_power_projected(1, p), margin=2):
+            assert _vector_singular(p, c, d, tb) == brute_vector_singular(p, c, d, tb), (p, c, d)

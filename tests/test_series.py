@@ -55,6 +55,61 @@ def test_power_is_repeated_product(a, n):
     assert a.power(n) == prod
 
 
+def plain_convolution(a: dict, b: dict) -> dict:
+    # reference product on (d1, d2) pairs, zeros dropped
+    out = {}
+    for (a1, a2), ca in a.items():
+        for (b1, b2), cb in b.items():
+            key = (a1 + b1, a2 + b2)
+            out[key] = out.get(key, 0) + ca * cb
+    return {k: c for k, c in out.items() if c}
+
+
+def as_pairs(series: LatticeSeries) -> dict:
+    return {(w.d1, w.d2): c for w, c in series.items()}
+
+
+def crowded_series():
+    # few points and small signed coefficients, so products collide and cancel often
+    return st.dictionaries(weights(span=2), st.integers(-2, 2), max_size=6).map(LatticeSeries)
+
+
+@given(crowded_series(), crowded_series())
+@settings(max_examples=150)
+def test_product_equals_plain_dict_convolution(a, b):
+    want = plain_convolution(as_pairs(a), as_pairs(b))
+    got = a * b
+    assert as_pairs(got) == want
+    assert dict(got.by_tuple()) == want
+    assert 0 not in got.by_tuple().values()
+
+
+@given(crowded_series(), weights(span=4))
+@settings(max_examples=60)
+def test_product_with_cancelling_factor(a, g):
+    # a * (1 - e^g) * (1 + e^g) == a * (1 - e^2g): the middle terms cancel
+    one = LatticeSeries.unit()
+    lhs = a * (one - LatticeSeries.unit(g)) * (one + LatticeSeries.unit(g))
+    assert lhs == a * (one - LatticeSeries.unit(g + g))
+    assert as_pairs(a * (one - one)) == {}
+
+
+@given(small_series())
+def test_items_and_support_are_sorted_weights(a):
+    items = a.items()
+    assert [w for w, _ in items] == a.support() == sorted(a.support())
+    assert all(isinstance(w, Weight) for w in a.support())
+    assert all(a.coeff(w) == c != 0 for w, c in items)
+    assert {(w.d1, w.d2): c for w, c in items} == dict(a.by_tuple())
+
+
+def test_by_tuple_is_read_only():
+    view = denominator_product().by_tuple()
+    with pytest.raises(TypeError):
+        view[(0, 0)] = 5
+    assert view[(0, 0)] == 1
+
+
 def test_zero_coefficients_are_pruned():
     s = LatticeSeries({Weight(0, 0): 1}) + LatticeSeries({Weight(0, 0): -1})
     assert len(s) == 0 and s.coeff(Weight(0, 0)) == 0

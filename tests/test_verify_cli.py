@@ -4,8 +4,10 @@ import json
 
 import pytest
 
+from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recur_multiplicity
+from b2tensor import singular_power_projected
 from b2tensor.cache import cached, load, payload_digest, store
-from b2tensor.cli import main
+from b2tensor.cli import _diagonal_values, _parser, build_parser, main
 from b2tensor.diagram import growth_edges, to_dot
 from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
 
@@ -93,6 +95,51 @@ def test_cli_closed_form_single_point(capsys):
         capsys, "closed-form", "--kind", "fan", "--power", "2", "--weight", "0,0"
     )
     assert code == 0 and out.strip() == "-1"
+
+
+@pytest.mark.parametrize(
+    "argv, want",
+    [
+        (["multiplicity", "--module", "vector", "--power", "4", "--weight", "-3,0", "--extended"], "-3"),
+        (["multiplicity", "--module", "vector", "--power", "4", "--weight", "-1,0", "--extended"], "0"),
+        (["closed-form", "--kind", "vector", "--power", "3", "--weight", "-1,1"], None),
+        (["closed-form", "--kind", "fan", "--power", "2", "--weight", "-1,2"], None),
+    ],
+)
+def test_cli_weight_with_negative_first_coordinate(capsys, argv, want):
+    # a separate value with a leading minus must read as the weight, as the '=' form does
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0, err
+    i = argv.index("--weight")
+    joined = argv[:i] + [f"--weight={argv[i + 1]}"] + argv[i + 2 :]
+    code, out_joined, _ = run_cli(capsys, *joined)
+    assert code == 0 and out == out_joined
+    if want is not None:
+        assert out.strip() == want
+    w = Weight.parse(argv[i + 1])
+    if argv[0] == "multiplicity":
+        assert int(out) == m_extended("vector", 4, w)
+    elif argv[2] == "vector":
+        assert int(out) == singular_power_projected(1, 3).coeff(w)
+    else:
+        assert int(out) == fan_with_zero(2).coeff(w)
+
+
+def test_cli_parser_is_built_once_and_reused(capsys):
+    assert _parser() is _parser()
+    assert build_parser() is not _parser()  # the public builder still gives a fresh parser
+    for _ in range(2):
+        code, out, _ = run_cli(capsys, "multiplicity", "--module", "vector", "--power", "12", "--weight", "10,1")
+        assert code == 0 and out.strip() == "55"
+
+
+def test_cli_fit_samples_are_cached_and_immutable():
+    _diagonal_values.cache_clear()
+    first = _diagonal_values(2, 1, 15)
+    assert _diagonal_values(2, 1, 15) is first
+    assert isinstance(first, tuple)
+    recs = recur_multiplicity("vector", 15)
+    assert first == tuple(recs[p](cf.diagonal_weight(2, 1, p)) for p in range(16))
 
 
 def test_cli_closed_form_diff_rows(capsys):
