@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import factorial, gcd, isqrt
 
 from .lattice import Weight
 
@@ -224,15 +224,25 @@ def bracket_factors_rationally(s: int, t: int) -> bool:
         if disc < 0:
             return False
         return isqrt(disc) ** 2 == disc
+    return _has_rational_root(coeffs)
+
+
+def _has_rational_root(coeffs) -> bool:
+    """Rational root theorem for integer coefficients (ascending, nonzero lead).
+
+    A root num/den in lowest terms has num | c0 and den | lead, and it is a
+    root iff den^n * f(num/den) = sum c_k num^k den^(n-k) vanishes, which is
+    an integer sum: no Fractions needed.
+    """
     c0 = coeffs[0]
-    lead = coeffs[-1]
     if c0 == 0:
         return True
+    n = len(coeffs) - 1
     for r in _divisors(abs(c0)):
         for num in (r, -r):
-            for den in _divisors(abs(lead)):
-                if Fraction(num, den).denominator == den and sum(
-                    c * Fraction(num, den) ** k for k, c in enumerate(coeffs)
+            for den in _divisors(abs(coeffs[-1])):
+                if gcd(num, den) == 1 and sum(
+                    c * num**k * den ** (n - k) for k, c in enumerate(coeffs)
                 ) == 0:
                     return True
     return False

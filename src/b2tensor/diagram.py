@@ -11,11 +11,6 @@ from .engine import decomposition, single_step_decompose, _module_index
 from .lattice import MODULE_NAME, Weight
 
 
-def level_slice(module, p: int) -> dict:
-    """Dominant weight -> multiplicity at level p."""
-    return dict(decomposition(module, p).multiplicities)
-
-
 def growth_edges(module, p_max: int):
     """[(p, source weight, target weight)] for 1 <= p <= p_max."""
     i = _module_index(module)

@@ -23,10 +23,12 @@ from .lattice import (
     Weight,
     dim_irrep,
     is_dominant,
-    to_dominant_regular,
+    reflect_to_chamber,
     weights_of_fundamental,
 )
 from .series import LatticeSeries, weight_multiplicities
+
+_R1, _R2 = RHO.d1, RHO.d2  # rho in doubled coordinates
 
 
 class NegativeMultiplicityError(RuntimeError):
@@ -122,45 +124,56 @@ def decomposition(module, p: int) -> DecompositionResult:
     return extract_multiplicities(tensor_power_weights(i, p), i, p)
 
 
-@dataclass
+@dataclass(frozen=True)
 class MultiplicityFunction:
     """Antisymmetrized multiplicity function for one (module, p).
 
-    Stores only dominant values; evaluation anywhere on the lattice goes
-    through the reflection rule: 0 on rho-shifted walls, otherwise the signed
-    dominant value.
+    Stores only dominant values, keyed by (d1, d2) tuples of doubled
+    coordinates; evaluation anywhere on the lattice goes through the
+    reflection rule: 0 on rho-shifted walls, otherwise the signed dominant
+    value. Weight stays the type at the boundary: __call__, dominant and
+    to_result take or give Weights.
     """
 
     module: str
     power: int
-    dominant: dict  # Weight -> int, dominant keys only
+    values: dict  # (d1, d2) -> int, dominant keys only
 
-    def __call__(self, mu: Weight) -> int:
-        rep, sign = to_dominant_regular(mu + RHO)
+    @property
+    def dominant(self) -> dict:
+        """The dominant values keyed by Weight, as a new dict."""
+        return {Weight(d1, d2): m for (d1, d2), m in self.values.items()}
+
+    def at(self, d1: int, d2: int) -> int:
+        """M at the doubled point (d1, d2), without building a Weight."""
+        a, b, sign = reflect_to_chamber(d1 + _R1, d2 + _R2)
         if sign == 0:
             return 0
-        return sign * self.dominant.get(rep - RHO, 0)
+        return sign * self.values.get((a - _R1, b - _R2), 0)
+
+    def __call__(self, mu: Weight) -> int:
+        return self.at(mu.d1, mu.d2)
 
     def restrict_positive(self) -> dict:
-        return {w: m for w, m in self.dominant.items() if m}
+        return {Weight(d1, d2): m for (d1, d2), m in self.values.items() if m}
 
     def to_result(self) -> DecompositionResult:
         return DecompositionResult.from_dict(self.module, self.power, self.restrict_positive())
 
 
 def _dominant_window(module, p: int):
-    """Dominant lattice points that can carry weight in the p-th power."""
+    """Dominant doubled points (d1, d2) that can carry weight in the p-th power."""
     i = _module_index(module)
     out = []
     if i == 1:
         for d1 in range(0, 2 * p + 1, 2):
             for d2 in range(0, d1 + 1, 2):
                 if d1 + d2 <= 2 * p:
-                    out.append(Weight(d1, d2))
+                    out.append((d1, d2))
     else:
         for d1 in range(p % 2, p + 1, 2):
             for d2 in range(d1 % 2, d1 + 1, 2):
-                out.append(Weight(d1, d2))
+                out.append((d1, d2))
     return out
 
 
@@ -173,40 +186,58 @@ def recur_multiplicity(module, p_max: int):
     """
     i = _module_index(module)
     name = MODULE_NAME[i]
-    shifts = weights_of_fundamental(i)
-    out = []
-    base = MultiplicityFunction(name, 0, {Weight(0, 0): 1})
-    out.append(base)
+    shifts = [(z.d1, z.d2) for z in weights_of_fundamental(i)]
+    out = [MultiplicityFunction(name, 0, {(0, 0): 1})]
     for p in range(1, p_max + 1):
-        prev = out[-1]
+        at = out[-1].at
         dom = {}
-        for mu in _dominant_window(i, p):
+        for d1, d2 in _dominant_window(i, p):
             val = 0
-            for z in shifts:
-                val += prev(mu - z)
+            for z1, z2 in shifts:
+                val += at(d1 - z1, d2 - z2)
             if val:
-                dom[mu] = val
+                dom[d1, d2] = val
         out.append(MultiplicityFunction(name, p, dom))
     return out
 
 
 @lru_cache(maxsize=None)
-def _decomposition_cached(i: int, p: int) -> DecompositionResult:
-    return decomposition(i, p)
-
-
-@lru_cache(maxsize=None)
-def _decomposition_dict(i: int, p: int) -> dict:
-    return _decomposition_cached(i, p).as_dict()
+def _oracle_function(i: int, p: int) -> MultiplicityFunction:
+    result = decomposition(i, p)
+    return MultiplicityFunction(
+        result.module, p, {(w.d1, w.d2): m for w, m in result.multiplicities}
+    )
 
 
 def m_extended(module, p: int, mu: Weight) -> int:
     """M(mu, p) anywhere on the lattice, from the oracle decomposition."""
     i = _module_index(module)
-    rep, sign = to_dominant_regular(mu + RHO)
-    if sign == 0:
-        return 0
-    return sign * _decomposition_dict(i, p).get(rep - RHO, 0)
+    if reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
+        return 0  # mu + rho on a wall: no decomposition needed
+    return _oracle_function(i, p)(mu)
+
+
+def _single_step(d1: int, d2: int, shifts) -> dict:
+    """single_step_decompose on doubled tuples; shifts are zeta + rho for each module weight."""
+    out = {}
+    for s1, s2 in shifts:
+        a, b, sign = reflect_to_chamber(d1 + s1, d2 + s2)
+        if sign == 0:
+            continue
+        key = (a - _R1, b - _R2)
+        n = out.get(key, 0) + sign
+        if n:
+            out[key] = n
+        else:
+            del out[key]
+    if any(m < 0 for m in out.values()):
+        # cannot happen for a single fundamental factor; guard anyway
+        raise NegativeMultiplicityError(f"single step at {Weight(d1, d2).text()} went negative")
+    return out
+
+
+def _step_shifts(i: int):
+    return [(z.d1 + _R1, z.d2 + _R2) for z in weights_of_fundamental(i)]
 
 
 def single_step_decompose(mu: Weight, module) -> dict:
@@ -217,34 +248,23 @@ def single_step_decompose(mu: Weight, module) -> dict:
     """
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
-    i = _module_index(module)
-    out = {}
-    for z in weights_of_fundamental(i):
-        rep, sign = to_dominant_regular(mu + z + RHO)
-        if sign == 0:
-            continue
-        key = rep - RHO
-        out[key] = out.get(key, 0) + sign
-        if out[key] == 0:
-            del out[key]
-    if any(m < 0 for m in out.values()):
-        # cannot happen for a single fundamental factor; guard anyway
-        raise NegativeMultiplicityError(f"single step at {mu.text()} went negative")
-    return out
+    step = _single_step(mu.d1, mu.d2, _step_shifts(_module_index(module)))
+    return {Weight(d1, d2): m for (d1, d2), m in step.items()}
 
 
 def iterate_single_step(module, p: int) -> DecompositionResult:
     """p-fold repetition of single_step_decompose starting from the trivial module."""
     i = _module_index(module)
     name = MODULE_NAME[i]
-    acc = {Weight(0, 0): 1}
+    shifts = _step_shifts(i)
+    acc = {(0, 0): 1}
     for _ in range(p):
         nxt = {}
-        for mu, m in acc.items():
-            for nu, k in single_step_decompose(mu, i).items():
+        for (d1, d2), m in acc.items():
+            for nu, k in _single_step(d1, d2, shifts).items():
                 nxt[nu] = nxt.get(nu, 0) + m * k
         acc = {w: m for w, m in nxt.items() if m}
-    return DecompositionResult.from_dict(name, p, acc)
+    return DecompositionResult.from_dict(name, p, {Weight(d1, d2): m for (d1, d2), m in acc.items()})
 
 
 def tensor_with_vector(mu: Weight):

@@ -45,10 +45,15 @@ from .series import LatticeSeries, denominator_product, singular_element
 
 @lru_cache(maxsize=None)
 def fan_power_direct(p: int) -> LatticeSeries:
-    """R^(p-1): the fan of the diagonal injection into p factors (p >= 1)."""
+    """R^(p-1): the fan of the diagonal injection into p factors (p >= 1).
+
+    Built from the cached R^(p-2), one multiplication by R per new p.
+    """
     if p < 1:
         raise ValueError("fan needs p >= 1")
-    return denominator_product().power(p - 1)
+    if p == 1:
+        return LatticeSeries.unit()
+    return fan_power_direct(p - 1) * denominator_product()
 
 
 @lru_cache(maxsize=None)
@@ -131,21 +136,32 @@ def fan_line_structure(p: int):
 # singular elements of tensor powers
 
 
-@lru_cache(maxsize=None)
 def singular_power_direct(module, p: int) -> LatticeSeries:
     """Direct singular element Phi = ch(L)^p * R = sum_mu m_mu Psi^(mu)."""
-    i = _module_index(module)
+    return _singular_power_direct(_module_index(module), p)
+
+
+@lru_cache(maxsize=None)
+def _singular_power_direct(i: int, p: int) -> LatticeSeries:
     if p < 0:
         raise ValueError("power must be >= 0")
     return tensor_power_weights(i, p) * denominator_product()
 
 
-@lru_cache(maxsize=None)
 def singular_power_projected(module, p: int) -> LatticeSeries:
     """Projected power Pi = (Psi^(omega_i))^p; the closed forms below evaluate this."""
-    i = _module_index(module)
-    omega = OMEGA1 if i == 1 else OMEGA2
-    return singular_element(omega).power(p)
+    return _singular_power_projected(_module_index(module), p)
+
+
+@lru_cache(maxsize=None)
+def _singular_power_projected(i: int, p: int) -> LatticeSeries:
+    # one 8-term factor times the cached (p-1)-th power; the module is already
+    # an index, so 'vector' and 1 share one entry
+    if p < 0:
+        raise ValueError("negative power")
+    if p == 0:
+        return LatticeSeries.unit()
+    return _singular_power_projected(i, p - 1) * singular_element(OMEGA1 if i == 1 else OMEGA2)
 
 
 def singular_power_as_sum(result: DecompositionResult) -> LatticeSeries:
@@ -326,11 +342,11 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
     i = _module_index(module)
     name = MODULE_NAME[i]
     if p == 0:
-        return MultiplicityFunction(name, 0, {Weight(0, 0): 1})
+        return MultiplicityFunction(name, 0, {(0, 0): 1})
     fan = fan_with_zero(p).by_tuple()
     if fan.get((0, 0)) != -1:
         raise RuntimeError("degenerate leading fan coefficient")
-    shifts = [(g1, g2, c) for (g1, g2), c in fan.items() if (g1, g2) != (0, 0)]
+    shifts = sorted((g1, g2, c) for (g1, g2), c in fan.items() if (g1, g2) != (0, 0))
     source = singular_power_projected(i, p).by_tuple()
     top = 2 * p if i == 1 else p
     r1, r2 = RHO.d1, RHO.d2
@@ -338,8 +354,16 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
     for nu in _coset_rows(i, p):
         n1, n2 = nu[0] + r1, nu[1] + r2
+        # Shifts ascend in g1, so the loop may stop at the first one with
+        # nu[0] + g1 > top: the chamber representative of (n1 + g1, n2 + g2)
+        # has a = max(|n1 + g1|, |n2 + g2|) >= n1 + g1, hence
+        # rep[0] = a - r1 >= nu[0] + g1 > top, and that shift and every later
+        # one would fail the rep[0] > top test below anyway.
+        last = top - nu[0]
         val = source.get(nu, 0)
         for g1, g2, c in shifts:
+            if g1 > last:
+                break
             a, b, sign = reflect_to_chamber(n1 + g1, n2 + g2)
             if sign == 0:
                 continue
@@ -353,8 +377,7 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
                     f"fan solve order broke at dependency {Weight(*rep).text()}"
                 ) from None
         known[nu] = val
-    dom = {Weight(*w): m for w, m in known.items() if m}
-    return MultiplicityFunction(name, p, dom)
+    return MultiplicityFunction(name, p, {w: m for w, m in known.items() if m})
 
 
 def _coset_rows(i: int, p: int):

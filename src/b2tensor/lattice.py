@@ -125,10 +125,6 @@ def is_dominant(lam: Weight) -> bool:
     return lam.d1 >= lam.d2 >= 0
 
 
-def is_strictly_dominant(lam: Weight) -> bool:
-    return lam.d1 > lam.d2 > 0
-
-
 def reflect_to_chamber(d1: int, d2: int):
     """Reflect the doubled point (d1, d2) into the open chamber, tracking the determinant.
 

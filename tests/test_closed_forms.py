@@ -1,6 +1,7 @@
 """Polynomial tables, diagonal families, certified fits."""
 
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -123,6 +124,50 @@ def test_bracket_factorization_pattern():
         False,
     ]
 
+
+
+def _rational_root_by_fractions(coeffs):
+    # the rational root theorem evaluated in Fractions, as a reference
+    if coeffs[0] == 0:
+        return True
+    for r in cf._divisors(abs(coeffs[0])):
+        for num in (r, -r):
+            for den in cf._divisors(abs(coeffs[-1])):
+                x = Fraction(num, den)
+                if x.denominator == den and sum(c * x**k for k, c in enumerate(coeffs)) == 0:
+                    return True
+    return False
+
+
+def test_bracket_factorization_matches_fraction_reference():
+    for s in (4, 5, 6):
+        for t in range(11):
+            coeffs = cf.diagonal_bracket(s, t)
+            if len(coeffs) == 3:
+                c0, c1, c2 = coeffs
+                disc = c1 * c1 - 4 * c2 * c0
+                want = disc >= 0 and isqrt(disc) ** 2 == disc
+            else:
+                want = _rational_root_by_fractions(coeffs)
+            assert cf.bracket_factors_rationally(s, t) == want, (s, t)
+
+
+@given(
+    st.integers(-12, 12),
+    st.integers(1, 12),
+    st.lists(st.integers(-30, 30), min_size=2, max_size=4).filter(lambda c: c[-1] != 0),
+    st.booleans(),
+)
+@settings(max_examples=200, deadline=None)
+def test_integer_root_test_matches_fractions(num, den, rest, plant):
+    # with plant, multiply by (den*x - num) so that num/den is a root
+    coeffs = list(rest)
+    if plant:
+        coeffs = [0] * (len(rest) + 1)
+        for k, c in enumerate(rest):
+            coeffs[k] -= num * c
+            coeffs[k + 1] += den * c
+    assert cf._has_rational_root(coeffs) == _rational_root_by_fractions(coeffs)
 
 # --- certified fits
 

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b2tensor import (
     DecompositionResult,
@@ -17,9 +18,11 @@ from b2tensor import (
     single_step_decompose,
     tensor_power_weights,
     tensor_with_vector,
+    to_dominant_regular,
 )
-from b2tensor.engine import iterate_single_step
-from conftest import dominant_weights, small_powers
+from b2tensor import engine
+from b2tensor.engine import NegativeMultiplicityError, iterate_single_step
+from conftest import dominant_weights, small_powers, weights
 
 
 def as_weight_dict(pairs):
@@ -125,3 +128,24 @@ def test_spinor_edge_product():
 def test_result_json_round_trip():
     r = decomposition("spinor", 4)
     assert DecompositionResult.from_json_obj(r.to_json_obj()) == r
+
+
+_RECS = {mod: recur_multiplicity(mod, 8) for mod in ("vector", "spinor")}
+
+
+@given(st.sampled_from(("vector", "spinor")), small_powers(8), weights(span=20))
+@settings(max_examples=200, deadline=None)
+def test_multiplicity_function_matches_weight_level_rule(mod, p, mu):
+    m = _RECS[mod][p]
+    rep, sign = to_dominant_regular(mu + RHO)
+    want = 0 if sign == 0 else sign * m.dominant.get(rep - RHO, 0)
+    assert m(mu) == want
+    assert m(mu) == m_extended(mod, p, mu)
+
+
+def test_iterate_single_step_raises_per_source_weight(monkeypatch):
+    # a single shift by -e1-e1 sends rho to the reflection of rho: the one
+    # summand of the trivial weight comes out with multiplicity -1
+    monkeypatch.setattr(engine, "weights_of_fundamental", lambda i: [Weight(-6, 0)])
+    with pytest.raises(NegativeMultiplicityError, match=r"single step at 0,0 "):
+        iterate_single_step("vector", 1)

@@ -17,6 +17,7 @@ from b2tensor import (
     fan_step_audit,
     fan_with_zero,
     singular_power_direct,
+    singular_element,
     singular_power_projected,
     spinor_singular_closed,
     vector_singular_closed,
@@ -217,3 +218,25 @@ def test_pruned_vector_singular_equals_brute_force(tb):
     for p in range(1, 9):
         for c, d in _index_box(singular_power_projected(1, p), margin=2):
             assert _vector_singular(p, c, d, tb) == brute_vector_singular(p, c, d, tb), (p, c, d)
+
+
+@pytest.mark.parametrize("module", [1, 2])
+def test_incremental_chains_equal_repeated_power(module):
+    omega = Weight.make(1, 0) if module == 1 else Weight.make(Fraction(1, 2), Fraction(1, 2))
+    for p in range(13):
+        assert singular_power_projected(module, p) == singular_element(omega).power(p), p
+    for p in range(1, 13):
+        assert fan_power_direct(p) == denominator_product().power(p - 1), p
+
+
+def test_one_cache_entry_per_module_and_power():
+    assert singular_power_projected("vector", 6) is singular_power_projected(1, 6)
+    assert singular_power_projected("spinor", 5) is singular_power_projected(2, 5)
+    assert singular_power_direct("vector", 4) is singular_power_direct(1, 4)
+
+
+@pytest.mark.parametrize("module,powers", [("vector", range(11, 15)), ("spinor", range(11, 17))])
+def test_bounded_fan_solve_beyond_verify_range(module, powers):
+    # past verify's default pmax, where the g1 cut-off skips the most shifts
+    for p in powers:
+        assert fan_recursion_solve(module, p).to_result() == decomposition(module, p), p

@@ -1,6 +1,7 @@
 """Verification suites, CLI surface, cache, diagram export."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -180,6 +181,15 @@ def test_cli_verify_exit_codes_and_determinism(capsys):
     obj = json.loads(out1)
     assert obj["fail"] == 0 and obj["pass"] >= 1
 
+
+
+def test_verify_all_output_is_byte_identical_to_reference(capsys):
+    # tests/data/verify_all_pmax10.json is the committed output of this command;
+    # any change to a route, a closed form or the formatting shows up here
+    want = (Path(__file__).parent / "data" / "verify_all_pmax10.json").read_bytes()
+    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json", "--pmax", "10")
+    assert code == 0
+    assert out.encode("utf-8") == want
 
 def test_cli_diagram(capsys):
     code, out, _ = run_cli(capsys, "diagram", "--module", "spinor", "--pmax", "2")
