@@ -16,13 +16,11 @@ from .cache import cached, canonical_json
 from .diagram import to_dot
 from .engine import decomposition, m_extended, recur_multiplicity, DecompositionResult
 from .fans import (
+    CLOSED_FORMS,
     diff_report,
-    fan_closed_form,
     fan_with_zero,
     singular_power_direct,
     singular_power_projected,
-    spinor_singular_closed,
-    vector_singular_closed,
     _support_halo,
 )
 from .lattice import Weight, is_dominant
@@ -103,6 +101,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_ORDER) + ("all",), default="all")
     p.add_argument("--pmax", type=_positive_int, default=10)
+    p.add_argument(
+        "--timings",
+        action="store_true",
+        help="write each check's name, seconds and point count to stderr",
+    )
     add_format(p)
 
     p = sub.add_parser("diagram", help="growth diagram of tensor powers as DOT")
@@ -197,16 +200,6 @@ def _cmd_singular(args) -> int:
     return 0
 
 
-def _closed_form_value(kind: str, p: int, w: Weight) -> int:
-    if kind == "fan":
-        if w.d1 % 2 or w.d2 % 2:
-            return 0
-        return fan_closed_form(p, w.d1 // 2, w.d2 // 2)
-    if kind == "vector":
-        return vector_singular_closed(p, w)
-    return spinor_singular_closed(p, w)
-
-
 def _cmd_closed_form(args) -> int:
     if args.power < 1:
         print("closed-form needs --power >= 1", file=sys.stderr)
@@ -224,8 +217,9 @@ def _cmd_closed_form(args) -> int:
                 print(f'{r["point"]:>12}  printed {r["printed"]:>6}  direct {r["direct"]:>6}')
             print(f"{len(rows)} differing points")
         return 0
+    form = CLOSED_FORMS[args.kind]
     if args.weight is not None:
-        val = _closed_form_value(args.kind, args.power, args.weight)
+        val = form.validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
         if args.format == "json":
             print(
                 canonical_json(
@@ -240,15 +234,9 @@ def _cmd_closed_form(args) -> int:
         else:
             print(val)
         return 0
-    truth = (
-        fan_with_zero(args.power)
-        if args.kind == "fan"
-        else singular_power_projected(args.kind, args.power)
-    )
-    series = LatticeSeries(
-        {w: _closed_form_value(args.kind, args.power, w) for w in _support_halo(truth)}
-    )
-    _emit_series(series, args.format)
+    points = _support_halo(form.truth(args.power))
+    values = form.validated(args.power, points)
+    _emit_series(LatticeSeries({Weight(*pt): v for pt, v in zip(points, values)}), args.format)
     return 0
 
 
@@ -318,6 +306,9 @@ def _cmd_fit(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = run_suite(args.suite, args.pmax)
+    if args.timings:
+        for c in report.checks:
+            print(f"{c.name} {c.seconds:.4f} s {c.points} points", file=sys.stderr)
     if args.format == "json":
         print(canonical_json(report.to_json_obj()))
     elif args.format == "csv":

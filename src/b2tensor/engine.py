@@ -26,7 +26,7 @@ from .lattice import (
     reflect_to_chamber,
     weights_of_fundamental,
 )
-from .series import LatticeSeries, weight_multiplicities
+from .series import LatticeSeries, PowerChain, weight_multiplicities
 
 _R1, _R2 = RHO.d1, RHO.d2  # rho in doubled coordinates
 
@@ -84,15 +84,16 @@ def fundamental_character(i: int) -> LatticeSeries:
     return LatticeSeries({w: 1 for w in weights_of_fundamental(i)})
 
 
+_WEIGHT_POWERS = {i: PowerChain(fundamental_character(i)) for i in (1, 2)}
+
+
 @lru_cache(maxsize=None)
 def tensor_power_weights(module, p: int) -> LatticeSeries:
     """Weight diagram of the p-th tensor power: p-fold convolution."""
     i = _module_index(module)
     if p < 0:
         raise ValueError("power must be >= 0")
-    if p == 0:
-        return LatticeSeries.unit()
-    return tensor_power_weights(i, p - 1) * fundamental_character(i)
+    return _WEIGHT_POWERS[i][p]
 
 
 def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> DecompositionResult:
@@ -102,19 +103,19 @@ def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> Decomposit
     is an actual character. A negative result is a hard error by design.
     """
     name = MODULE_NAME[_module_index(module)]
+    terms = diagram.by_tuple()
+    get = terms.get
     mult = {}
-    for x in diagram.support():
-        # every candidate highest weight shows up in the diagram itself
-        if not is_dominant(x):
-            continue
+    # every candidate highest weight shows up in the diagram itself
+    for d1, d2 in sorted(k for k in terms if k[0] >= k[1] >= 0):
         m = 0
-        shifted = x + RHO
         for w in WEYL_GROUP:
-            m += w.det * diagram.coeff(w.apply(shifted) - RHO)
+            a, b = w.act(d1 + _R1, d2 + _R2)
+            m += w.det * get((a - _R1, b - _R2), 0)
         if m < 0:
-            raise NegativeMultiplicityError(f"m({x.text()}) = {m}")
+            raise NegativeMultiplicityError(f"m({Weight(d1, d2).text()}) = {m}")
         if m:
-            mult[x] = m
+            mult[Weight(d1, d2)] = m
     return DecompositionResult.from_dict(name, p, mult)
 
 

@@ -25,8 +25,10 @@ direct convolution exactly. diff_report exposes their disagreements.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb
+from operator import mul
+from typing import Callable, NamedTuple
 
 from .engine import (
     DecompositionResult,
@@ -36,24 +38,24 @@ from .engine import (
     tensor_power_weights,
 )
 from .lattice import MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, reflect_to_chamber
-from .series import LatticeSeries, denominator_product, singular_element
+from .series import LatticeSeries, PowerChain, denominator_product, singular_element
 
 
 # ---------------------------------------------------------------------------
 # fans
 
 
-@lru_cache(maxsize=None)
+_FAN_POWERS = PowerChain(denominator_product())
+
+
 def fan_power_direct(p: int) -> LatticeSeries:
     """R^(p-1): the fan of the diagonal injection into p factors (p >= 1).
 
-    Built from the cached R^(p-2), one multiplication by R per new p.
+    Built from R^(p-2), one multiplication by R per new p, and kept.
     """
     if p < 1:
         raise ValueError("fan needs p >= 1")
-    if p == 1:
-        return LatticeSeries.unit()
-    return fan_power_direct(p - 1) * denominator_product()
+    return _FAN_POWERS[p - 1]
 
 
 @lru_cache(maxsize=None)
@@ -91,27 +93,86 @@ def _nonzero_range(first: int, last: int, offset: int, step: int, width: int) ->
     return range(lo, hi + 1)
 
 
-def _fan_closed(p: int, a: int, b: int, tb) -> int:
-    total = 0
-    for k in range(1, p + 1):
-        sign = -1 if (k + a + b) % 2 else 1
-        outer = sign * tb(p - 1, k - 1)
-        ms = _nonzero_range(1, p - k + 1, a - k + 4, 3, k - 1)
-        for l in _nonzero_range(1, k, b + k + 2, 3, p - k):
-            left = outer * tb(k - 1, l - 1) * tb(p - k, b + k - 3 * l + 2)
-            for m in ms:
-                total += left * tb(p - k, m - 1) * tb(k - 1, a - k - 3 * m + 4)
-    return total
+# Each validated closed form is a sum over k of a product of a factor that
+# depends on k and the first coordinate only and one that depends on k and
+# the second coordinate only (the sign splits the same way). So for a fixed
+# p every coordinate value gets one vector over k, built once per batch, and
+# each point is one dot product of its two vectors. This only reorders the
+# published sums; they share no code with the convolutions they are checked
+# against.
+
+
+def _factored(pairs, first, second) -> list:
+    """[first(x) . second(y) for (x, y) in pairs], each vector built once.
+
+    A pair of None (a point off the coset) gives 0, as does a zero vector.
+    """
+    firsts, seconds = {}, {}
+    out = []
+    for pair in pairs:
+        if pair is None:
+            out.append(0)
+            continue
+        x, y = pair
+        u = firsts.get(x)
+        if u is None:
+            u = first(x)
+            u = firsts[x] = u if any(u) else ()
+        v = seconds.get(y)
+        if v is None:
+            v = second(y)
+            v = seconds[y] = v if any(v) else ()
+        out.append(sum(map(mul, u, v)))
+    return out
+
+
+def _halved(points) -> list:
+    # (d1, d2) -> (d1/2, d2/2) on the even coset, None elsewhere
+    return [None if (d1 | d2) & 1 else (d1 >> 1, d2 >> 1) for d1, d2 in points]
+
+
+def _fan_many(p: int, points, tb) -> list:
+    # the fan closed form at doubled points (2a, 2b), 0 off the even coset:
+    # gamma_p(a,b) = (-1)^(a+b) sum_k (-1)^k tb(p-1,k-1) M_k(a) L_k(b), with the
+    # m-sum M_k(a) depending on (k, a) only and the l-sum L_k(b) on (k, b) only
+    ks = range(1, p + 1)
+
+    def first(a: int) -> list:
+        out = []
+        for k in ks:
+            total = 0
+            for m in _nonzero_range(1, p - k + 1, a - k + 4, 3, k - 1):
+                total += tb(p - k, m - 1) * tb(k - 1, a - k - 3 * m + 4)
+            out.append(-total if a % 2 else total)
+        return out
+
+    def second(b: int) -> list:
+        out = []
+        for k in ks:
+            total = 0
+            for l in _nonzero_range(1, k, b + k + 2, 3, p - k):
+                total += tb(k - 1, l - 1) * tb(p - k, b + k - 3 * l + 2)
+            if total:
+                total *= tb(p - 1, k - 1)
+            out.append(-total if (k + b) % 2 else total)
+        return out
+
+    return _factored(_halved(points), first, second)
 
 
 def fan_closed_form(p: int, a: int, b: int) -> int:
     """Validated closed form for gamma_p(a,b); equals fan_with_zero(p) everywhere."""
-    return _fan_closed(p, a, b, _tb_lax)
+    return _fan_many(p, [(2 * a, 2 * b)], _tb_lax)[0]
 
 
 def fan_closed_form_printed(p: int, a: int, b: int) -> int:
     """Verbatim transcription (strict truncated binomial). Kept for the diff report."""
-    return _fan_closed(p, a, b, _tb_strict)
+    return _fan_many(p, [(2 * a, 2 * b)], _tb_strict)[0]
+
+
+def fan_closed_form_many(p: int, points) -> list:
+    """fan_closed_form at doubled points (d1, d2) = (2a, 2b); 0 off the even coset."""
+    return _fan_many(p, points, _tb_lax)
 
 
 def fan_line_structure(p: int):
@@ -148,20 +209,19 @@ def _singular_power_direct(i: int, p: int) -> LatticeSeries:
     return tensor_power_weights(i, p) * denominator_product()
 
 
+# keyed by the module index, so 'vector' and 1 share one chain
+_PROJECTED_POWERS = {
+    1: PowerChain(singular_element(OMEGA1)),
+    2: PowerChain(singular_element(OMEGA2)),
+}
+
+
 def singular_power_projected(module, p: int) -> LatticeSeries:
-    """Projected power Pi = (Psi^(omega_i))^p; the closed forms below evaluate this."""
-    return _singular_power_projected(_module_index(module), p)
+    """Projected power Pi = (Psi^(omega_i))^p; the closed forms below evaluate this.
 
-
-@lru_cache(maxsize=None)
-def _singular_power_projected(i: int, p: int) -> LatticeSeries:
-    # one 8-term factor times the cached (p-1)-th power; the module is already
-    # an index, so 'vector' and 1 share one entry
-    if p < 0:
-        raise ValueError("negative power")
-    if p == 0:
-        return LatticeSeries.unit()
-    return _singular_power_projected(i, p - 1) * singular_element(OMEGA1 if i == 1 else OMEGA2)
+    Built from the (p-1)-th power, one 8-term factor per new p, and kept.
+    """
+    return _PROJECTED_POWERS[_module_index(module)][p]
 
 
 def singular_power_as_sum(result: DecompositionResult) -> LatticeSeries:
@@ -172,32 +232,87 @@ def singular_power_as_sum(result: DecompositionResult) -> LatticeSeries:
     return acc
 
 
-def _vector_singular(p: int, c: int, d: int, tb) -> int:
-    total = 0
-    for k in range(1, p + 2):
-        # the printed sign exponent k-d-c+p-4(l+m)+7 has the parity of k-d-c+p+7
-        sign = -1 if (k - d - c + p + 7) % 2 else 1
-        outer = sign * tb(p, k - 1)
-        ms = _nonzero_range(1, p - k + 2, p - c - 2 * k + 7, 5, k - 1)
-        for l in _nonzero_range(1, k, -d + 2 * k + 3, 5, p - k + 1):
-            left = outer * tb(k - 1, l - 1) * tb(p - k + 1, -d + 2 * k - 5 * (l - 1) - 2)
-            for m in ms:
-                total += left * tb(p - k + 1, m - 1) * tb(k - 1, p - c - 2 * k - 5 * (m - 1) + 2)
-    return total
+def _vector_many(p: int, points, tb) -> list:
+    # the vector closed form at doubled points (2c, 2d), 0 off the even coset:
+    # Pi_vector(c,d) = (-1)^c sum_k (-1)^(k+p+1+d) tb(p,k-1) M_k(c) L_k(d): the
+    # printed sign exponent k-d-c+p-4(l+m)+7 has the parity of k+d+c+p+1
+    ks = range(1, p + 2)
+
+    def first(c: int) -> list:
+        out = []
+        for k in ks:
+            total = 0
+            for m in _nonzero_range(1, p - k + 2, p - c - 2 * k + 7, 5, k - 1):
+                total += tb(p - k + 1, m - 1) * tb(k - 1, p - c - 2 * k - 5 * (m - 1) + 2)
+            out.append(-total if c % 2 else total)
+        return out
+
+    def second(d: int) -> list:
+        out = []
+        for k in ks:
+            total = 0
+            for l in _nonzero_range(1, k, -d + 2 * k + 3, 5, p - k + 1):
+                total += tb(k - 1, l - 1) * tb(p - k + 1, -d + 2 * k - 5 * (l - 1) - 2)
+            if total:
+                total *= tb(p, k - 1)
+            out.append(-total if (k + p + 1 + d) % 2 else total)
+        return out
+
+    return _factored(_halved(points), first, second)
 
 
 def vector_singular_closed(p: int, weight: Weight) -> int:
     """Validated coefficient of Pi_vector at the given point (lax binomials)."""
-    if weight.d1 % 2 or weight.d2 % 2:
-        return 0  # Pi_vector lives on the integer coset
-    return _vector_singular(p, weight.d1 // 2, weight.d2 // 2, _tb_lax)
+    return vector_singular_closed_many(p, [(weight.d1, weight.d2)])[0]
 
 
 def vector_singular_closed_printed(p: int, weight: Weight) -> int:
     """Verbatim transcription of the published pointwise formula (strict binomials)."""
-    if weight.d1 % 2 or weight.d2 % 2:
-        return 0
-    return _vector_singular(p, weight.d1 // 2, weight.d2 // 2, _tb_strict)
+    return _vector_many(p, [(weight.d1, weight.d2)], _tb_strict)[0]
+
+
+def vector_singular_closed_many(p: int, points) -> list:
+    """vector_singular_closed at doubled points (d1, d2); Pi_vector lives on the even coset."""
+    return _vector_many(p, points, _tb_lax)
+
+
+def spinor_singular_closed_many(p: int, points) -> list:
+    """spinor_singular_closed at doubled points (d1, d2); 0 off the p-th spinor coset."""
+    # Pi_spinor = sum_k (-1)^k C(p,k) A_k(d1) B_k(d2), where the (i, j) block
+    # A_k depends on (k, d1) only and the (n, m) block B_k on (k, d2) only
+    ks = range(p + 1)
+
+    def first(d1: int) -> list:
+        out = []
+        for k in ks:
+            x = (p - 2 * k) - d1  # = 8i + 4j
+            total = 0
+            if x >= 0 and not x % 4:
+                for i in range(min(p - k, x // 8) + 1):
+                    j = (x - 8 * i) // 4
+                    if j <= k:
+                        total += (-1 if (i + j) % 2 else 1) * comb(p - k, i) * comb(k, j)
+            if total:
+                total *= comb(p, k)
+            out.append(-total if k % 2 else total)
+        return out
+
+    def second(d2: int) -> list:
+        out = []
+        for k in ks:
+            y = (p + 2 * k) - d2  # = 8n + 4m
+            total = 0
+            if y >= 0 and not y % 4:
+                for n in range(min(k, y // 8) + 1):
+                    m = (y - 8 * n) // 4
+                    if m <= p - k:
+                        total += (-1 if (m + n) % 2 else 1) * comb(p - k, m) * comb(k, n)
+            out.append(total)
+        return out
+
+    r = p % 2
+    pairs = [pt if pt[0] % 2 == r and pt[1] % 2 == r else None for pt in points]
+    return _factored(pairs, first, second)
 
 
 def spinor_singular_closed(p: int, weight: Weight) -> int:
@@ -209,33 +324,7 @@ def spinor_singular_closed(p: int, weight: Weight) -> int:
     Y = (p + 2k) - d2 = 8n + 4m, the coefficient is
     sum (-1)^(k+i+j+m+n) C(p,k) C(p-k,i) C(k,j) C(p-k,m) C(k,n).
     """
-    if weight.d1 % 2 != p % 2 or weight.d2 % 2 != p % 2:
-        return 0  # off the p-th spinor coset
-    total = 0
-    for k in range(0, p + 1):
-        x = (p - 2 * k) - weight.d1
-        y = (p + 2 * k) - weight.d2
-        if x < 0 or y < 0 or x % 4 or y % 4:
-            continue
-        for i in range(0, p - k + 1):
-            jj = x - 8 * i
-            if jj < 0:
-                break
-            j = jj // 4
-            if j > k:
-                continue
-            for n in range(0, k + 1):
-                mm = y - 8 * n
-                if mm < 0:
-                    break
-                m = mm // 4
-                if m > p - k:
-                    continue
-                sign = -1 if (k + i + j + m + n) % 2 else 1
-                total += (
-                    sign * comb(p, k) * comb(p - k, i) * comb(k, j) * comb(p - k, m) * comb(k, n)
-                )
-    return total
+    return spinor_singular_closed_many(p, [(weight.d1, weight.d2)])[0]
 
 
 def spinor_singular_closed_printed(p: int, weight: Weight) -> int:
@@ -276,52 +365,66 @@ def _tb_quarter(j: int, quad_i: int) -> int:
     return _tb_strict(j, quad_i // 4)
 
 
+class ClosedForm(NamedTuple):
+    """One closed-form kind: the series it reproduces and its two readings.
+
+    validated and printed take (p, points) with points a list of doubled
+    (d1, d2) pairs and give one integer per point; validated gives 0 off
+    the coset its truth series lives on.
+    """
+
+    truth: Callable[[int], LatticeSeries]
+    validated: Callable[[int, list], list]
+    printed: Callable[[int, list], list]
+
+
+CLOSED_FORMS = {
+    "fan": ClosedForm(
+        fan_with_zero,
+        fan_closed_form_many,
+        partial(_fan_many, tb=_tb_strict),
+    ),
+    "vector": ClosedForm(
+        partial(singular_power_projected, 1),
+        vector_singular_closed_many,
+        partial(_vector_many, tb=_tb_strict),
+    ),
+    "spinor": ClosedForm(
+        partial(singular_power_projected, 2),
+        spinor_singular_closed_many,
+        lambda p, points: [spinor_singular_closed_printed(p, Weight(*pt)) for pt in points],
+    ),
+}
+
+
 def diff_report(kind: str, p: int) -> list:
     """Machine-readable verbatim-vs-direct discrepancies over support plus halo.
 
     kind is one of 'fan', 'vector', 'spinor'. Entries look like
     {"point": "a,b", "printed": "<int>", "direct": "<int>"}.
     """
-    rows = []
-    if kind == "fan":
-        truth = fan_with_zero(p)
-        for w in _support_halo(truth):
-            if w.d1 % 2 or w.d2 % 2:
-                continue
-            printed = fan_closed_form_printed(p, w.d1 // 2, w.d2 // 2)
-            direct = truth.coeff(w)
-            if printed != direct:
-                rows.append(_diff_row(w, printed, direct))
-    elif kind == "vector":
-        truth = singular_power_projected(1, p)
-        for w in _support_halo(truth):
-            printed = vector_singular_closed_printed(p, w)
-            direct = truth.coeff(w)
-            if printed != direct:
-                rows.append(_diff_row(w, printed, direct))
-    elif kind == "spinor":
-        truth = singular_power_projected(2, p)
-        for w in _support_halo(truth):
-            printed = spinor_singular_closed_printed(p, w)
-            direct = truth.coeff(w)
-            if printed != direct:
-                rows.append(_diff_row(w, printed, direct))
-    else:
-        raise ValueError(f"unknown diff kind {kind!r}")
-    return rows
+    try:
+        form = CLOSED_FORMS[kind]
+    except KeyError:
+        raise ValueError(f"unknown diff kind {kind!r}") from None
+    truth = form.truth(p)
+    direct = truth.by_tuple()
+    points = _support_halo(truth)
+    return [
+        {"point": Weight(*pt).text(), "printed": str(printed), "direct": str(direct.get(pt, 0))}
+        for pt, printed in zip(points, form.printed(p, points))
+        if printed != direct.get(pt, 0)
+    ]
 
 
-def _diff_row(w: Weight, printed: int, direct: int) -> dict:
-    return {"point": w.text(), "printed": str(printed), "direct": str(direct)}
-
-
-def _support_halo(series: LatticeSeries, step: int = 2):
+def _support_halo(series: LatticeSeries, step: int = 2) -> list:
+    """Sorted doubled points within one step (both coordinates) of the support."""
     pts = set()
     for d1, d2 in series.by_tuple():
         for da in (-step, 0, step):
             for db in (-step, 0, step):
                 pts.add((d1 + da, d2 + db))
-    return [Weight(d1, d2) for d1, d2 in sorted(pts)]
+    return sorted(pts)
 
 
 # ---------------------------------------------------------------------------

@@ -90,8 +90,13 @@ class WeylElement:
         return (-1 if self.swap else 1) * self.s1 * self.s2
 
     def apply(self, lam: Weight) -> Weight:
-        a, b = (lam.d2, lam.d1) if self.swap else (lam.d1, lam.d2)
-        return Weight(self.s1 * a, self.s2 * b)
+        return Weight(*self.act(lam.d1, lam.d2))
+
+    def act(self, d1: int, d2: int) -> tuple:
+        """apply on the doubled point (d1, d2), without building a Weight."""
+        if self.swap:
+            d1, d2 = d2, d1
+        return self.s1 * d1, self.s2 * d2
 
     def compose(self, other: "WeylElement") -> "WeylElement":
         # self after other; derived so that apply(compose) == apply(self) o apply(other)
@@ -114,10 +119,6 @@ OMEGA2 = Weight.make(Fraction(1, 2), Fraction(1, 2))
 RHO = Weight.make(Fraction(3, 2), Fraction(1, 2))
 # e1-e2, e2, e1, e1+e2
 POSITIVE_ROOTS = (ALPHA1, ALPHA2, OMEGA1, Weight.make(1, 1))
-
-
-def apply_weyl(w: WeylElement, lam: Weight) -> Weight:
-    return w.apply(lam)
 
 
 def is_dominant(lam: Weight) -> bool:

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .lattice import (
     POSITIVE_ROOTS,
@@ -110,6 +111,10 @@ class LatticeSeries:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
+        if len(a) > _PACKED_MIN_TERMS:
+            grid = _Grid.of(a, b)
+            if grid.slots <= len(a) * len(b):
+                return LatticeSeries._from_tuples(_packed_product(a, b, grid))
         inner = tuple(b.items())
         out = {}
         get = out.get
@@ -130,12 +135,6 @@ class LatticeSeries:
         for _ in range(n):
             acc = acc * self
         return acc
-
-    def translate(self, shift: Weight) -> "LatticeSeries":
-        s1, s2 = shift.d1, shift.d2
-        return LatticeSeries._from_tuples(
-            {(d1 + s1, d2 + s2): c for (d1, d2), c in self._terms.items()}
-        )
 
     def reflect(self) -> "LatticeSeries":
         """Image under the full reflection w -> -w."""
@@ -165,6 +164,162 @@ class LatticeSeries:
     def __repr__(self):
         inner = ", ".join(f"{w.text()}: {c}" for w, c in self.items())
         return f"Series{{{inner}}}"
+
+
+# Packed products (Kronecker substitution).
+#
+# A product whose smaller operand has more than _PACKED_MIN_TERMS terms is
+# computed as one big-integer product instead of a loop over term pairs.
+# Each operand becomes an integer X = sum_x a_x * z^slot(x) in the base
+# z = 2^(8*size), and the product's coefficients are the base-z digits of X*Y.
+#
+# Exactness. Let (lo1, lo2) be the corner (coordinatewise minimum) of an
+# operand, s the step (2 when every point of both operands differs from its
+# own corner by even amounts in both coordinates, else 1) and
+# W = (d2 span of a + d2 span of b)/s + 1. The slot of an a-point x is
+# (x1 - lo1)/s * W + (x2 - lo2)/s, and likewise for b with b's corner. The
+# map is affine with the same W on both sides, so slot(x) + slot(y) is the
+# slot of x + y in the product grid with corner lo_a + lo_b, and the d2 offset
+# of x + y is at most W - 1, so every slot k names exactly one product point
+# (row k // W, column k % W). Hence X*Y = sum_k c_k z^k with c_k the exact
+# product coefficient of slot k. For one k each x pairs with at most one y,
+# so |c_k| <= sum|a| * max|b| (and symmetrically); bound is the smaller of
+# the two. With 8*size >= bound.bit_length() + 1 (one sign bit),
+# |c_k| <= bound < h = 2^(8*size - 1). Adding H = sum_k h z^k gives
+# sum_k (c_k + h) z^k with 0 < c_k + h < 2h = z: these are exactly the base-z
+# digits of X*Y + H, read back slot by slot from one to_bytes, minus h. The
+# operands' own coefficients are at most bound in size, so each fits its
+# slot too: X is the positive bytes minus the negative bytes.
+#
+# Threshold: the smaller operand must have more than 16 terms, so every chain
+# (the 4- and 5-term characters, the 8-term singular elements and R) stays on
+# the dict loop. Against R^17 (2 024 terms), dict/packed took 11.0/7.2 ms
+# with 8 terms, 21.5/7.7 with 16, 43.6/8.2 with 32 and 171/12 with 128; the
+# products R^(p-1) * Phi of fan-identity (792 x 2 024 terms at p = 18) went
+# from 0.85 s to 0.026 s. A product whose grid has more slots than term pairs
+# (far-apart sparse operands) also stays on the dict loop, which bounds the
+# packed path's memory by that of the term pairs.
+#
+# Two measured dead ends:
+#   * unpacking by repeated `>>=` of the product copies the remaining integer
+#     each time, which is quadratic in its size, and was slower than the dict
+#     product; one to_bytes and slicing is linear;
+#   * packing a whole chain as one big-integer power costs more than it
+#     saves: Pi_vector at p = 60 took 30.8 s that way against 7.9 s for the
+#     dict chain, because the slots must be as wide as the largest final
+#     coefficient from the first factor on.
+
+_PACKED_MIN_TERMS = 16
+
+
+class _Grid(NamedTuple):
+    """Slot layout of a packed product: operand corners, step and row width."""
+
+    corner_a: tuple
+    corner_b: tuple
+    step: int
+    width: int
+    rows_a: int
+    rows_b: int
+
+    @classmethod
+    def of(cls, a: dict, b: dict) -> "_Grid":
+        (alo1, ahi1, alo2, ahi2), (blo1, bhi1, blo2, bhi2) = _box(a), _box(b)
+        even = all(not ((d1 - alo1) | (d2 - alo2)) & 1 for d1, d2 in a) and all(
+            not ((d1 - blo1) | (d2 - blo2)) & 1 for d1, d2 in b
+        )
+        step = 2 if even else 1
+        return cls(
+            (alo1, alo2),
+            (blo1, blo2),
+            step,
+            (ahi2 - alo2 + bhi2 - blo2) // step + 1,
+            (ahi1 - alo1) // step + 1,
+            (bhi1 - blo1) // step + 1,
+        )
+
+    @property
+    def slots(self) -> int:
+        return (self.rows_a + self.rows_b - 1) * self.width
+
+
+def _box(terms: dict):
+    d1s = [d1 for d1, _ in terms]
+    d2s = [d2 for _, d2 in terms]
+    return min(d1s), max(d1s), min(d2s), max(d2s)
+
+
+def _pack(terms: dict, corner: tuple, rows: int, grid: _Grid, size: int) -> int:
+    lo1, lo2 = corner
+    step, width = grid.step, grid.width
+    pos = bytearray(rows * width * size)
+    neg = bytearray(len(pos))
+    for (d1, d2), c in terms.items():
+        i = ((d1 - lo1) // step * width + (d2 - lo2) // step) * size
+        if c > 0:
+            pos[i : i + size] = c.to_bytes(size, "little")
+        else:
+            neg[i : i + size] = (-c).to_bytes(size, "little")
+    return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+
+def _packed_product(a: dict, b: dict, grid: _Grid = None) -> dict:
+    """The convolution of two tuple-keyed term dicts by one integer product.
+
+    grid is _Grid.of(a, b), passed when the caller already has it; the
+    result drops zeros, as the dict loop does. See the comment above
+    _PACKED_MIN_TERMS for why it is exact.
+    """
+    if not a or not b:
+        return {}
+    if grid is None:
+        grid = _Grid.of(a, b)
+    bound = min(
+        sum(map(abs, a.values())) * max(map(abs, b.values())),
+        sum(map(abs, b.values())) * max(map(abs, a.values())),
+    )
+    size = (bound.bit_length() + 8) // 8  # bytes per slot: bound plus one sign bit
+    x = _pack(a, grid.corner_a, grid.rows_a, grid, size)
+    y = _pack(b, grid.corner_b, grid.rows_b, grid, size)
+    n = grid.slots
+    half = 1 << (8 * size - 1)
+    zero = half.to_bytes(size, "little")  # the digit of a zero coefficient
+    digits = (x * y + int.from_bytes(zero * n, "little")).to_bytes(n * size, "little")
+    lo1 = grid.corner_a[0] + grid.corner_b[0]
+    lo2 = grid.corner_a[1] + grid.corner_b[1]
+    step, width = grid.step, grid.width
+    from_bytes = int.from_bytes
+    out = {}
+    for k in range(n):
+        digit = digits[k * size : (k + 1) * size]
+        if digit != zero:
+            row, col = divmod(k, width)
+            out[lo1 + row * step, lo2 + col * step] = from_bytes(digit, "little") - half
+    return out
+
+
+class PowerChain:
+    """The powers factor^0, factor^1, ... of one series, each built once.
+
+    Indexing fills the chain bottom-up by a loop from its highest built
+    power, one multiplication by the factor per new power, so a large power
+    takes no recursion. Every chain raises a small factor, for which n passes
+    against its few terms cost far less than squaring a large operand.
+    """
+
+    __slots__ = ("_factor", "_powers")
+
+    def __init__(self, factor: LatticeSeries):
+        self._factor = factor
+        self._powers = [LatticeSeries.unit()]
+
+    def __getitem__(self, n: int) -> LatticeSeries:
+        if n < 0:
+            raise ValueError("negative power")
+        powers = self._powers
+        while len(powers) <= n:
+            powers.append(powers[-1] * self._factor)
+        return powers[n]
 
 
 @lru_cache(maxsize=None)
@@ -232,8 +387,7 @@ def weight_multiplicities(lam: Weight) -> LatticeSeries:
     mult = {}
 
     def get(nu: Weight) -> int:
-        rep, _ = _plain_dominant(nu)
-        return mult.get(rep, 0)
+        return mult.get(_plain_dominant(nu), 0)
 
     lam_rho = lam + RHO
     c_lam = _ip4(lam_rho, lam_rho)
@@ -274,7 +428,7 @@ def _plain_dominant(nu: Weight):
     a, b = abs(nu.d1), abs(nu.d2)
     if a < b:
         a, b = b, a
-    return Weight(a, b), None
+    return Weight(a, b)
 
 
 def _height_above(lam: Weight, nu: Weight) -> int:

@@ -14,7 +14,8 @@ cheap long recurrences run to 3*pmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import time
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, isqrt
 
@@ -28,9 +29,9 @@ from .engine import (
     tensor_with_vector,
 )
 from .fans import (
+    CLOSED_FORMS,
     _support_halo,
     diff_report,
-    fan_closed_form,
     fan_line_structure,
     fan_power_direct,
     fan_recursion_solve,
@@ -38,8 +39,6 @@ from .fans import (
     fan_with_zero,
     singular_power_direct,
     singular_power_projected,
-    spinor_singular_closed,
-    vector_singular_closed,
 )
 from .lattice import Weight, dim_irrep
 from .series import denominator_product, singular_element, weight_multiplicities
@@ -54,6 +53,8 @@ class CheckResult:
     name: str
     status: str
     evidence: str
+    points: int = 0  # values compared (printed-formula-diffs: differing rows); 0 on failure
+    seconds: float = field(default=0.0, compare=False)  # set by run_suite
 
     def to_json_obj(self) -> dict:
         return {"name": self.name, "status": self.status, "evidence": self.evidence}
@@ -122,7 +123,9 @@ def check_four_routes(pmax: int) -> CheckResult:
             ):
                 return _fail(name, f"module={mod} p={p}")
             n += 1
-    return CheckResult(name, PASS, f"4 routes identical on {n} (module,p) pairs, p <= {pmax}")
+    return CheckResult(
+        name, PASS, f"4 routes identical on {n} (module,p) pairs, p <= {pmax}", n
+    )
 
 
 def check_dimension_sum(pmax: int) -> CheckResult:
@@ -135,7 +138,9 @@ def check_dimension_sum(pmax: int) -> CheckResult:
             total = sum(m * dim_irrep(w) for w, m in recs[p].restrict_positive().items())
             if total != dim**p:
                 return _fail(name, f"module={mod} p={p}")
-    return CheckResult(name, PASS, f"sum m*dim == dim^p for both modules, p <= {bound}")
+    return CheckResult(
+        name, PASS, f"sum m*dim == dim^p for both modules, p <= {bound}", 2 * (bound + 1)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +162,7 @@ def check_vector_table(pmax: int) -> CheckResult:
                 if got != want:
                     return _fail(name, f"p={p} cell=({i},{j})")
     return CheckResult(
-        name, PASS, f"16 cells match extended M for p in {{2,3}} and 6..{bound}"
+        name, PASS, f"16 cells match extended M for p in {{2,3}} and 6..{bound}", 16 * len(powers)
     )
 
 
@@ -188,6 +193,7 @@ def check_spinor_table(pmax: int) -> CheckResult:
         PASS,
         f"8 entries + 6 off-lattice half columns match for 2 <= p <= {bound}; "
         "extended spot (2,2,p=2) == -1",
+        14 * (bound - 1) + 1,
     )
 
 
@@ -204,7 +210,7 @@ def check_diagonal_low(pmax: int) -> CheckResult:
                 if got != want:
                     return _fail(name, f"s={s} t={t} p={p}")
                 n += 1
-    return CheckResult(name, PASS, f"{n} points exact for s=1..3, p <= {bound}, 0 <= t <= p")
+    return CheckResult(name, PASS, f"{n} points exact for s=1..3, p <= {bound}, 0 <= t <= p", n)
 
 
 def check_diagonal_high(pmax: int) -> CheckResult:
@@ -213,6 +219,7 @@ def check_diagonal_high(pmax: int) -> CheckResult:
     first fails at p = t+1; the refitted bracket matches everywhere."""
     name = "diagonal-families-s4-6"
     bound = pmax + 4
+    n = 0
     for s in (4, 6):
         for t in range(0, 7):
             for p in range(1, bound + 1):
@@ -220,11 +227,13 @@ def check_diagonal_high(pmax: int) -> CheckResult:
                 want = m_extended("vector", p, cf.diagonal_weight(s, t, p))
                 if got != want:
                     return _fail(name, f"s={s} t={t} p={p}")
+                n += 1
     for t in range(0, 7):
         first_bad = None
         for p in range(1, bound + 1):
             got = cf.diagonal_formula(5, t, p)
             want = m_extended("vector", p, cf.diagonal_weight(5, t, p))
+            n += 1
             if got != want:
                 first_bad = p
                 break
@@ -235,11 +244,13 @@ def check_diagonal_high(pmax: int) -> CheckResult:
             want = m_extended("vector", p, cf.diagonal_weight(5, t, p))
             if got != want:
                 return _fail(name, f"s=5 corrected t={t} p={p}")
+            n += 1
     return CheckResult(
         name,
         DOCUMENTED,
         f"s=4 and s=6 exact for t <= 6, p <= {bound}; printed s=5 wrong at every "
         f"t (first failure p=t+1, non-integer values); corrected bracket exact",
+        n,
     )
 
 
@@ -251,7 +262,9 @@ def check_diagonal_spinor_line(pmax: int) -> CheckResult:
         for a in (0, 1, 2):
             if cf.diagonal_formula(1, a, p) != cf.spinor_table(a, 1, p):
                 return _fail(name, f"a={a} p={p}")
-    return CheckResult(name, PASS, f"s=1 values equal spinor entries (a,1) for p <= {bound}")
+    return CheckResult(
+        name, PASS, f"s=1 values equal spinor entries (a,1) for p <= {bound}", 3 * (bound - 1)
+    )
 
 
 def check_known_window(pmax: int) -> CheckResult:
@@ -282,6 +295,7 @@ def check_known_window(pmax: int) -> CheckResult:
         PASS,
         f"window rows exact for 5 <= p <= {pmax}; M(p-2,1) == (p-1)(p-2)/2 "
         f"for 2 <= p <= {long_bound}",
+        14 * max(0, pmax - 4) + long_bound - 1,
     )
 
 
@@ -289,49 +303,36 @@ def check_known_window(pmax: int) -> CheckResult:
 # closed forms vs direct convolution
 
 
-def check_fan_closed_form(pmax: int) -> CheckResult:
-    """Validated fan closed form equals -R^(p-1) reflected, zero point included,
-    over support plus a halo of definitely-zero points."""
-    name = "fan-closed-form"
+def _closed_form_sweep(kind: str, name: str, truth_name: str, pmax: int) -> CheckResult:
+    # the validated closed form of `kind` against its truth series, over support plus halo
+    form = CLOSED_FORMS[kind]
     bound = max(1, pmax - 2)
     n = 0
     for p in range(1, bound + 1):
-        truth = fan_with_zero(p)
-        for w in _support_halo(truth):
-            if w.d1 % 2 or w.d2 % 2:
-                continue
-            if fan_closed_form(p, w.d1 // 2, w.d2 // 2) != truth.coeff(w):
-                return _fail(name, f"p={p} point={w.text()}")
-            n += 1
-    return CheckResult(name, PASS, f"{n} points equal the direct fan for p <= {bound}")
+        truth = form.truth(p)
+        want = truth.by_tuple()
+        points = _support_halo(truth)
+        for pt, got in zip(points, form.validated(p, points)):
+            if got != want.get(pt, 0):
+                return _fail(name, f"p={p} point={Weight(*pt).text()}")
+        n += len(points)
+    return CheckResult(name, PASS, f"{n} points equal {truth_name} for p <= {bound}", n)
+
+
+def check_fan_closed_form(pmax: int) -> CheckResult:
+    """Validated fan closed form equals -R^(p-1) reflected, zero point included,
+    over support plus a halo of definitely-zero points."""
+    return _closed_form_sweep("fan", "fan-closed-form", "the direct fan", pmax)
 
 
 def check_vector_singular_closed(pmax: int) -> CheckResult:
     """Validated vector closed form equals the projected power Pi directly."""
-    name = "vector-singular-closed-form"
-    bound = max(1, pmax - 2)
-    n = 0
-    for p in range(1, bound + 1):
-        truth = singular_power_projected(1, p)
-        for w in _support_halo(truth):
-            if vector_singular_closed(p, w) != truth.coeff(w):
-                return _fail(name, f"p={p} point={w.text()}")
-            n += 1
-    return CheckResult(name, PASS, f"{n} points equal Pi_vector for p <= {bound}")
+    return _closed_form_sweep("vector", "vector-singular-closed-form", "Pi_vector", pmax)
 
 
 def check_spinor_singular_closed(pmax: int) -> CheckResult:
     """Re-derived spinor closed form equals the projected power Pi directly."""
-    name = "spinor-singular-closed-form"
-    bound = max(1, pmax - 2)
-    n = 0
-    for p in range(1, bound + 1):
-        truth = singular_power_projected(2, p)
-        for w in _support_halo(truth):
-            if spinor_singular_closed(p, w) != truth.coeff(w):
-                return _fail(name, f"p={p} point={w.text()}")
-            n += 1
-    return CheckResult(name, PASS, f"{n} points equal Pi_spinor for p <= {bound}")
+    return _closed_form_sweep("spinor", "spinor-singular-closed-form", "Pi_spinor", pmax)
 
 
 def check_diff_reports(pmax: int) -> CheckResult:
@@ -340,6 +341,7 @@ def check_diff_reports(pmax: int) -> CheckResult:
     the origin is -1 but the printed sum gives 0."""
     name = "printed-formula-diffs"
     bound = min(pmax, 4)
+    n = 0
     counts = []
     for p in range(1, bound + 1):
         row = []
@@ -348,12 +350,13 @@ def check_diff_reports(pmax: int) -> CheckResult:
             if not rows:
                 return _fail(name, f"{kind} p={p}: empty report")
             row.append(len(rows))
+            n += len(rows)
         counts.append((p, row))
     origin = [r for r in diff_report("fan", 2) if r["point"] == "0,0"]
     if origin != [{"point": "0,0", "printed": "0", "direct": "-1"}]:
         return _fail(name, "fan origin row at p=2")
     body = "; ".join(f"p={p}: fan {a}, vector {b}, spinor {c}" for p, (a, b, c) in counts)
-    return CheckResult(name, DOCUMENTED, f"nonempty diffs (strict reading): {body}")
+    return CheckResult(name, DOCUMENTED, f"nonempty diffs (strict reading): {body}", n)
 
 
 def check_line_structure(pmax: int) -> CheckResult:
@@ -370,6 +373,7 @@ def check_line_structure(pmax: int) -> CheckResult:
         DOCUMENTED,
         f"line values are (-1)^t C(p-1,t) with the (p+1)-th point zero for "
         f"p <= {pmax}; the printed claim C(p,t) on p+1 points describes R^p",
+        sum(p + 1 for p in range(2, pmax + 1)),
     )
 
 
@@ -382,23 +386,30 @@ def check_fan_identity(pmax: int) -> CheckResult:
     pointwise relation sum_gamma gamma_p(gamma) Phi(mu+gamma) + Pi(mu) = 0."""
     name = "fan-identity"
     bound = max(1, pmax - 2)
+    n = 0
     for i, mod in ((1, "vector"), (2, "spinor")):
         for p in range(1, bound + 1):
             lhs = fan_power_direct(p) * singular_power_direct(i, p)
             if lhs != singular_power_projected(i, p):
                 return _fail(name, f"module={mod} p={p}")
-    fan = fan_with_zero(3)
-    phi = singular_power_direct(1, 3)
+            n += len(lhs)
+    fan = fan_with_zero(3).by_tuple()
+    phi = singular_power_direct(1, 3).by_tuple()
     pi = singular_power_projected(1, 3)
-    for w in _support_halo(pi):
-        total = pi.coeff(w) + sum(c * phi.coeff(w + g) for g, c in fan.items())
+    source = pi.by_tuple()
+    window = _support_halo(pi)
+    for d1, d2 in window:
+        total = source.get((d1, d2), 0) + sum(
+            c * phi.get((d1 + g1, d2 + g2), 0) for (g1, g2), c in fan.items()
+        )
         if total != 0:
-            return _fail(name, f"pointwise p=3 at {w.text()}")
+            return _fail(name, f"pointwise p=3 at {Weight(d1, d2).text()}")
     return CheckResult(
         name,
         PASS,
         f"R^(p-1)*Phi == Pi for both modules, p <= {bound}; pointwise "
         "source-inclusive sum vanishes on the p=3 vector window",
+        n + len(window),
     )
 
 
@@ -427,6 +438,7 @@ def check_singular_contribution(pmax: int) -> CheckResult:
         PASS,
         f"Pi(p-2,1) == p(p-1) for p <= {bound}; step audits at p=5,6,7 "
         "reproduce the published line totals",
+        bound - 1 + len(frozen),
     )
 
 
@@ -443,7 +455,7 @@ def check_character_product(pmax: int) -> CheckResult:
             if weight_multiplicities(lam) * R != singular_element(lam):
                 return _fail(name, f"lam={lam.text()}")
             n += 1
-    return CheckResult(name, PASS, f"{n} dominant weights with first coordinate <= {vmax}")
+    return CheckResult(name, PASS, f"{n} dominant weights with first coordinate <= {vmax}", n)
 
 
 # ---------------------------------------------------------------------------
@@ -475,6 +487,7 @@ def check_multiplicity_free(pmax: int) -> CheckResult:
         PASS,
         f"{n} dominant weights with first coordinate <= {mu1max}; edge "
         "(1/2,1/2) x vector = 4 + 16 dimensions",
+        n + 1,
     )
 
 
@@ -511,6 +524,7 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
         name,
         PASS,
         f"{nfits} fits on window 6..{hi}, {npred} out-of-window predictions match",
+        npred,
     )
 
 
@@ -530,7 +544,9 @@ def check_diagonal_zeros(pmax: int) -> CheckResult:
             if m_extended("vector", p, cf.diagonal_weight(s, t, p)) != 0:
                 return _fail(name, f"multiplicity s={s} t={t} p={p}")
             n += 1
-    return CheckResult(name, PASS, f"{n} zeros at p = 2t+s-2 for all six families, p <= {bound}")
+    return CheckResult(
+        name, PASS, f"{n} zeros at p = 2t+s-2 for all six families, p <= {bound}", n
+    )
 
 
 def check_bracket_factorization(pmax: int) -> CheckResult:
@@ -558,6 +574,7 @@ def check_bracket_factorization(pmax: int) -> CheckResult:
         PASS,
         "rational-root pattern: s=4 t<=1, corrected s=5 t<=1, s=6 t<=2; "
         "disc(s=4,t=2) = 1872 is not a square",
+        len(got4) + len(got5) + len(got6) + 1,
     )
 
 
@@ -613,4 +630,9 @@ def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
         checks = SUITES[suite]
     else:
         raise KeyError(f"unknown suite {suite!r}")
-    return VerificationReport(suite, pmax, [fn(pmax) for fn in checks])
+    results = []
+    for fn in checks:
+        start = time.perf_counter()
+        result = fn(pmax)
+        results.append(replace(result, seconds=time.perf_counter() - start))
+    return VerificationReport(suite, pmax, results)

@@ -3,6 +3,7 @@
 from hypothesis import strategies as st
 
 from b2tensor import WEYL_GROUP, Weight
+from b2tensor.fans import _support_halo
 
 
 def weights(span: int = 12):
@@ -32,3 +33,8 @@ def weyl_elements():
 
 def small_powers(top: int = 6):
     return st.integers(0, top)
+
+
+def halo_weights(series):
+    """The support of series plus a halo, as Weights."""
+    return [Weight(d1, d2) for d1, d2 in _support_halo(series)]

@@ -20,7 +20,6 @@ from b2tensor.engine import (
     tensor_with_vector,
 )
 from b2tensor.fans import (
-    _support_halo,
     diff_report,
     fan_closed_form,
     fan_power_direct,
@@ -33,6 +32,7 @@ from b2tensor.fans import (
 )
 from b2tensor.lattice import Weight, dim_irrep
 from b2tensor.series import denominator_product, singular_element, weight_multiplicities
+from conftest import halo_weights
 
 
 def ok(tag: str, detail: str) -> None:
@@ -147,7 +147,7 @@ def test_c08_fan_identity():
         fan = fan_with_zero(3)
         phi = singular_power_direct(i, 3)
         pi = singular_power_projected(i, 3)
-        for w in _support_halo(pi):
+        for w in halo_weights(pi):
             assert pi.coeff(w) + sum(c * phi.coeff(w + g) for g, c in fan.items()) == 0
     ok("C08", "R^(p-1) * Phi == Pi for p <= 8, both modules; pointwise sum vanishes at p=3")
 
@@ -156,13 +156,13 @@ def test_c09_closed_forms_and_printed_diffs():
     points = 0
     for p in range(1, 9):
         truth = fan_with_zero(p)
-        for w in _support_halo(truth):
+        for w in halo_weights(truth):
             if w.d1 % 2 == 0 and w.d2 % 2 == 0:
                 assert fan_closed_form(p, w.d1 // 2, w.d2 // 2) == truth.coeff(w), (p, w.text())
                 points += 1
         for i, closed in ((1, vector_singular_closed), (2, spinor_singular_closed)):
             pi = singular_power_projected(i, p)
-            for w in _support_halo(pi):
+            for w in halo_weights(pi):
                 assert closed(p, w) == pi.coeff(w), (i, p, w.text())
                 points += 1
     for p in range(1, 5):

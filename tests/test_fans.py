@@ -1,12 +1,16 @@
 """Fans, singular powers, the recursion that ties them together."""
 
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2tensor import (
+    OMEGA1,
+    OMEGA2,
     Weight,
     decomposition,
     denominator_product,
@@ -23,15 +27,21 @@ from b2tensor import (
     vector_singular_closed,
 )
 from b2tensor.fans import (
-    _fan_closed,
-    _support_halo,
+    CLOSED_FORMS,
+    _fan_many,
     _tb_lax,
     _tb_strict,
-    _vector_singular,
+    _vector_many,
     diff_report,
+    fan_closed_form_printed,
     fan_line_structure,
     singular_power_as_sum,
+    spinor_singular_closed_printed,
+    vector_singular_closed_printed,
 )
+from b2tensor import engine, fans
+from b2tensor.series import PowerChain
+from conftest import halo_weights, weights
 
 
 def test_pairwise_fan_has_seven_signed_shifts():
@@ -68,7 +78,7 @@ def test_fan_identity_pointwise_source_inclusive():
     for module in (1, 2):
         phi = singular_power_direct(module, p)
         pi = singular_power_projected(module, p)
-        for w in _support_halo(pi):
+        for w in halo_weights(pi):
             assert pi.coeff(w) + sum(c * phi.coeff(w + g) for g, c in fan.items()) == 0
 
 
@@ -89,7 +99,7 @@ def test_phi_and_pi_differ():
 def test_fan_closed_form_matches_direct():
     for p in range(1, 5):
         truth = fan_with_zero(p)
-        for w in _support_halo(truth):
+        for w in halo_weights(truth):
             if w.d1 % 2 or w.d2 % 2:
                 continue
             assert fan_closed_form(p, w.d1 // 2, w.d2 // 2) == truth.coeff(w)
@@ -98,14 +108,14 @@ def test_fan_closed_form_matches_direct():
 def test_vector_singular_closed_matches_projected():
     for p in range(1, 5):
         truth = singular_power_projected(1, p)
-        for w in _support_halo(truth):
+        for w in halo_weights(truth):
             assert vector_singular_closed(p, w) == truth.coeff(w)
 
 
 def test_spinor_singular_closed_matches_projected():
     for p in range(1, 6):
         truth = singular_power_projected(2, p)
-        for w in _support_halo(truth):
+        for w in halo_weights(truth):
             assert spinor_singular_closed(p, w) == truth.coeff(w)
 
 
@@ -208,16 +218,95 @@ def _index_box(series, margin):
 
 @pytest.mark.parametrize("tb", [_tb_lax, _tb_strict], ids=["lax", "strict"])
 def test_pruned_fan_closed_equals_brute_force(tb):
+    # one batch per p, so the tabulated rows and columns are shared across the box
     for p in range(1, 9):
-        for a, b in _index_box(fan_with_zero(p), margin=2):
-            assert _fan_closed(p, a, b, tb) == brute_fan_closed(p, a, b, tb), (p, a, b)
+        box = _index_box(fan_with_zero(p), margin=2)
+        got = _fan_many(p, [(2 * a, 2 * b) for a, b in box], tb)
+        for (a, b), value in zip(box, got):
+            assert value == brute_fan_closed(p, a, b, tb), (p, a, b)
 
 
 @pytest.mark.parametrize("tb", [_tb_lax, _tb_strict], ids=["lax", "strict"])
 def test_pruned_vector_singular_equals_brute_force(tb):
     for p in range(1, 9):
-        for c, d in _index_box(singular_power_projected(1, p), margin=2):
-            assert _vector_singular(p, c, d, tb) == brute_vector_singular(p, c, d, tb), (p, c, d)
+        box = _index_box(singular_power_projected(1, p), margin=2)
+        got = _vector_many(p, [(2 * c, 2 * d) for c, d in box], tb)
+        for (c, d), value in zip(box, got):
+            assert value == brute_vector_singular(p, c, d, tb), (p, c, d)
+
+
+def brute_spinor_singular(p, d1, d2):
+    # the (i, j, n, m) block sum of spinor_singular_closed's docstring, every index
+    # in its full range; the library tabulates the (i, j) and (n, m) blocks apart
+    if d1 % 2 != p % 2 or d2 % 2 != p % 2:
+        return 0
+    total = 0
+    for k in range(p + 1):
+        for i in range(p - k + 1):
+            for j in range(k + 1):
+                for n in range(k + 1):
+                    for m in range(p - k + 1):
+                        if (p - 2 * k) - d1 == 8 * i + 4 * j and (p + 2 * k) - d2 == 8 * n + 4 * m:
+                            sign = -1 if (k + i + j + m + n) % 2 else 1
+                            total += (
+                                sign
+                                * comb(p, k)
+                                * comb(p - k, i)
+                                * comb(k, j)
+                                * comb(p - k, m)
+                                * comb(k, n)
+                            )
+    return total
+
+
+def test_factored_spinor_singular_equals_brute_force():
+    for p in range(1, 8):
+        (lo1, hi1), (lo2, hi2) = singular_power_projected(2, p).support_bounds()
+        for d1 in range(lo1 - 3, hi1 + 4):
+            for d2 in range(lo2 - 3, hi2 + 4):
+                if (d1 - d2) % 2 == 0:
+                    w = Weight(d1, d2)
+                    assert spinor_singular_closed(p, w) == brute_spinor_singular(p, d1, d2), (p, w)
+
+
+POINTWISE = {
+    "fan": (
+        lambda p, w: fan_closed_form(p, w.d1 // 2, w.d2 // 2) if w.d1 % 2 == w.d2 % 2 == 0 else 0,
+        lambda p, w: (
+            fan_closed_form_printed(p, w.d1 // 2, w.d2 // 2) if w.d1 % 2 == w.d2 % 2 == 0 else 0
+        ),
+    ),
+    "vector": (vector_singular_closed, vector_singular_closed_printed),
+    "spinor": (spinor_singular_closed, spinor_singular_closed_printed),
+}
+
+
+@given(
+    st.sampled_from(sorted(CLOSED_FORMS)),
+    st.integers(1, 9),
+    st.lists(weights(span=40), min_size=1, max_size=60),
+)
+@settings(max_examples=60, deadline=None)
+def test_batch_closed_forms_equal_pointwise(kind, p, points):
+    # random points, most off the support and half of them off the coset, with
+    # repeats so that tabulated rows and columns are shared between points
+    form = CLOSED_FORMS[kind]
+    validated, printed = POINTWISE[kind]
+    pairs = [(w.d1, w.d2) for w in points] + [(w.d2, w.d1) for w in points]
+    at = [Weight(*pt) for pt in pairs]
+    assert form.validated(p, pairs) == [validated(p, w) for w in at]
+    if kind != "spinor" or p <= 5:  # the verbatim spinor triple loop is slow
+        assert form.printed(p, pairs) == [printed(p, w) for w in at]
+
+
+def test_batch_closed_forms_cover_the_support():
+    # the same on the support itself, where the values are nonzero
+    for kind, form in CLOSED_FORMS.items():
+        validated, _ = POINTWISE[kind]
+        for p in (3, 6):
+            pairs = sorted(form.truth(p).by_tuple())
+            assert form.validated(p, pairs) == [validated(p, Weight(*pt)) for pt in pairs]
+            assert form.validated(p, pairs) == [form.truth(p).by_tuple()[pt] for pt in pairs]
 
 
 @pytest.mark.parametrize("module", [1, 2])
@@ -240,3 +329,36 @@ def test_bounded_fan_solve_beyond_verify_range(module, powers):
     # past verify's default pmax, where the g1 cut-off skips the most shifts
     for p in powers:
         assert fan_recursion_solve(module, p).to_result() == decomposition(module, p), p
+
+
+def _stack_depth() -> int:
+    frame, depth = sys._getframe(), 0
+    while frame is not None:
+        frame, depth = frame.f_back, depth + 1
+    return depth
+
+
+def test_chains_fill_bottom_up_without_recursion(monkeypatch):
+    # each chain from empty to p = 30 with only 20 frames to spare: a chain that
+    # recursed once per p would need at least 30
+    monkeypatch.setattr(
+        engine, "_WEIGHT_POWERS", {i: PowerChain(engine.fundamental_character(i)) for i in (1, 2)}
+    )
+    monkeypatch.setattr(fans, "_FAN_POWERS", PowerChain(denominator_product()))
+    monkeypatch.setattr(
+        fans,
+        "_PROJECTED_POWERS",
+        {1: PowerChain(singular_element(OMEGA1)), 2: PowerChain(singular_element(OMEGA2))},
+    )
+    engine.tensor_power_weights.cache_clear()
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(_stack_depth() + 20)
+    try:
+        weights30 = engine.tensor_power_weights(1, 30)
+        fan30 = fan_power_direct(30)
+        pi30 = singular_power_projected(2, 30)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert weights30.mass() == 5**30
+    assert fan30 == denominator_product().power(29)
+    assert pi30.coeff(Weight(30, 30)) == 1

@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b2tensor import (
@@ -16,6 +16,7 @@ from b2tensor import (
     singular_element,
     weight_multiplicities,
 )
+from b2tensor.series import _PACKED_MIN_TERMS, _packed_product
 from conftest import dominant_weights, weights
 
 
@@ -92,6 +93,78 @@ def test_product_with_cancelling_factor(a, g):
     lhs = a * (one - LatticeSeries.unit(g)) * (one + LatticeSeries.unit(g))
     assert lhs == a * (one - LatticeSeries.unit(g + g))
     assert as_pairs(a * (one - one)) == {}
+
+
+def coefficients():
+    # small values collide and cancel; large ones need multi-byte slots
+    return st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)).filter(bool)
+
+
+def packed_operand(cosets):
+    # cosets: the doubled-coordinate parities to draw from, one or both
+    point = st.builds(
+        lambda d1, d2, half: (2 * d1 + half, 2 * d2 + half),
+        st.integers(-5, 5),
+        st.integers(-5, 5),
+        st.sampled_from(cosets),
+    )
+    return st.dictionaries(point, coefficients(), max_size=12)
+
+
+@given(
+    st.sampled_from([(0,), (1,), (0, 1)]).flatmap(packed_operand),
+    st.sampled_from([(0,), (1,), (0, 1)]).flatmap(packed_operand),
+)
+@settings(max_examples=100)
+def test_packed_product_equals_plain_dict_convolution(a, b):
+    # one coset per operand packs on the halved grid, mixed cosets on the full one;
+    # empty and single-term operands are among the draws
+    assert _packed_product(a, b) == plain_convolution(a, b)
+
+
+@given(
+    st.integers(1, 2**80),
+    st.integers(1, 2**80),
+    st.sampled_from([1, -1]),
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
+    st.tuples(st.integers(1, 4), st.integers(-4, 4)),
+)
+@example(217, 151, 1, (0, 0), (1, 0))  # 2 * 217 * 151 = 65534, sixteen bits
+@example(217, 151, -1, (0, 0), (1, 0))
+@example(15, 17, -1, (3, 1), (2, 2))  # the single terms meet at 15 * 17 = 255, eight bits
+@settings(max_examples=100)
+def test_packed_product_at_the_coefficient_bound(k, m, sign, shift, gap):
+    # a = k(e^s + e^(s+g)) and b = sign*m(e^0 + e^-g) meet at s with 2km, which
+    # is exactly the slot bound sum|a| * max|b|; single terms give km, also the bound
+    s1, s2 = 2 * shift[0], 2 * shift[1]
+    g1, g2 = 2 * gap[0], 2 * gap[1]
+    a = {(s1, s2): k, (s1 + g1, s2 + g2): k}
+    b = {(0, 0): sign * m, (-g1, -g2): sign * m}
+    got = _packed_product(a, b)
+    assert got[(s1, s2)] == sign * 2 * k * m
+    assert got == plain_convolution(a, b)
+    assert _packed_product({(s1, s2): k}, {(0, 0): sign * m}) == {(s1, s2): sign * k * m}
+
+
+def test_large_products_take_the_packed_path(monkeypatch):
+    # above the threshold __mul__ must give what the dict loop gives
+    calls = []
+    real = _packed_product
+
+    def spy(a, b, grid=None):
+        calls.append((len(a), len(b)))
+        return real(a, b, grid)
+
+    monkeypatch.setattr("b2tensor.series._packed_product", spy)
+    big = singular_element(OMEGA1).power(4)
+    chain_factor = singular_element(OMEGA1)
+    assert len(big) > _PACKED_MIN_TERMS >= len(chain_factor)
+    want = plain_convolution(as_pairs(big), as_pairs(big))
+    assert dict((big * big).by_tuple()) == want
+    assert dict((big * chain_factor).by_tuple()) == plain_convolution(
+        as_pairs(big), as_pairs(chain_factor)
+    )
+    assert calls == [(len(big), len(big))]
 
 
 @given(small_series())

@@ -183,6 +183,19 @@ def test_cli_verify_exit_codes_and_determinism(capsys):
 
 
 
+def test_verify_timings_go_to_stderr_only(capsys):
+    argv = ("verify", "--suite", "all", "--pmax", "6", "--format", "json")
+    code, plain, plain_err = run_cli(capsys, *argv)
+    timed_code, timed, err = run_cli(capsys, *argv, "--timings")
+    assert code == timed_code == 0
+    assert timed == plain and plain_err == ""
+    names = [c["name"] for c in json.loads(plain)["checks"]]
+    lines = [line.split() for line in err.splitlines()]
+    assert [line[0] for line in lines] == names
+    for _, seconds, unit, points, label in lines:
+        assert float(seconds) >= 0 and unit == "s" and int(points) > 0 and label == "points"
+
+
 def test_verify_all_output_is_byte_identical_to_reference(capsys):
     # tests/data/verify_all_pmax10.json is the committed output of this command;
     # any change to a route, a closed form or the formatting shows up here
