@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 from pathlib import Path
 
 SCHEMA = 1
@@ -23,10 +24,27 @@ def payload_digest(payload) -> str:
 
 
 def store(cache_dir, key: str, payload) -> Path:
+    """Write <key>.json atomically and return its path.
+
+    The body goes to a temporary file in the same directory, which then
+    replaces <key>.json in one os.replace: a concurrent load sees the old
+    file or the new one, never a partial one, and of two writers the last
+    replace wins whole. The temporary name is unique to the writer (process
+    id and 64 random bits). A failed write removes its temporary file.
+    """
     path = Path(cache_dir) / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     body = {"schema": SCHEMA, "sha256": payload_digest(payload), "payload": payload}
-    path.write_text(canonical_json(body) + "\n", encoding="utf-8")
+    text = canonical_json(body) + "\n"
+    tmp = path.with_name(f".{key}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
+    f = open(tmp, "x", encoding="utf-8")
+    try:
+        with f:
+            f.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
     return path
 
 

@@ -45,31 +45,42 @@ def spinor_table_weight(a, b: int, p: int, printed: bool = False) -> Weight:
     return Weight.make(half - (b - 1), half - a)
 
 
+def _table_value(num: int, den: int, where: str) -> int:
+    # a table polynomial written as num/den with integer num and positive den
+    val, rem = divmod(num, den)
+    if rem:
+        raise ArithmeticError(f"non-integer table value at {where}")
+    return val
+
+
+# Each cell is its polynomial in p as an integer (numerator, denominator) pair,
+# so a lookup evaluates one cell and builds no Fraction.
+_SPINOR_CELLS = {
+    (0, 1): lambda p: (1, 1),
+    (1, 1): lambda p: (p - 1, 1),
+    (2, 1): lambda p: (p * (p - 3), 2),
+    (0, 2): lambda p: (0, 1),
+    (1, 2): lambda p: (p * (p - 1), 2),
+    (2, 2): lambda p: ((p - 1) * (p + 1) * (p - 3), 3),
+    (1, 3): lambda p: (0, 1),
+    (2, 3): lambda p: ((p - 1) * (p - 2) * (p - 3) * (p + 2), 12),
+}
+
+
 def spinor_table(a, b: int, p: int) -> int:
     """Published polynomial for the spinor-power multiplicity at entry (a, b).
 
     a may be half-integer; those columns sit off the p-th coset and carry 0.
     """
-    a = Fraction(a)
-    if a.denominator != 1:
-        return 0
-    key = (int(a), b)
-    table = {
-        (0, 1): Fraction(1),
-        (1, 1): Fraction(p - 1),
-        (2, 1): Fraction(p * (p - 3), 2),
-        (0, 2): Fraction(0),
-        (1, 2): Fraction(p * (p - 1), 2),
-        (2, 2): Fraction((p - 1) * (p + 1) * (p - 3), 3),
-        (1, 3): Fraction(0),
-        (2, 3): Fraction((p - 1) * (p - 2) * (p - 3) * (p + 2), 12),
-    }
-    if key not in table:
+    if type(a) is not int:
+        a = Fraction(a)
+        if a.denominator != 1:
+            return 0
+        a = int(a)
+    cell = _SPINOR_CELLS.get((a, b))
+    if cell is None:
         raise KeyError(f"spinor table has no entry ({a},{b})")
-    val = table[key]
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer table value at ({a},{b}), p={p}")
-    return int(val)
+    return _table_value(*cell(p), f"({a},{b}), p={p}")
 
 
 SPINOR_TABLE_KEYS = ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3))
@@ -80,38 +91,46 @@ def vector_table_weight(i: int, j: int, p: int) -> Weight:
     return Weight.make(p - i, j)
 
 
+_VECTOR_CELLS = {
+    (0, 0): lambda p: (1, 1),
+    (1, 1): lambda p: (p - 1, 1),
+    (2, 0): lambda p: (p * (p - 1), 2),
+    (2, 1): lambda p: ((p - 1) * (p - 2), 2),
+    (2, 2): lambda p: (p * (p - 3), 2),
+    (3, 0): lambda p: ((p - 1) * (p - 2) * (p - 3), 6),
+    (3, 1): lambda p: (p * (p - 1) * (p - 3), 2),
+    (3, 2): lambda p: (p * (p - 2) * (p - 4), 3),
+    (3, 3): lambda p: (p * (p - 1) * (p - 5), 6),
+}
+
+
 def vector_table(i: int, j: int, p: int) -> int:
     """Published polynomial for the vector-power multiplicity at cell (i, j).
 
     Rows i = 0..3 run from the highest weight (p, 0) downward, columns
     j = 0..3 along the second coordinate. Zero cells are part of the claim.
     """
-    table = {
-        (0, 0): Fraction(1),
-        (1, 1): Fraction(p - 1),
-        (2, 0): Fraction(p * (p - 1), 2),
-        (2, 1): Fraction((p - 1) * (p - 2), 2),
-        (2, 2): Fraction(p * (p - 3), 2),
-        (3, 0): Fraction((p - 1) * (p - 2) * (p - 3), 6),
-        (3, 1): Fraction(p * (p - 1) * (p - 3), 2),
-        (3, 2): Fraction(p * (p - 2) * (p - 4), 3),
-        (3, 3): Fraction(p * (p - 1) * (p - 5), 6),
-    }
     if not (0 <= i <= 3 and 0 <= j <= 3):
         raise KeyError(f"vector table has no cell ({i},{j})")
-    val = table.get((i, j), Fraction(0))
-    if val.denominator != 1:
-        raise ArithmeticError(f"non-integer table value at ({i},{j}), p={p}")
-    return int(val)
+    cell = _VECTOR_CELLS.get((i, j))
+    if cell is None:
+        return 0
+    return _table_value(*cell(p), f"({i},{j}), p={p}")
 
 
 # ---------------------------------------------------------------------------
 # diagonal families of the vector power
 
 
-def _rgamma(n: int) -> Fraction:
-    # reciprocal gamma at an integer: 1/(n-1)!, and 0 at the poles n <= 0
-    return Fraction(1, factorial(n - 1)) if n >= 1 else Fraction(0)
+def _gamma_quotient(g: int, front: int, x: int, y: int, den: int) -> Fraction:
+    """g * front * rgamma(x) * rgamma(y) / den as one Fraction.
+
+    rgamma(n) is the reciprocal gamma function at an integer: 1/(n-1)!, and
+    0 at the poles n <= 0. den is positive.
+    """
+    if x < 1 or y < 1:
+        return Fraction(0)
+    return Fraction(g * front, factorial(x - 1) * factorial(y - 1) * den)
 
 
 def diagonal_weight(s: int, t: int, p: int, printed: bool = False) -> Weight:
@@ -183,22 +202,22 @@ def diagonal_formula(s: int, t: int, p: int, corrected: bool = False) -> Fractio
     corrected=True substitutes the refitted bracket, which matches the
     recurrence everywhere tested.
     """
-    g = Fraction(factorial(p))  # gamma(p+1), p >= 0 always here
+    g = factorial(p)  # gamma(p+1), p >= 0 always here
     if s == 1:
-        return g * (p + 1 - 2 * t) * _rgamma(p + 2 - t) * _rgamma(t + 1)
+        return _gamma_quotient(g, p + 1 - 2 * t, p + 2 - t, t + 1, 1)
     if s == 2:
-        return g * (p - t) * (p - 2 * t) * _rgamma(p + 2 - t) * _rgamma(t) / (t + 1)
+        return _gamma_quotient(g, (p - t) * (p - 2 * t), p + 2 - t, t, t + 1)
     if s == 3:
-        return g * (p - 2 * t - 1) * _rgamma(p - t) * _rgamma(t + 1) / 2
+        return _gamma_quotient(g, p - 2 * t - 1, p - t, t + 1, 2)
     if s == 4:
-        core = g * (p - 2 * t - 2) * _rgamma(p + 1 - t) * _rgamma(t + 3) / 6
-        return core * _bracket_value(4, t, p, corrected)
+        front = (p - 2 * t - 2) * _bracket_value(4, t, p, corrected)
+        return _gamma_quotient(g, front, p + 1 - t, t + 3, 6)
     if s == 5:
-        core = g * (p - 2 * t - 3) * _rgamma(p - t) * _rgamma(t + 3) / 24
-        return core * _bracket_value(5, t, p, corrected)
+        front = (p - 2 * t - 3) * _bracket_value(5, t, p, corrected)
+        return _gamma_quotient(g, front, p - t, t + 3, 24)
     if s == 6:
-        core = g * (p - 2 * t - 4) * _rgamma(p - t) * _rgamma(t + 4) / 120
-        return core * _bracket_value(6, t, p, corrected)
+        front = (p - 2 * t - 4) * _bracket_value(6, t, p, corrected)
+        return _gamma_quotient(g, front, p - t, t + 4, 120)
     raise KeyError(f"no diagonal family s={s}")
 
 

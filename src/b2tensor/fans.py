@@ -334,28 +334,48 @@ def spinor_singular_closed_printed(p: int, weight: Weight) -> int:
     arguments and non-integer sign exponents kill their terms, as a literal
     reading dictates.
     """
-    c2, d2 = weight.d1, weight.d2  # doubled coordinates
-    total = 0
-    for k in range(1, p + 2):
-        for l in range(1, k + 1):
+    return _spinor_printed_many(p, [(weight.d1, weight.d2)])[0]
+
+
+def _spinor_printed_many(p: int, points) -> list:
+    # The published sum over k = 1..p+1, l = 1..k, m = 1..p-k+2 of
+    #   (-1)^(k + (c-d)/2 - (l+m) + 1) tb(p,k-1) tb(k,l-1) tb(p-k+1,m-1)
+    #     tb(k, (1/2)(4(1-m)-k+c-p/2+1)) tb(k, (1/2)(2-4m+k-d+p/2+1)),
+    # reordered only: the sign splits as (-1)^(k+(c-d)/2+1) (-1)^l (-1)^m, and
+    # (-1)^l tb(k,l-1) are the only l-dependent factors, so their sum is taken
+    # once per k. (c-d)/2 = (c2-d2)/4 in doubled coordinates; where it is not
+    # an integer, neither is any sign exponent, so every term dies.
+    ks = range(1, p + 2)
+    outer = [
+        _tb_strict(p, k - 1)
+        * sum(-_tb_strict(k, l - 1) if l % 2 else _tb_strict(k, l - 1) for l in range(1, k + 1))
+        for k in ks
+    ]
+    out = []
+    for c2, d2 in points:
+        if (c2 - d2) % 4:
+            out.append(0)
+            continue
+        q = (c2 - d2) // 4
+        total = 0
+        for k, front in zip(ks, outer):
+            if not front:
+                continue
+            m_sum = 0
             for m in range(1, p - k + 3):
-                # sign exponent k + (c-d)/2 - (l+m) + 1; (c-d)/2 = (c2-d2)/4
-                if (c2 - d2) % 4:
-                    continue
-                e = k + (c2 - d2) // 4 - (l + m) + 1
-                sign = -1 if e % 2 else 1
-                # superscripts (1/2)(4(1-m)-k+c-p/2+1) and (1/2)(2-4m+k-d+p/2+1), quadrupled
+                # the two superscripts, quadrupled
                 s3_quad = 2 * (4 * (1 - m) - k + 1) + c2 - p
                 s5_quad = 2 * (2 - 4 * m + k + 1) - d2 + p
-                total += (
-                    sign
-                    * _tb_strict(p, k - 1)
-                    * _tb_strict(k, l - 1)
-                    * _tb_strict(p - k + 1, m - 1)
+                term = (
+                    _tb_strict(p - k + 1, m - 1)
                     * _tb_quarter(k, s3_quad)
                     * _tb_quarter(k, s5_quad)
                 )
-    return total
+                m_sum += -term if m % 2 else term
+            term = front * m_sum
+            total += -term if (k + q + 1) % 2 else term
+        out.append(total)
+    return out
 
 
 def _tb_quarter(j: int, quad_i: int) -> int:
@@ -392,7 +412,7 @@ CLOSED_FORMS = {
     "spinor": ClosedForm(
         partial(singular_power_projected, 2),
         spinor_singular_closed_many,
-        lambda p, points: [spinor_singular_closed_printed(p, Weight(*pt)) for pt in points],
+        _spinor_printed_many,
     ),
 }
 
@@ -419,11 +439,14 @@ def diff_report(kind: str, p: int) -> list:
 
 def _support_halo(series: LatticeSeries, step: int = 2) -> list:
     """Sorted doubled points within one step (both coordinates) of the support."""
+    keys = series.by_tuple().keys()
+    d1s = [d1 for d1, _ in keys]
+    d2s = [d2 for _, d2 in keys]
     pts = set()
-    for d1, d2 in series.by_tuple():
-        for da in (-step, 0, step):
-            for db in (-step, 0, step):
-                pts.add((d1 + da, d2 + db))
+    for da in (-step, 0, step):
+        shifted = list(map(da.__add__, d1s))
+        for db in (-step, 0, step):
+            pts.update(zip(shifted, map(db.__add__, d2s)))
     return sorted(pts)
 
 

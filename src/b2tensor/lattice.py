@@ -36,6 +36,8 @@ class Weight:
     @classmethod
     def make(cls, v1, v2) -> "Weight":
         """Build from Euclidean coordinates given as ints, Fractions or strings."""
+        if type(v1) is int and type(v2) is int:
+            return cls(2 * v1, 2 * v2)
         a, b = Fraction(v1), Fraction(v2)
         d1, d2 = a * 2, b * 2
         if d1.denominator != 1 or d2.denominator != 1:

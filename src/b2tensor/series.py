@@ -345,29 +345,11 @@ def denominator_product() -> LatticeSeries:
     return acc
 
 
-def _orbit(w: Weight):
-    return {g.apply(w) for g in WEYL_GROUP}
-
-
-def _dominant_points_below(lam: Weight):
-    """Dominant lattice points mu on lam's coset with mu <= lam in the root order."""
-    out = []
-    for d1 in range(lam.d1 % 2, lam.d1 + 1, 2):
-        for d2 in range(d1 % 2, d1 + 1, 2):
-            mu = Weight(d1, d2)
-            diff = lam - mu
-            # lam - mu must be a nonnegative integer combination of alpha1, alpha2:
-            # diff = x*(1,-1) + y*(0,1) with x = diff.v1 >= 0 and y = x + diff.v2 >= 0
-            two_x = diff.d1
-            two_y = diff.d1 + diff.d2
-            if two_x >= 0 and two_y >= 0 and two_x % 2 == 0 and two_y % 2 == 0:
-                out.append(mu)
-    return out
-
-
-def _ip4(x: Weight, y: Weight) -> int:
-    # 4 * Euclidean inner product (doubled coords on both sides)
-    return x.d1 * y.d1 + x.d2 * y.d2
+# Height of a doubled point for the Freudenthal walk: f(d1, d2) = 3*d1 + d2
+# is 4x + 2y on x*alpha1 + y*alpha2 (alpha1 = (2, -2), alpha2 = (0, 2)
+# doubled), so it is positive on every positive root. Each root carries its
+# doubled coordinates and its height.
+_ROOT_STEPS = tuple((a.d1, a.d2, 3 * a.d1 + a.d2) for a in POSITIVE_ROOTS)
 
 
 @lru_cache(maxsize=None)
@@ -376,62 +358,57 @@ def weight_multiplicities(lam: Weight) -> LatticeSeries:
 
     Independent of the singular-element machinery, so it can serve as an
     oracle against it. Recursion runs over dominant points ordered by
-    decreasing height; the full diagram is then filled in by Weyl symmetry.
+    decreasing height, on (d1, d2) tuples; a point off the chamber is looked
+    up at its sorted absolute coordinates, and the full diagram is then
+    filled in by Weyl symmetry.
     """
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    dom = _dominant_points_below(lam)
-    # height 2*(x+y) where lam-mu = x*alpha1 + y*alpha2; equivalent level order
-    dom.sort(key=lambda mu: (2 * (lam.d1 - mu.d1) + (lam.d1 + lam.d2 - mu.d1 - mu.d2), mu), reverse=False)
+    l1, l2 = lam.d1, lam.d2
+    top = 3 * l1 + l2
+    # Dominant mu on lam's coset with lam - mu = x*alpha1 + y*alpha2: the coset
+    # makes x = (l1 - d1)/2 and y = (l1 + l2 - d1 - d2)/2 integers, so the
+    # conditions x, y >= 0 are d1 <= l1 and d2 <= l1 + l2 - d1.
+    dom = [
+        (d1, d2)
+        for d1 in range(l1 % 2, l1 + 1, 2)
+        for d2 in range(d1 % 2, min(d1, l1 + l2 - d1) + 1, 2)
+    ]
+    # every point a step depends on is strictly higher, so comes first; lam,
+    # the one point of height 0, heads the list
+    dom.sort(key=lambda mu: (top - 3 * mu[0] - mu[1], mu))
 
-    mult = {}
-
-    def get(nu: Weight) -> int:
-        return mult.get(_plain_dominant(nu), 0)
-
-    lam_rho = lam + RHO
-    c_lam = _ip4(lam_rho, lam_rho)
-    for mu in dom:
-        if mu == lam:
-            mult[mu] = 1
-            continue
-        mu_rho = mu + RHO
-        denom = c_lam - _ip4(mu_rho, mu_rho)
+    r1, r2 = RHO.d1, RHO.d2
+    c_lam = (l1 + r1) ** 2 + (l2 + r2) ** 2  # 4 |lam + rho|^2
+    mult = {(l1, l2): 1}
+    for m1, m2 in dom[1:]:
+        denom = c_lam - (m1 + r1) ** 2 - (m2 + r2) ** 2
         if denom <= 0:
-            mult[mu] = 0
             continue
+        height = top - 3 * m1 - m2  # f(lam - mu)
         total = 0
-        for alpha in POSITIVE_ROOTS:
-            k = 1
-            while True:
-                nu = Weight(mu.d1 + k * alpha.d1, mu.d2 + k * alpha.d2)
-                n = get(nu)
-                if n == 0 and _height_above(lam, nu) < 0:
-                    break
-                total += n * _ip4(nu, alpha)
-                k += 1
+        for a1, a2, step in _ROOT_STEPS:
+            # nu = mu + k*alpha has f(lam - nu) = height - k*step, which is
+            # negative for k > height // step: such nu lie above lam, outside
+            # the diagram, so the walk stops there
+            nu1, nu2 = m1, m2
+            for _ in range(height // step):
+                nu1 += a1
+                nu2 += a2
+                x, y = abs(nu1), abs(nu2)
+                n = mult.get((x, y) if x >= y else (y, x))
+                if n:
+                    total += n * (nu1 * a1 + nu2 * a2)
         val, rem = divmod(2 * total, denom)
         if rem:
-            raise ArithmeticError(f"Freudenthal recursion produced a non-integer at {mu}")
+            raise ArithmeticError(
+                f"Freudenthal recursion produced a non-integer at {Weight(m1, m2)}"
+            )
         if val:
-            mult[mu] = val
+            mult[m1, m2] = val
 
     full = {}
     for mu, n in mult.items():
-        for x in _orbit(mu):
-            full[x] = n
-    return LatticeSeries(full)
-
-
-def _plain_dominant(nu: Weight):
-    """Dominant orbit representative ignoring regularity (sorted absolute coords)."""
-    a, b = abs(nu.d1), abs(nu.d2)
-    if a < b:
-        a, b = b, a
-    return Weight(a, b)
-
-
-def _height_above(lam: Weight, nu: Weight) -> int:
-    # twice the alpha-height of lam - nu; negative once nu escapes the diagram cone
-    diff = lam - nu
-    return 2 * diff.d1 + (diff.d1 + diff.d2)
+        for g in WEYL_GROUP:
+            full[g.act(*mu)] = n
+    return LatticeSeries._from_tuples(full)

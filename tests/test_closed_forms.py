@@ -1,7 +1,7 @@
 """Polynomial tables, diagonal families, certified fits."""
 
 from fractions import Fraction
-from math import isqrt
+from math import factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -105,6 +105,86 @@ def test_spinor_line_coincidence():
     for p in range(2, 13):
         for a in (0, 1, 2):
             assert cf.diagonal_formula(1, a, p) == cf.spinor_table(a, 1, p)
+
+
+def _rgamma(n):
+    return Fraction(1, factorial(n - 1)) if n >= 1 else Fraction(0)
+
+
+def diagonal_formula_by_fractions(s, t, p, corrected=False):
+    # reference: the closed form as a chain of Fraction products
+    g = Fraction(factorial(p))
+    bracket = cf._bracket_value(s, t, p, corrected) if s >= 4 else None
+    if s == 1:
+        return g * (p + 1 - 2 * t) * _rgamma(p + 2 - t) * _rgamma(t + 1)
+    if s == 2:
+        return g * (p - t) * (p - 2 * t) * _rgamma(p + 2 - t) * _rgamma(t) / (t + 1)
+    if s == 3:
+        return g * (p - 2 * t - 1) * _rgamma(p - t) * _rgamma(t + 1) / 2
+    if s == 4:
+        return g * (p - 2 * t - 2) * _rgamma(p + 1 - t) * _rgamma(t + 3) / 6 * bracket
+    if s == 5:
+        return g * (p - 2 * t - 3) * _rgamma(p - t) * _rgamma(t + 3) / 24 * bracket
+    return g * (p - 2 * t - 4) * _rgamma(p - t) * _rgamma(t + 4) / 120 * bracket
+
+
+def test_diagonal_formula_equals_fraction_chain():
+    non_integers = 0
+    for s in range(1, 7):
+        for t in range(13):
+            for p in range(31):
+                for corrected in (False, True):
+                    got = cf.diagonal_formula(s, t, p, corrected)
+                    want = diagonal_formula_by_fractions(s, t, p, corrected)
+                    assert got == want and type(got) is type(want) is Fraction, (s, t, p)
+                    non_integers += got.denominator != 1
+    assert non_integers > 0  # the printed s = 5 values that are not integers
+
+
+def vector_table_by_fractions(i, j, p):
+    table = {
+        (0, 0): Fraction(1),
+        (1, 1): Fraction(p - 1),
+        (2, 0): Fraction(p * (p - 1), 2),
+        (2, 1): Fraction((p - 1) * (p - 2), 2),
+        (2, 2): Fraction(p * (p - 3), 2),
+        (3, 0): Fraction((p - 1) * (p - 2) * (p - 3), 6),
+        (3, 1): Fraction(p * (p - 1) * (p - 3), 2),
+        (3, 2): Fraction(p * (p - 2) * (p - 4), 3),
+        (3, 3): Fraction(p * (p - 1) * (p - 5), 6),
+    }
+    return table.get((i, j), Fraction(0))
+
+
+def spinor_table_by_fractions(a, b, p):
+    table = {
+        (0, 1): Fraction(1),
+        (1, 1): Fraction(p - 1),
+        (2, 1): Fraction(p * (p - 3), 2),
+        (0, 2): Fraction(0),
+        (1, 2): Fraction(p * (p - 1), 2),
+        (2, 2): Fraction((p - 1) * (p + 1) * (p - 3), 3),
+        (1, 3): Fraction(0),
+        (2, 3): Fraction((p - 1) * (p - 2) * (p - 3) * (p + 2), 12),
+    }
+    return table[a, b]
+
+
+def test_tables_equal_fraction_tables():
+    for p in range(-10, 41):
+        for i in range(4):
+            for j in range(4):
+                got = cf.vector_table(i, j, p)
+                assert got == vector_table_by_fractions(i, j, p) and type(got) is int, (i, j, p)
+        for a, b in cf.SPINOR_TABLE_KEYS:
+            for key in (a, Fraction(a), str(a)):
+                got = cf.spinor_table(key, b, p)
+                assert got == spinor_table_by_fractions(a, b, p) and type(got) is int, (a, b, p)
+    with pytest.raises(KeyError):
+        cf.vector_table(4, 0, 5)
+    with pytest.raises(KeyError):
+        cf.spinor_table(3, 1, 5)
+    assert cf.spinor_table("1/2", 1, 5) == 0
 
 
 def test_bracket_factorization_pattern():

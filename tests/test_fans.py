@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from b2tensor import (
+    LatticeSeries,
     OMEGA1,
     OMEGA2,
     Weight,
@@ -29,6 +30,9 @@ from b2tensor import (
 from b2tensor.fans import (
     CLOSED_FORMS,
     _fan_many,
+    _spinor_printed_many,
+    _support_halo,
+    _tb_quarter,
     _tb_lax,
     _tb_strict,
     _vector_many,
@@ -362,3 +366,84 @@ def test_chains_fill_bottom_up_without_recursion(monkeypatch):
     assert weights30.mass() == 5**30
     assert fan30 == denominator_product().power(29)
     assert pi30.coeff(Weight(30, 30)) == 1
+
+
+def verbatim_spinor_printed(p, c2, d2):
+    # reference: the published spinor sum as a verbatim triple loop, the sign
+    # unsplit and the coset test in the innermost loop
+    total = 0
+    for k in range(1, p + 2):
+        for l in range(1, k + 1):
+            for m in range(1, p - k + 3):
+                if (c2 - d2) % 4:
+                    continue
+                e = k + (c2 - d2) // 4 - (l + m) + 1
+                sign = -1 if e % 2 else 1
+                s3_quad = 2 * (4 * (1 - m) - k + 1) + c2 - p
+                s5_quad = 2 * (2 - 4 * m + k + 1) - d2 + p
+                total += (
+                    sign
+                    * _tb_strict(p, k - 1)
+                    * _tb_strict(k, l - 1)
+                    * _tb_strict(p - k + 1, m - 1)
+                    * _tb_quarter(k, s3_quad)
+                    * _tb_quarter(k, s5_quad)
+                )
+    return total
+
+
+def test_factored_printed_spinor_equals_verbatim_triple_loop():
+    # Every integer point of a box, so d1 - d2 takes all four residues mod 4
+    # (the odd ones are off the lattice; the batch takes them). The box is the
+    # support of Pi_spinor plus 3, widened to the printed formula's own reach:
+    # its binomial superscripts lie in 1..k only for p + 4 <= d1 <= 9p + 4 and
+    # -7p - 4 <= d2 <= 3p - 4, where all of its nonzero values sit.
+    residues = set()
+    nonzero = 0
+    for p in range(1, 9):
+        (lo1, hi1), (lo2, hi2) = singular_power_projected(2, p).support_bounds()
+        box = [
+            (d1, d2)
+            for d1 in range(lo1 - 3, max(hi1 + 3, 9 * p + 4) + 1)
+            for d2 in range(min(lo2 - 3, -7 * p - 4), hi2 + 4)
+        ]
+        got = _spinor_printed_many(p, box)
+        for (d1, d2), value in zip(box, got):
+            assert value == verbatim_spinor_printed(p, d1, d2), (p, d1, d2)
+            residues.add((d1 - d2) % 4)
+            nonzero += value != 0
+    assert residues == {0, 1, 2, 3}
+    assert nonzero > 200  # the two sides are not both the zero function
+
+
+def test_printed_spinor_returns_zero_off_the_quarter_coset_at_once(monkeypatch):
+    # Off c2 = d2 (mod 4) the two quadrupled superscripts sum to c2 - d2 + 8
+    # (mod 4), so they are never both multiples of 4 and every term dies anyway:
+    # the values cannot show whether the test happens first, only the work can.
+    calls = []
+
+    def counting(j, quad_i):
+        calls.append((j, quad_i))
+        return _tb_quarter(j, quad_i)
+
+    monkeypatch.setattr(fans, "_tb_quarter", counting)
+    off = [(d1, d2) for d1 in range(-9, 10) for d2 in range(-9, 10) if (d1 - d2) % 4]
+    assert _spinor_printed_many(6, off) == [0] * len(off)
+    assert calls == []
+    assert _spinor_printed_many(6, [(26, -10)]) == [verbatim_spinor_printed(6, 26, -10)]
+    assert calls
+
+
+def nested_support_halo(series, step=2):
+    pts = set()
+    for w in series.support():
+        for da in (-step, 0, step):
+            for db in (-step, 0, step):
+                pts.add((w.d1 + da, w.d2 + db))
+    return sorted(pts)
+
+
+@pytest.mark.parametrize("step", [1, 2, 3])
+def test_support_halo_equals_nested_loops(step):
+    for series in (fan_with_zero(4), singular_power_projected(2, 5), LatticeSeries()):
+        assert _support_halo(series, step) == nested_support_halo(series, step)

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from b2tensor import (
     ALPHA1,
@@ -104,3 +105,12 @@ def test_fundamental_weight_multisets():
     assert len(vec) == 5 and Weight.make(0, 0) in vec
     sp = weights_of_fundamental(2)
     assert len(sp) == 4 and all(abs(z.d1) == 1 and abs(z.d2) == 1 for z in sp)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(-10**30, 10**30))
+@settings(max_examples=100)
+def test_make_from_ints_equals_the_fraction_path(v1, v2):
+    w = Weight.make(v1, v2)
+    assert w == Weight.make(Fraction(v1), Fraction(v2)) == Weight.make(str(v1), str(v2))
+    assert type(w.d1) is int and type(w.d2) is int
+    assert w == Weight(2 * v1, 2 * v2)

@@ -7,6 +7,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b2tensor import (
+    POSITIVE_ROOTS,
+    RHO,
+    WEYL_GROUP,
     LatticeSeries,
     OMEGA1,
     OMEGA2,
@@ -247,6 +250,73 @@ def test_character_mass_is_dimension_and_weyl_invariant(lam):
 @settings(max_examples=20, deadline=None)
 def test_character_times_denominator_is_singular_element(lam):
     assert weight_multiplicities(lam) * denominator_product() == singular_element(lam)
+
+
+def freudenthal_on_weights(lam):
+    # reference: the Freudenthal recursion on Weight objects, with candidate
+    # points filtered by the root cone and each root walk running until its
+    # point is both zero and above lam
+    def ip4(x, y):
+        return x.d1 * y.d1 + x.d2 * y.d2
+
+    def dominant(nu):
+        a, b = sorted((abs(nu.d1), abs(nu.d2)), reverse=True)
+        return Weight(a, b)
+
+    def height_above(nu):
+        diff = lam - nu
+        return 2 * diff.d1 + (diff.d1 + diff.d2)
+
+    dom = []
+    for d1 in range(lam.d1 % 2, lam.d1 + 1, 2):
+        for d2 in range(d1 % 2, d1 + 1, 2):
+            diff = lam - Weight(d1, d2)
+            two_x, two_y = diff.d1, diff.d1 + diff.d2
+            if two_x >= 0 and two_y >= 0 and two_x % 2 == 0 and two_y % 2 == 0:
+                dom.append(Weight(d1, d2))
+    dom.sort(key=lambda mu: (height_above(mu), mu))
+    mult = {}
+    c_lam = ip4(lam + RHO, lam + RHO)
+    for mu in dom:
+        if mu == lam:
+            mult[mu] = 1
+            continue
+        denom = c_lam - ip4(mu + RHO, mu + RHO)
+        total = 0
+        for alpha in POSITIVE_ROOTS:
+            k = 1
+            while True:
+                nu = Weight(mu.d1 + k * alpha.d1, mu.d2 + k * alpha.d2)
+                n = mult.get(dominant(nu), 0)
+                if n == 0 and height_above(nu) < 0:
+                    break
+                total += n * ip4(nu, alpha)
+                k += 1
+        val, rem = divmod(2 * total, denom)
+        assert rem == 0
+        if val:
+            mult[mu] = val
+    return LatticeSeries({g.apply(mu): n for mu, n in mult.items() for g in WEYL_GROUP})
+
+
+def dominant_up_to(d1_max):
+    return st.integers(0, d1_max).flatmap(
+        lambda d1: st.sampled_from(range(d1 % 2, d1 + 1, 2)).map(lambda d2: Weight(d1, d2))
+    )
+
+
+@given(dominant_up_to(16))
+@example(Weight(0, 0))
+@example(Weight(16, 16))
+@example(Weight(16, 0))
+@example(Weight(15, 1))
+@settings(max_examples=40, deadline=None)
+def test_tuple_freudenthal_equals_weight_freudenthal(lam):
+    ch = weight_multiplicities(lam)
+    assert ch == freudenthal_on_weights(lam)
+    assert ch.mass() == dim_irrep(lam)
+    assert ch.is_weyl_invariant()
+    assert ch * denominator_product() == singular_element(lam)
 
 
 def test_series_json_round_trip():

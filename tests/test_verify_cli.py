@@ -6,9 +6,10 @@ from pathlib import Path
 import pytest
 
 from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recur_multiplicity
-from b2tensor import singular_power_projected
+from b2tensor import LatticeSeries, singular_power_projected
+from b2tensor import cache
 from b2tensor.cache import cached, load, payload_digest, store
-from b2tensor.cli import _diagonal_values, _parser, build_parser, main
+from b2tensor.cli import MAX_POWER, _diagonal_values, _parser, build_parser, main
 from b2tensor.diagram import growth_edges, to_dot
 from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
 
@@ -196,13 +197,52 @@ def test_verify_timings_go_to_stderr_only(capsys):
         assert float(seconds) >= 0 and unit == "s" and int(points) > 0 and label == "points"
 
 
-def test_verify_all_output_is_byte_identical_to_reference(capsys):
-    # tests/data/verify_all_pmax10.json is the committed output of this command;
+def _assert_verify_all_matches_reference(capsys, pmax):
+    # tests/data/verify_all_pmax<N>.json is the committed output of this command;
     # any change to a route, a closed form or the formatting shows up here
-    want = (Path(__file__).parent / "data" / "verify_all_pmax10.json").read_bytes()
-    code, out, _ = run_cli(capsys, "verify", "--suite", "all", "--format", "json", "--pmax", "10")
+    want = (Path(__file__).parent / "data" / f"verify_all_pmax{pmax}.json").read_bytes()
+    code, out, _ = run_cli(
+        capsys, "verify", "--suite", "all", "--format", "json", "--pmax", str(pmax)
+    )
     assert code == 0
     assert out.encode("utf-8") == want
+
+
+def test_verify_all_output_is_byte_identical_to_reference(capsys):
+    _assert_verify_all_matches_reference(capsys, 10)
+
+
+def test_verify_all_pmax14_output_is_byte_identical_to_reference(capsys):
+    _assert_verify_all_matches_reference(capsys, 14)
+
+
+@pytest.mark.parametrize("command,extra", [
+    ("decompose", ["--module", "vector"]),
+    ("multiplicity", ["--module", "vector", "--weight", "1,0"]),
+    ("fan", []),
+    ("singular", ["--module", "vector", "--projected"]),
+    ("closed-form", ["--kind", "spinor", "--diff-printed"]),
+])
+def test_cli_power_limit_fails_before_computing(capsys, monkeypatch, command, extra):
+    def no_products(*_):
+        raise AssertionError("a product was computed")
+
+    monkeypatch.setattr(LatticeSeries, "__mul__", no_products)
+    limit = MAX_POWER[command]
+    code, out, err = run_cli(capsys, command, *extra, "--power", str(limit + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: --power {limit + 1} is above the limit {limit} of {command}\n"
+    code, _, _ = run_cli(capsys, command, *extra, "--power", "1200")
+    assert code == 1
+
+
+@pytest.mark.parametrize("command", sorted(MAX_POWER))
+def test_cli_power_limits_are_stated_and_above_the_benchmark(capsys, command):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"at most {MAX_POWER[command]}" in capsys.readouterr().out
+    assert MAX_POWER[command] >= 12  # the largest p of the query-mix benchmark
+
 
 def test_cli_diagram(capsys):
     code, out, _ = run_cli(capsys, "diagram", "--module", "spinor", "--pmax", "2")
@@ -266,3 +306,50 @@ def test_cli_decompose_with_cache(tmp_path, capsys):
     assert (tmp_path / "decompose-vector-5.json").is_file()
     code, out2, _ = run_cli(capsys, *argv)
     assert code == 0 and out1 == out2
+
+
+def test_cache_store_leaves_no_temporary_files(tmp_path):
+    store(tmp_path, "k", {"v": 1})
+    store(tmp_path, "k", {"v": 2})
+    assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
+    assert load(tmp_path, "k") == {"v": 2}
+
+
+class _FailingFile:
+    """A text file whose write stores half of its text, then fails."""
+
+    def __init__(self, f):
+        self._f = f
+
+    def write(self, text):
+        self._f.write(text[: len(text) // 2])
+        self._f.flush()
+        raise OSError(28, "No space left on device")
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._f.close()
+
+
+@pytest.mark.parametrize("existing", [None, {"v": 1}])
+def test_cache_store_failing_mid_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
+    if existing is not None:
+        store(tmp_path, "k", existing)
+    before = sorted(p.name for p in tmp_path.iterdir())
+    monkeypatch.setattr(cache, "open", lambda *a, **kw: _FailingFile(open(*a, **kw)), raising=False)
+    with pytest.raises(OSError):
+        store(tmp_path, "k", {"v": 2, "pad": "x" * 10000})
+    assert sorted(p.name for p in tmp_path.iterdir()) == before
+    assert load(tmp_path, "k") == existing
+
+
+def test_cache_store_failing_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError(13, "Permission denied")
+
+    monkeypatch.setattr(cache.os, "replace", fail)
+    with pytest.raises(OSError):
+        store(tmp_path, "k", {"v": 1})
+    assert list(tmp_path.iterdir()) == []
