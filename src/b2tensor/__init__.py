@@ -48,46 +48,3 @@ from .fans import (
     fan_step_audit,
 )
 from . import closed_forms
-
-__all__ = [
-    "Weight",
-    "WeylElement",
-    "WEYL_GROUP",
-    "ALPHA1",
-    "ALPHA2",
-    "OMEGA1",
-    "OMEGA2",
-    "RHO",
-    "POSITIVE_ROOTS",
-    "is_dominant",
-    "to_dominant_regular",
-    "dim_irrep",
-    "weights_of_fundamental",
-    "LatticeSeries",
-    "singular_element",
-    "weight_multiplicities",
-    "denominator_product",
-    "DecompositionResult",
-    "MultiplicityFunction",
-    "tensor_power_weights",
-    "extract_multiplicities",
-    "decomposition",
-    "recur_multiplicity",
-    "m_extended",
-    "single_step_decompose",
-    "tensor_with_vector",
-    "fan_pairwise",
-    "fan_power_direct",
-    "fan_with_zero",
-    "fan_closed_form",
-    "fan_closed_form_printed",
-    "singular_power_direct",
-    "singular_power_projected",
-    "spinor_singular_closed",
-    "spinor_singular_closed_printed",
-    "vector_singular_closed",
-    "vector_singular_closed_printed",
-    "fan_recursion_solve",
-    "fan_step_audit",
-    "closed_forms",
-]

@@ -50,6 +50,10 @@ MAX_POWER = {
     "closed-form": 30,
 }
 
+# The largest --pmax each command accepts, chosen the same way: one cold
+# answer at these limits took at most about 3 s on the same VM.
+MAX_PMAX = {"fit": 150, "verify": 22, "diagram": 60}
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -67,6 +71,14 @@ def build_parser() -> argparse.ArgumentParser:
             type=_positive_int,
             required=True,
             help=f"the tensor power p, at most {MAX_POWER[command]}",
+        )
+
+    def add_pmax(p, command, **kwargs):
+        p.add_argument(
+            "--pmax",
+            type=_positive_int,
+            help=f"the largest power, at most {MAX_PMAX[command]}",
+            **kwargs,
         )
 
     p = sub.add_parser("decompose", help="decompose the p-th tensor power into irreducibles")
@@ -115,12 +127,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a polynomial in p along a diagonal family")
     p.add_argument("--s", type=int, required=True, metavar="S", help="family index 1..6")
     p.add_argument("--t", type=_positive_int, required=True, metavar="T")
-    p.add_argument("--pmax", type=_positive_int, default=10)
+    add_pmax(p, "fit", default=10)
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_ORDER) + ("all",), default="all")
-    p.add_argument("--pmax", type=_positive_int, default=10)
+    add_pmax(p, "verify", default=10)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -130,7 +142,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="growth diagram of tensor powers as DOT")
     p.add_argument("--module", choices=("vector", "spinor"), required=True)
-    p.add_argument("--pmax", type=_positive_int, required=True)
+    add_pmax(p, "diagram", required=True)
 
     return top
 
@@ -251,6 +263,9 @@ def _cmd_closed_form(args) -> int:
                     }
                 )
             )
+        elif args.format == "csv":
+            print("kind,power,weight,coeff")
+            print(f'{args.kind},{args.power},"{args.weight.text()}",{val}')
         else:
             print(val)
         return 0
@@ -386,13 +401,15 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_weight_values(argv))
-    limit = MAX_POWER.get(args.command)
-    if limit is not None and args.power > limit:
-        print(
-            f"error: --power {args.power} is above the limit {limit} of {args.command}",
-            file=sys.stderr,
-        )
-        return 1
+    for option, limits in (("power", MAX_POWER), ("pmax", MAX_PMAX)):
+        limit = limits.get(args.command)
+        value = getattr(args, option, None)
+        if limit is not None and value > limit:
+            print(
+                f"error: --{option} {value} is above the limit {limit} of {args.command}",
+                file=sys.stderr,
+            )
+            return 1
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd, isqrt
+from math import factorial, gcd
 
 from .lattice import Weight
 
@@ -83,7 +83,7 @@ def spinor_table(a, b: int, p: int) -> int:
     return _table_value(*cell(p), f"({a},{b}), p={p}")
 
 
-SPINOR_TABLE_KEYS = ((0, 1), (1, 1), (2, 1), (0, 2), (1, 2), (2, 2), (1, 3), (2, 3))
+SPINOR_TABLE_KEYS = tuple(_SPINOR_CELLS)
 
 
 def vector_table_weight(i: int, j: int, p: int) -> Weight:
@@ -231,19 +231,11 @@ def bracket_factors_rationally(s: int, t: int) -> bool:
 
     The families s <= 3 are pure products of linear integer factors; for
     s >= 4 the bracket can be irreducible over the rationals, so the pattern
-    of integer-linear factorizations breaks. Quadratics are decided by a
-    perfect-square discriminant, the cubic by the rational root theorem.
+    of integer-linear factorizations breaks. Decided by the rational root
+    theorem at every degree.
     """
     coeffs = diagonal_bracket(s, t)
-    if not coeffs:
-        return True
-    if len(coeffs) == 3:
-        c0, c1, c2 = coeffs
-        disc = c1 * c1 - 4 * c2 * c0
-        if disc < 0:
-            return False
-        return isqrt(disc) ** 2 == disc
-    return _has_rational_root(coeffs)
+    return not coeffs or _has_rational_root(coeffs)
 
 
 def _has_rational_root(coeffs) -> bool:
@@ -332,16 +324,20 @@ def _poly_mul_linear(coeffs, shift: Fraction, scale: Fraction):
     return out
 
 
-def fit_polynomial(xs, ys, zero_slack: int = 2) -> NewtonFit:
+# entries the all-zero row of a difference table needs to certify a fit
+ZERO_SLACK = 2
+
+
+def fit_polynomial(xs, ys) -> NewtonFit:
     """Certified polynomial through equally spaced integer samples.
 
     xs must be consecutive integers. The difference table must reach an
-    all-zero row that still has at least zero_slack entries; otherwise the
+    all-zero row that still has at least ZERO_SLACK entries; otherwise the
     window does not certify polynomiality and PolynomialityError is raised.
     """
     xs = list(xs)
     ys = [Fraction(y) for y in ys]
-    if len(xs) != len(ys) or len(xs) < zero_slack + 1:
+    if len(xs) != len(ys) or len(xs) < ZERO_SLACK + 1:
         raise ValueError("need matching xs/ys with enough samples")
     for a, b in zip(xs, xs[1:]):
         if b - a != 1:
@@ -350,7 +346,7 @@ def fit_polynomial(xs, ys, zero_slack: int = 2) -> NewtonFit:
     row = ys
     while row:
         if not any(row):
-            if len(row) < zero_slack:
+            if len(row) < ZERO_SLACK:
                 break
             return NewtonFit(xs[0], tuple(leading) or (Fraction(0),))
         leading.append(row[0])

@@ -22,11 +22,13 @@ from .lattice import (
     WEYL_GROUP,
     Weight,
     dim_irrep,
+    dominated,
     is_dominant,
+    power_highest_weight,
     reflect_to_chamber,
     weights_of_fundamental,
 )
-from .series import LatticeSeries, PowerChain, weight_multiplicities
+from .series import LatticeSeries, PowerChain
 
 _R1, _R2 = RHO.d1, RHO.d2  # rho in doubled coordinates
 
@@ -162,22 +164,6 @@ class MultiplicityFunction:
         return DecompositionResult.from_dict(self.module, self.power, self.restrict_positive())
 
 
-def _dominant_window(module, p: int):
-    """Dominant doubled points (d1, d2) that can carry weight in the p-th power."""
-    i = _module_index(module)
-    out = []
-    if i == 1:
-        for d1 in range(0, 2 * p + 1, 2):
-            for d2 in range(0, d1 + 1, 2):
-                if d1 + d2 <= 2 * p:
-                    out.append((d1, d2))
-    else:
-        for d1 in range(p % 2, p + 1, 2):
-            for d2 in range(d1 % 2, d1 + 1, 2):
-                out.append((d1, d2))
-    return out
-
-
 def recur_multiplicity(module, p_max: int):
     """Multiplicity functions for p = 0..p_max via the weight-shift recursion.
 
@@ -192,7 +178,7 @@ def recur_multiplicity(module, p_max: int):
     for p in range(1, p_max + 1):
         at = out[-1].at
         dom = {}
-        for d1, d2 in _dominant_window(i, p):
+        for d1, d2 in dominated(*power_highest_weight(i, p)):
             val = 0
             for z1, z2 in shifts:
                 val += at(d1 - z1, d2 - z2)

@@ -37,7 +37,9 @@ from .engine import (
     m_extended,
     tensor_power_weights,
 )
-from .lattice import MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, reflect_to_chamber
+from .lattice import (
+    MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
+)
 from .series import LatticeSeries, PowerChain, denominator_product, singular_element
 
 
@@ -474,18 +476,18 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
         raise RuntimeError("degenerate leading fan coefficient")
     shifts = sorted((g1, g2, c) for (g1, g2), c in fan.items() if (g1, g2) != (0, 0))
     source = singular_power_projected(i, p).by_tuple()
-    top = 2 * p if i == 1 else p
+    l1, l2 = power_highest_weight(i, p)
     r1, r2 = RHO.d1, RHO.d2
 
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
-    for nu in _coset_rows(i, p):
+    for nu in reversed(dominated(l1, l2)):
         n1, n2 = nu[0] + r1, nu[1] + r2
         # Shifts ascend in g1, so the loop may stop at the first one with
-        # nu[0] + g1 > top: the chamber representative of (n1 + g1, n2 + g2)
+        # nu[0] + g1 > l1: the chamber representative of (n1 + g1, n2 + g2)
         # has a = max(|n1 + g1|, |n2 + g2|) >= n1 + g1, hence
-        # rep[0] = a - r1 >= nu[0] + g1 > top, and that shift and every later
-        # one would fail the rep[0] > top test below anyway.
-        last = top - nu[0]
+        # rep[0] = a - r1 >= nu[0] + g1 > l1, and that shift and every later
+        # one would fail the rep[0] > l1 test below anyway.
+        last = l1 - nu[0]
         val = source.get(nu, 0)
         for g1, g2, c in shifts:
             if g1 > last:
@@ -494,8 +496,8 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
             if sign == 0:
                 continue
             rep = (a - r1, b - r2)
-            if rep[0] > top or rep[0] + rep[1] > 2 * p:
-                continue  # beyond the support of the p-th power
+            if rep[0] > l1 or rep[0] + rep[1] > l1 + l2:
+                continue  # not below p*omega_i: beyond the support of the p-th power
             try:
                 val += sign * c * known[rep]
             except KeyError:
@@ -504,21 +506,6 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
                 ) from None
         known[nu] = val
     return MultiplicityFunction(name, p, {w: m for w, m in known.items() if m})
-
-
-def _coset_rows(i: int, p: int):
-    """Dominant lattice points (d1, d2) for module i, power p, in solve order."""
-    top = 2 * p if i == 1 else p
-    out = []
-    d1 = top
-    while d1 >= top % 2:
-        d2 = d1
-        while d2 >= d1 % 2:
-            if d1 + d2 <= 2 * p:
-                out.append((d1, d2))
-            d2 -= 2
-        d1 -= 2
-    return out
 
 
 def fan_step_audit(module, p: int, nu: Weight) -> dict:

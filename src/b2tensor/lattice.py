@@ -54,14 +54,6 @@ class Weight:
     def text(self) -> str:
         return f"{_coord_str(self.d1)},{_coord_str(self.d2)}"
 
-    @property
-    def v1(self) -> Fraction:
-        return Fraction(self.d1, 2)
-
-    @property
-    def v2(self) -> Fraction:
-        return Fraction(self.d2, 2)
-
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.d1 + other.d1, self.d2 + other.d2)
 
@@ -126,6 +118,25 @@ POSITIVE_ROOTS = (ALPHA1, ALPHA2, OMEGA1, Weight.make(1, 1))
 def is_dominant(lam: Weight) -> bool:
     """Closure of the fundamental chamber: v1 >= v2 >= 0."""
     return lam.d1 >= lam.d2 >= 0
+
+
+def power_highest_weight(i: int, p: int) -> tuple:
+    """Doubled coordinates of p*omega_i, the highest weight of the p-th power of module i."""
+    return (2 * p, 0) if i == 1 else (p, p)
+
+
+def dominated(l1: int, l2: int) -> list:
+    """Dominant doubled points mu below lam = (l1, l2), in ascending order.
+
+    These are the mu with lam - mu = x*alpha1 + y*alpha2 for integers
+    x, y >= 0: the coset makes x = (l1 - d1)/2 and y = (l1 + l2 - d1 - d2)/2
+    integers, so the conditions x, y >= 0 are d1 <= l1 and d2 <= l1 + l2 - d1.
+    """
+    return [
+        (d1, d2)
+        for d1 in range(l1 % 2, l1 + 1, 2)
+        for d2 in range(d1 % 2, min(d1, l1 + l2 - d1) + 1, 2)
+    ]
 
 
 def reflect_to_chamber(d1: int, d2: int):

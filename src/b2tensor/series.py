@@ -23,6 +23,7 @@ from .lattice import (
     RHO,
     WEYL_GROUP,
     Weight,
+    dominated,
     is_dominant,
 )
 
@@ -366,14 +367,7 @@ def weight_multiplicities(lam: Weight) -> LatticeSeries:
         raise ValueError(f"{lam} is not dominant")
     l1, l2 = lam.d1, lam.d2
     top = 3 * l1 + l2
-    # Dominant mu on lam's coset with lam - mu = x*alpha1 + y*alpha2: the coset
-    # makes x = (l1 - d1)/2 and y = (l1 + l2 - d1 - d2)/2 integers, so the
-    # conditions x, y >= 0 are d1 <= l1 and d2 <= l1 + l2 - d1.
-    dom = [
-        (d1, d2)
-        for d1 in range(l1 % 2, l1 + 1, 2)
-        for d2 in range(d1 % 2, min(d1, l1 + l2 - d1) + 1, 2)
-    ]
+    dom = dominated(l1, l2)
     # every point a step depends on is strictly higher, so comes first; lam,
     # the one point of height 0, heads the list
     dom.sort(key=lambda mu: (top - 3 * mu[0] - mu[1], mu))

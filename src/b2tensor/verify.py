@@ -562,11 +562,7 @@ def check_bracket_factorization(pmax: int) -> CheckResult:
     got6 = [cf.bracket_factors_rationally(6, t) for t in range(6)]
     if got6 != [True, True, True, False, False, False]:
         return _fail(name, f"s=6 pattern {got6}")
-    got5 = []
-    for t in range(6):
-        c0, c1, c2 = cf.diagonal_bracket_corrected(5, t)
-        d = c1 * c1 - 4 * c2 * c0
-        got5.append(d >= 0 and isqrt(d) ** 2 == d)
+    got5 = [cf._has_rational_root(cf.diagonal_bracket_corrected(5, t)) for t in range(6)]
     if got5 != [True, True, False, False, False, False]:
         return _fail(name, f"corrected s=5 pattern {got5}")
     return CheckResult(

@@ -19,6 +19,7 @@ from b2tensor import (
     to_dominant_regular,
     weights_of_fundamental,
 )
+from b2tensor.lattice import dominated, power_highest_weight
 from conftest import dominant_weights, weights, weyl_elements
 
 
@@ -114,3 +115,30 @@ def test_make_from_ints_equals_the_fraction_path(v1, v2):
     assert w == Weight.make(Fraction(v1), Fraction(v2)) == Weight.make(str(v1), str(v2))
     assert type(w.d1) is int and type(w.d2) is int
     assert w == Weight(2 * v1, 2 * v2)
+
+
+def _dominated_by_definition(lam: Weight):
+    # every lam - x*alpha1 - y*alpha2 over a box of x, y >= 0 that holds all
+    # dominant ones (d1 >= 0 needs 2x <= l1, d2 >= 0 needs y <= x + l2/2)
+    box = range(lam.d1 + lam.d2 + 1)
+    found = set()
+    for x in box:
+        for y in box:
+            mu = Weight(
+                lam.d1 - x * ALPHA1.d1 - y * ALPHA2.d1, lam.d2 - x * ALPHA1.d2 - y * ALPHA2.d2
+            )
+            if is_dominant(mu):
+                found.add((mu.d1, mu.d2))
+    return sorted(found)
+
+
+def test_dominated_matches_the_definition():
+    for l1 in range(25):
+        for l2 in range(l1 % 2, l1 + 1, 2):
+            assert dominated(l1, l2) == _dominated_by_definition(Weight(l1, l2)), (l1, l2)
+
+
+def test_power_highest_weight_is_p_omega():
+    for p in range(6):
+        assert power_highest_weight(1, p) == (p * OMEGA1.d1, p * OMEGA1.d2)
+        assert power_highest_weight(2, p) == (p * OMEGA2.d1, p * OMEGA2.d2)

@@ -9,7 +9,8 @@ from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recu
 from b2tensor import LatticeSeries, singular_power_projected
 from b2tensor import cache
 from b2tensor.cache import cached, load, payload_digest, store
-from b2tensor.cli import MAX_POWER, _diagonal_values, _parser, build_parser, main
+from b2tensor import cli
+from b2tensor.cli import MAX_PMAX, MAX_POWER, _diagonal_values, _parser, build_parser, main
 from b2tensor.diagram import growth_edges, to_dot
 from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
 
@@ -97,6 +98,15 @@ def test_cli_closed_form_single_point(capsys):
         capsys, "closed-form", "--kind", "fan", "--power", "2", "--weight", "0,0"
     )
     assert code == 0 and out.strip() == "-1"
+
+
+def test_cli_closed_form_single_point_csv(capsys):
+    argv = ("closed-form", "--kind", "vector", "--power", "3", "--weight", "1,0")
+    code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+    assert code == 0
+    assert out == 'kind,power,weight,coeff\nvector,3,"1,0",-3\n'
+    _, pretty, _ = run_cli(capsys, *argv)
+    assert pretty == "-3\n"
 
 
 @pytest.mark.parametrize(
@@ -242,6 +252,33 @@ def test_cli_power_limits_are_stated_and_above_the_benchmark(capsys, command):
         main([command, "--help"])
     assert f"at most {MAX_POWER[command]}" in capsys.readouterr().out
     assert MAX_POWER[command] >= 12  # the largest p of the query-mix benchmark
+
+
+@pytest.mark.parametrize("command,extra,first_step", [
+    ("verify", ["--suite", "all"], "run_suite"),
+    ("fit", ["--s", "2", "--t", "1"], "_diagonal_values"),
+    ("diagram", ["--module", "vector"], "to_dot"),
+])
+def test_cli_pmax_limit_fails_before_computing(capsys, monkeypatch, command, extra, first_step):
+    def nothing_computed(*_):
+        raise AssertionError(f"{first_step} was called")
+
+    monkeypatch.setattr(cli, first_step, nothing_computed)
+    limit = MAX_PMAX[command]
+    code, out, err = run_cli(capsys, command, *extra, "--pmax", str(limit + 1))
+    assert code == 1 and out == ""
+    assert err == f"error: --pmax {limit + 1} is above the limit {limit} of {command}\n"
+    code, _, _ = run_cli(capsys, command, *extra, "--pmax", "200")
+    assert code == 1
+
+
+# the largest --pmax in use: README's verify example, the benchmark's fit and diagram queries
+@pytest.mark.parametrize("command,in_use", [("verify", 18), ("fit", 10), ("diagram", 5)])
+def test_cli_pmax_limits_are_stated_and_cover_current_use(capsys, command, in_use):
+    with pytest.raises(SystemExit):
+        main([command, "--help"])
+    assert f"at most {MAX_PMAX[command]}" in capsys.readouterr().out
+    assert MAX_PMAX[command] >= in_use
 
 
 def test_cli_diagram(capsys):
