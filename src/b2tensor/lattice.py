@@ -11,8 +11,10 @@ first transposes (optionally), then applies the signs.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 
 def _coord_str(d: int) -> str:
@@ -20,6 +22,26 @@ def _coord_str(d: int) -> str:
     if d % 2 == 0:
         return str(d // 2)
     return f"{d}/2"
+
+
+def point_text(d1: int, d2: int) -> str:
+    """Text 'v1,v2' of the doubled point (d1, d2), as Weight.text gives it."""
+    return f"{_coord_str(d1)},{_coord_str(d2)}"
+
+
+# A coordinate written as an ASCII integer n or half n/2; its doubled value is
+# 2n or n. Any other text (a sign '+', other denominators, underscores,
+# non-ASCII digits) goes through Fraction, which decides its value or error.
+_ASCII_HALF_INTEGER = re.compile(r"(-?[0-9]+)(/2)?")
+
+
+def _doubled(text: str):
+    """The doubled coordinate of an ASCII n or n/2, else None."""
+    m = _ASCII_HALF_INTEGER.fullmatch(text)
+    if m is None:
+        return None
+    n = int(m[1])
+    return n if m[2] else 2 * n
 
 
 @dataclass(frozen=True, order=True)
@@ -49,10 +71,14 @@ class Weight:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight must be 'v1,v2', got {text!r}")
-        return cls.make(parts[0].strip(), parts[1].strip())
+        v1, v2 = parts[0].strip(), parts[1].strip()
+        d1, d2 = _doubled(v1), _doubled(v2)
+        if d1 is None or d2 is None:
+            return cls.make(v1, v2)
+        return cls(d1, d2)
 
     def text(self) -> str:
-        return f"{_coord_str(self.d1)},{_coord_str(self.d2)}"
+        return point_text(self.d1, self.d2)
 
     def __add__(self, other: "Weight") -> "Weight":
         return Weight(self.d1 + other.d1, self.d2 + other.d2)
@@ -189,19 +215,20 @@ def dim_irrep(lam: Weight) -> int:
     return num
 
 
-def weights_of_fundamental(i: int):
+@lru_cache(maxsize=None)
+def weights_of_fundamental(i: int) -> tuple:
     """Weight multiset of the fundamental module: i=1 vector (dim 5), i=2 spinor (dim 4)."""
     if i == 1:
-        return [
+        return (
             Weight.make(1, 0),
             Weight.make(-1, 0),
             Weight.make(0, 1),
             Weight.make(0, -1),
             Weight.make(0, 0),
-        ]
+        )
     if i == 2:
         h = Fraction(1, 2)
-        return [Weight.make(sa * h, sb * h) for sa in (1, -1) for sb in (1, -1)]
+        return tuple(Weight.make(sa * h, sb * h) for sa in (1, -1) for sb in (1, -1))
     raise ValueError(f"module index must be 1 or 2, got {i}")
 
 

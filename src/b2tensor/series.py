@@ -8,8 +8,9 @@ Inside a LatticeSeries the terms live in a dict keyed by plain (d1, d2)
 tuples of doubled coordinates, so the convolution adds integer pairs and
 hashes tuples instead of building and hashing a Weight per term product.
 Weight remains the type at the boundary: the constructor, items(),
-support(), coeff() and JSON all take or give Weights. Hot loops outside
-this module read the tuple-keyed terms through by_tuple().
+support() and coeff() take or give Weights. Hot loops outside this module
+read the tuple-keyed terms through by_tuple(), and the JSON payload is
+written from the tuples (series_json_obj).
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from .lattice import (
     Weight,
     dominated,
     is_dominant,
+    point_text,
 )
 
 
@@ -156,15 +158,21 @@ class LatticeSeries:
         return (min(d1s), max(d1s)), (min(d2s), max(d2s))
 
     def to_json_obj(self):
-        return [{"weight": w.text(), "coeff": str(c)} for w, c in self.items()]
-
-    @classmethod
-    def from_json_obj(cls, obj) -> "LatticeSeries":
-        return cls({Weight.parse(e["weight"]): int(e["coeff"]) for e in obj})
+        return series_json_obj(sorted(self._terms.items()))
 
     def __repr__(self):
         inner = ", ".join(f"{w.text()}: {c}" for w, c in self.items())
         return f"Series{{{inner}}}"
+
+
+def series_json_obj(terms) -> list:
+    """JSON payload of a series: [{"weight": "v1,v2", "coeff": "c"}, ...].
+
+    terms are ((d1, d2), coeff) pairs in ascending point order, which is
+    Weight order; zero coefficients are left out, as a LatticeSeries holds
+    none.
+    """
+    return [{"weight": point_text(d1, d2), "coeff": str(c)} for (d1, d2), c in terms if c]
 
 
 # Packed products (Kronecker substitution).

@@ -1,7 +1,8 @@
 """Polynomial tables, diagonal families, certified fits."""
 
+from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, isqrt
+from math import comb, factorial, isqrt
 
 import pytest
 from hypothesis import given, settings
@@ -271,6 +272,93 @@ def test_fit_recovers_polynomials(coeffs, x0):
         got.append(Fraction(0))
     assert got == want
     assert fit(x0 + 50) == poly(x0 + 50)
+
+
+@dataclass(frozen=True)
+class _FractionNewtonFit:
+    """The Newton fit on Fractions throughout: the reference for the integer one."""
+
+    x0: int
+    diffs: tuple  # leading forward differences, Fractions
+
+    @property
+    def degree(self) -> int:
+        return len(self.diffs) - 1
+
+    def __call__(self, x: int) -> Fraction:
+        acc = Fraction(0)
+        rising = Fraction(1)
+        for k, d in enumerate(self.diffs):
+            if k:
+                rising = rising * (x - self.x0 - (k - 1)) / k
+            acc += d * rising
+        return acc
+
+    def coefficients(self) -> tuple:
+        total = [Fraction(0)] * (self.degree + 1)
+        basis = [Fraction(1)]  # product of (x - x0 - j)/(j+1), expanded
+        for k, d in enumerate(self.diffs):
+            for i, c in enumerate(basis):
+                total[i] += d * c
+            shift, scale = -Fraction(self.x0 + k), Fraction(1, k + 1)
+            out = [Fraction(0)] * (len(basis) + 1)
+            for i, c in enumerate(basis):
+                out[i] += c * shift * scale
+                out[i + 1] += c * scale
+            basis = out
+        return tuple(total)
+
+
+def _fit_by_fractions(xs, ys) -> _FractionNewtonFit:
+    ys = [Fraction(y) for y in ys]
+    leading = []
+    row = ys
+    while row:
+        if not any(row):
+            if len(row) < cf.ZERO_SLACK:
+                break
+            return _FractionNewtonFit(xs[0], tuple(leading) or (Fraction(0),))
+        leading.append(row[0])
+        row = [b - a for a, b in zip(row, row[1:])]
+    raise cf.PolynomialityError(f"window of {len(ys)} samples does not certify a polynomial")
+
+
+@st.composite
+def _sample_windows(draw):
+    """(xs, ys): a polynomial of degree <= 8 on a window of consecutive integers.
+
+    The polynomial has rational coefficients (Fraction samples) or integer
+    Newton coefficients (int samples); some windows are too short to certify.
+    """
+    degree = draw(st.integers(0, 8))
+    x0 = draw(st.integers(-30, 30))
+    xs = list(range(x0, x0 + max(cf.ZERO_SLACK + 1, degree + draw(st.integers(1, 6)))))
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(st.fractions(-10**6, 10**6, max_denominator=50), min_size=degree + 1, max_size=degree + 1))
+        ys = [sum(c * x**k for k, c in enumerate(coeffs)) for x in xs]
+    else:
+        coeffs = draw(st.lists(st.integers(-10**12, 10**12), min_size=degree + 1, max_size=degree + 1))
+        ys = [sum(c * comb(x + 40, k) for k, c in enumerate(coeffs)) for x in xs]
+    return xs, ys
+
+
+@given(_sample_windows())
+@settings(max_examples=200)
+def test_integer_fit_matches_the_fraction_fit(window):
+    xs, ys = window
+    try:
+        want = _fit_by_fractions(xs, ys)
+    except cf.PolynomialityError as exc:
+        with pytest.raises(cf.PolynomialityError, match=str(exc)):
+            cf.fit_polynomial(xs, ys)
+        return
+    got = cf.fit_polynomial(xs, ys)
+    assert got.degree == want.degree
+    assert got.coefficients() == want.coefficients()
+    assert all(type(c) is Fraction for c in got.coefficients())
+    for x in range(xs[0] - 12, xs[-1] + 12):  # below x0 too, where C(x - x0, k) alternates
+        value = got(x)
+        assert value == want(x) and type(value) is Fraction
 
 
 def test_fit_rejects_non_polynomial():

@@ -319,6 +319,11 @@ def test_tuple_freudenthal_equals_weight_freudenthal(lam):
     assert ch * denominator_product() == singular_element(lam)
 
 
-def test_series_json_round_trip():
-    s = denominator_product()
-    assert LatticeSeries.from_json_obj(s.to_json_obj()) == s
+@given(small_series())
+@settings(max_examples=60)
+def test_series_json_round_trip(s):
+    # the payload the CLI prints and caches, read back with the weight codec
+    obj = s.to_json_obj()
+    assert [(Weight.parse(e["weight"]), int(e["coeff"])) for e in obj] == s.items()
+    r = denominator_product()
+    assert LatticeSeries({Weight.parse(e["weight"]): int(e["coeff"]) for e in r.to_json_obj()}) == r

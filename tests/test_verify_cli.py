@@ -6,11 +6,12 @@ from pathlib import Path
 import pytest
 
 from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recur_multiplicity
-from b2tensor import LatticeSeries, singular_power_projected
+from b2tensor import LatticeSeries, decomposition, dim_irrep, singular_power_direct, singular_power_projected
 from b2tensor import cache
-from b2tensor.cache import cached, load, payload_digest, store
+from b2tensor.cache import cached, canonical_json, load, payload_digest, store
 from b2tensor import cli
-from b2tensor.cli import MAX_PMAX, MAX_POWER, _diagonal_values, _parser, build_parser, main
+from b2tensor.cli import MAX_PMAX, MAX_POWER, MIN_PMAX, _diagonal_values, _parser, build_parser, main
+from conftest import parse_by_fractions, text_by_fractions
 from b2tensor.diagram import growth_edges, to_dot
 from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
 
@@ -277,8 +278,39 @@ def test_cli_pmax_limit_fails_before_computing(capsys, monkeypatch, command, ext
 def test_cli_pmax_limits_are_stated_and_cover_current_use(capsys, command, in_use):
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert f"at most {MAX_PMAX[command]}" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert f"at most {MAX_PMAX[command]}" in text
     assert MAX_PMAX[command] >= in_use
+    if command in MIN_PMAX:
+        assert f"at least {MIN_PMAX[command]} and at most" in text
+
+
+@pytest.mark.parametrize("command,extra,first_step", [
+    ("verify", ["--suite", "all"], "run_suite"),
+    ("fit", ["--s", "2", "--t", "1"], "_diagonal_values"),
+])
+def test_cli_pmax_lower_limit_fails_before_computing(capsys, monkeypatch, command, extra, first_step):
+    # below pmax 4 the fit window has too few samples: verify reported spurious
+    # failures and fit an internal message
+    def nothing_computed(*_):
+        raise AssertionError(f"{first_step} was called")
+
+    monkeypatch.setattr(cli, first_step, nothing_computed)
+    low = MIN_PMAX[command]
+    assert low == 4
+    for pmax in range(low):
+        code, out, err = run_cli(capsys, command, *extra, "--pmax", str(pmax))
+        assert code == 1 and out == ""
+        assert err == f"error: --pmax {pmax} is below the limit {low} of {command}\n"
+
+
+def test_cli_pmax_lower_limit_is_the_first_that_works(capsys):
+    code, _, err = run_cli(capsys, "verify", "--suite", "all", "--pmax", "4", "--format", "json")
+    assert code == 0 and err == ""
+    code, out, err = run_cli(capsys, "fit", "--s", "2", "--t", "1", "--pmax", "4")
+    # three samples of a quadratic certify nothing, and fit says so itself
+    assert (code, out) == (1, "")
+    assert err == "no polynomial certified: window of 3 samples does not certify a polynomial\n"
 
 
 def test_cli_diagram(capsys):
@@ -390,3 +422,94 @@ def test_cache_store_failing_replace_leaves_no_temporary_file(tmp_path, monkeypa
     with pytest.raises(OSError):
         store(tmp_path, "k", {"v": 1})
     assert list(tmp_path.iterdir()) == []
+
+
+# --- printed output: payloads as stored, against the route that parsed them back
+
+
+def _reference_series_text(series: LatticeSeries, fmt: str) -> str:
+    """A series printed through its payload parsed back with Fractions and rendered again."""
+    payload = [{"weight": text_by_fractions(w), "coeff": str(c)} for w, c in series.items()]
+    items = LatticeSeries(
+        {parse_by_fractions(e["weight"]): int(e["coeff"]) for e in payload}
+    ).items()
+    if fmt == "json":
+        return canonical_json([{"weight": text_by_fractions(w), "coeff": str(c)} for w, c in items]) + "\n"
+    if fmt == "csv":
+        return "weight,coeff\n" + "".join(f'"{text_by_fractions(w)}",{c}\n' for w, c in items)
+    return "".join(f"{text_by_fractions(w):>12}  {c}\n" for w, c in items)
+
+
+def _reference_decomposition_text(module: str, p: int, fmt: str) -> str:
+    """A decomposition printed through its payload parsed back with Fractions and rendered again."""
+    terms = [
+        {"weight": text_by_fractions(w), "mult": str(m)} for w, m in decomposition(module, p).multiplicities
+    ]
+    items = sorted((parse_by_fractions(t["weight"]), int(t["mult"])) for t in terms)
+    rows = [
+        {"weight": text_by_fractions(w), "mult": str(m), "dim": str(dim_irrep(w))} for w, m in items
+    ]
+    if fmt == "json":
+        return canonical_json({"module": module, "power": p, "terms": rows}) + "\n"
+    if fmt == "csv":
+        return "weight,mult,dim\n" + "".join('"{weight}",{mult},{dim}\n'.format(**t) for t in rows)
+    lines = [f"{module}^(x{p}) ="]
+    lines += [f'  {t["mult"]:>8} x L({t["weight"]})  dim {t["dim"]}' for t in rows]
+    lines.append(f"total dimension {sum(m * dim_irrep(w) for w, m in items)}")
+    return "\n".join(lines) + "\n"
+
+
+def _command(kind: str, module: str, p: int, fmt: str):
+    """argv, cache key and reference text of a decompose or singular query."""
+    if kind == "decompose":
+        argv = ["decompose", "--module", module]
+        return argv, f"decompose-{module}-{p}", _reference_decomposition_text(module, p, fmt)
+    projected = kind == "singular-projected"
+    argv = ["singular", "--module", module] + ["--projected"] * projected
+    series = (singular_power_projected if projected else singular_power_direct)(module, p)
+    which = "projected" if projected else "direct"
+    return argv, f"singular-{which}-{module}-{p}", _reference_series_text(series, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("module", ["vector", "spinor"])
+@pytest.mark.parametrize("kind", ["decompose", "singular-direct", "singular-projected"])
+def test_cli_prints_payloads_as_the_parsed_route_did(tmp_path, capsys, kind, module, fmt):
+    for p in range(9):
+        argv, key, want = _command(kind, module, p, fmt)
+        argv += ["--power", str(p), "--format", fmt]
+        assert run_cli(capsys, *argv) == (0, want, "")
+        assert not (tmp_path / f"{key}.json").exists()
+        assert run_cli(capsys, *argv, "--cache", str(tmp_path)) == (0, want, ""), "cache miss"
+        assert (tmp_path / f"{key}.json").is_file()
+        assert run_cli(capsys, *argv, "--cache", str(tmp_path)) == (0, want, ""), "cache hit"
+
+
+@pytest.mark.parametrize("kind", ["decompose", "singular-projected"])
+def test_cli_recomputes_a_cache_file_with_a_stale_digest(tmp_path, capsys, kind):
+    argv, key, want = _command(kind, "vector", 3, "json")
+    argv += ["--power", "3", "--format", "json", "--cache", str(tmp_path)]
+    path = store(tmp_path, key, json.loads(want))
+    body = json.loads(path.read_text())
+    body["payload"] = json.loads(_command(kind, "vector", 2, "json")[2])  # digest now stale
+    path.write_text(json.dumps(body))
+    assert run_cli(capsys, *argv) == (0, want, "")
+    assert load(tmp_path, key) == json.loads(want)  # rewritten with a good digest
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize("argv,key,payload", [
+    (["decompose", "--module", "vector"], "decompose-vector-3",
+     {"module": "vector", "power": 3, "terms": [{"weight": "1,0", "mult": "1"}]}),
+    (["decompose", "--module", "vector"], "decompose-vector-3", {"module": "vector", "terms": []}),
+    (["decompose", "--module", "vector"], "decompose-vector-3", [{"weight": "1,0", "coeff": "1"}]),
+    (["singular", "--module", "spinor"], "singular-direct-spinor-3", [{"weight": "1,0"}]),
+    (["singular", "--module", "spinor"], "singular-direct-spinor-3", {"weight": "1,0", "coeff": "1"}),
+    (["singular", "--module", "spinor", "--projected"], "singular-projected-spinor-3", 7),
+])
+def test_cli_malformed_cache_payload_is_an_error(tmp_path, capsys, fmt, argv, key, payload):
+    # the digest is valid, so only rendering can tell; it prints nothing then
+    store(tmp_path, key, payload)
+    code, out, err = run_cli(capsys, *argv, "--power", "3", "--format", fmt, "--cache", str(tmp_path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: malformed payload")
