@@ -425,19 +425,19 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_weight_values(argv))
-    for option, limits, side in (
-        ("power", MAX_POWER, "above"),
-        ("pmax", MAX_PMAX, "above"),
-        ("pmax", MIN_PMAX, "below"),
-    ):
+    for option, limits in (("power", MAX_POWER), ("pmax", MAX_PMAX)):
         limit = limits.get(args.command)
         value = getattr(args, option, None)
-        if limit is not None and (value > limit if side == "above" else value < limit):
+        if limit is not None and value > limit:
             print(
-                f"error: --{option} {value} is {side} the limit {limit} of {args.command}",
+                f"error: --{option} {value} is above the limit {limit} of {args.command}",
                 file=sys.stderr,
             )
             return 1
+    low = MIN_PMAX.get(args.command)
+    if low is not None and args.pmax < low:
+        print(f"error: --pmax {args.pmax} is below the limit {low} of {args.command}", file=sys.stderr)
+        return 1
     try:
         return _DISPATCH[args.command](args)
     except (ValueError, KeyError, RuntimeError) as exc:

@@ -294,7 +294,7 @@ class NewtonFit:
 
     x0: int
     diffs: tuple  # ints
-    den: int = 1
+    den: int
 
     @property
     def degree(self) -> int:

@@ -11,22 +11,6 @@ from .engine import decomposition, single_step_decompose, _module_index
 from .lattice import MODULE_NAME, Weight
 
 
-def growth_edges(module, p_max: int):
-    """[(p, source weight, target weight)] for 1 <= p <= p_max."""
-    i = _module_index(module)
-    return _edges(i, [decomposition(i, p) for p in range(p_max)])
-
-
-def _edges(i: int, levels) -> list:
-    """growth_edges from the decompositions of levels 0..p_max-1, in order."""
-    return [
-        (p, mu, nu)
-        for p, level in enumerate(levels, 1)
-        for mu, _ in level.multiplicities
-        for nu in sorted(single_step_decompose(mu, i))
-    ]
-
-
 def _node_id(p: int, w: Weight) -> str:
     return f"p{p}_{w.d1}_{w.d2}".replace("-", "m")
 
@@ -47,7 +31,9 @@ def to_dot(module, p_max: int) -> str:
             label = f"{w.text()}\\nx{m}"
             lines.append(f'    {_node_id(p, w)} [label="{label}"];')
         lines.append("  }")
-    for p, mu, nu in _edges(i, levels[:p_max]):
-        lines.append(f"  {_node_id(p - 1, mu)} -> {_node_id(p, nu)};")
+    for p, level in enumerate(levels[:p_max], 1):
+        for mu, _ in level.multiplicities:
+            for nu in sorted(single_step_decompose(mu, i)):
+                lines.append(f"  {_node_id(p - 1, mu)} -> {_node_id(p, nu)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -11,7 +11,6 @@ first transposes (optionally), then applies the signs.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -27,21 +26,6 @@ def _coord_str(d: int) -> str:
 def point_text(d1: int, d2: int) -> str:
     """Text 'v1,v2' of the doubled point (d1, d2), as Weight.text gives it."""
     return f"{_coord_str(d1)},{_coord_str(d2)}"
-
-
-# A coordinate written as an ASCII integer n or half n/2; its doubled value is
-# 2n or n. Any other text (a sign '+', other denominators, underscores,
-# non-ASCII digits) goes through Fraction, which decides its value or error.
-_ASCII_HALF_INTEGER = re.compile(r"(-?[0-9]+)(/2)?")
-
-
-def _doubled(text: str):
-    """The doubled coordinate of an ASCII n or n/2, else None."""
-    m = _ASCII_HALF_INTEGER.fullmatch(text)
-    if m is None:
-        return None
-    n = int(m[1])
-    return n if m[2] else 2 * n
 
 
 @dataclass(frozen=True, order=True)
@@ -71,11 +55,7 @@ class Weight:
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight must be 'v1,v2', got {text!r}")
-        v1, v2 = parts[0].strip(), parts[1].strip()
-        d1, d2 = _doubled(v1), _doubled(v2)
-        if d1 is None or d2 is None:
-            return cls.make(v1, v2)
-        return cls(d1, d2)
+        return cls.make(parts[0].strip(), parts[1].strip())
 
     def text(self) -> str:
         return point_text(self.d1, self.d2)

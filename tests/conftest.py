@@ -1,5 +1,5 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers)
-and the Fraction reference of the weight codec."""
+and the Fraction reference of the weight text."""
 
 from fractions import Fraction
 
@@ -41,18 +41,6 @@ def small_powers(top: int = 6):
 def halo_weights(series):
     """The support of series plus a halo, as Weights."""
     return [Weight(d1, d2) for d1, d2 in _support_halo(series)]
-
-
-def parse_by_fractions(text: str) -> Weight:
-    """Weight.parse through Fraction alone: the reference for its integer path."""
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"weight must be 'v1,v2', got {text!r}")
-    v1, v2 = parts[0].strip(), parts[1].strip()
-    d1, d2 = Fraction(v1) * 2, Fraction(v2) * 2
-    if d1.denominator != 1 or d2.denominator != 1:
-        raise ValueError(f"({v1},{v2}) is not a half-integer point")
-    return Weight(int(d1), int(d2))
 
 
 def text_by_fractions(w: Weight) -> str:

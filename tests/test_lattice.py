@@ -20,7 +20,7 @@ from b2tensor import (
     weights_of_fundamental,
 )
 from b2tensor.lattice import dominated, power_highest_weight
-from conftest import dominant_weights, parse_by_fractions, text_by_fractions, weights, weyl_elements
+from conftest import dominant_weights, text_by_fractions, weights, weyl_elements
 
 
 def test_weight_parity_enforced():
@@ -48,48 +48,6 @@ def test_parse_inverts_text_on_large_points(a, b, half):
     got = Weight.parse(w.text())
     assert got == w
     assert type(got.d1) is int and type(got.d2) is int
-
-
-def _coordinate_texts():
-    n = st.integers(0, _BIG).map(str)
-    return st.one_of(
-        n,
-        n.map(lambda t: "-" + t),
-        n.map(lambda t: "+" + t),
-        n.map(lambda t: t + "/2"),
-        n.map(lambda t: "-" + t + "/2"),
-        st.tuples(n, st.integers(-7, 7)).map(lambda tk: f"{tk[0]}/{tk[1]}"),
-        st.sampled_from(
-            ["4/2", "-4/2", "0/2", "-0", "007", "1.5", "-2.5", "1e3", "0x10", "1_000",
-             "+1/2", "--1", "-", "/2", "1/2/2", "1//2", "1 /2", "", "²", "٣", "３", "①", "1²"]
-        ),
-        st.text(max_size=6),
-    )
-
-
-def _weight_texts():
-    pad = st.sampled_from(["", " ", "\t", "  "])
-    coordinate = st.tuples(pad, _coordinate_texts(), pad).map("".join)
-    return st.one_of(
-        st.tuples(coordinate, coordinate).map(",".join),
-        st.lists(coordinate, max_size=3).map(",".join),
-        st.text(max_size=12),
-    )
-
-
-def _outcome(parse, text):
-    try:
-        w = parse(text)
-    except Exception as exc:  # the outcome to compare is the exception itself
-        return type(exc), str(exc)
-    return w, (type(w.d1), type(w.d2))
-
-
-@given(_weight_texts())
-@settings(max_examples=500)
-def test_parse_matches_the_fraction_path(text):
-    # same Weight, or the same exception type and message, as Fraction parsing
-    assert _outcome(Weight.parse, text) == _outcome(parse_by_fractions, text)
 
 
 def test_constants():
