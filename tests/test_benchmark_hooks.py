@@ -1,0 +1,39 @@
+"""The benchmark's tracer still finds every name it wraps.
+
+benchmark/tracing.py rebinds public functions of b2tensor by name from outside
+the package; a renamed or deleted one stops `benchmark/run.py --trace 1`.
+Both modes run here as the benchmark runs them: a child process on the
+command line `verify --suite all --pmax 4`.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def trace(tmp_path, mode: str) -> dict:
+    out = tmp_path / f"{mode}.json"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    argv = [sys.executable, str(ROOT / "benchmark" / "tracing.py"), mode, str(out), mode]
+    argv += ["cli", "verify", "--suite", "all", "--pmax", "4"]
+    child = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return json.loads(out.read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("mode", ["spans", "counts"])
+def test_tracer_runs_the_cli(tmp_path, mode):
+    got = trace(tmp_path, mode)
+    if mode == "counts":
+        assert got["counts"]["lattice.Weight.new"] > 0
+        return
+    names = {span[0] for span in got["spans"]}
+    assert {"cli.main", "series.mul", "fans.diff_report", "verify.four-routes-agree"} <= names
+    assert not [n for n in names if n.startswith("verify.check_")]  # every check span renamed
+    assert set(got["lru"]) == {"engine.tensor_power_weights"}
