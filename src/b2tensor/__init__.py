@@ -37,13 +37,10 @@ from .fans import (
     fan_power_direct,
     fan_with_zero,
     fan_closed_form,
-    fan_closed_form_printed,
     singular_power_direct,
     singular_power_projected,
     spinor_singular_closed,
-    spinor_singular_closed_printed,
     vector_singular_closed,
-    vector_singular_closed_printed,
     fan_recursion_solve,
     fan_step_audit,
 )

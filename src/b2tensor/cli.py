@@ -10,6 +10,8 @@ import argparse
 import re
 import sys
 from functools import lru_cache
+from itertools import starmap
+from operator import itemgetter
 
 from . import closed_forms as cfm
 from .cache import cached, canonical_json
@@ -29,36 +31,39 @@ from .verify import SUITE_ORDER, run_suite
 
 
 def _weight_arg(text: str) -> Weight:
-    return Weight.parse(text)
+    try:
+        return Weight.parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _positive_int(text: str) -> int:
-    n = int(text)
+    try:
+        n = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
     if n < 0:
-        raise ValueError("must be >= 0")
+        raise argparse.ArgumentTypeError(f"{n} is negative")
     return n
 
 
-# The largest --power each command accepts. Cost grows steeply with p, as
-# the coefficients of the p-th power grow exponentially; at these limits one
-# cold answer took at most about 3 s on a 2-core Linux VM with Python 3.11.
-MAX_POWER = {
-    "decompose": 100,
-    "multiplicity": 100,
-    "fan": 40,
-    "singular": 40,
-    "closed-form": 30,
-}
-
-# The largest --pmax each command accepts, chosen the same way: one cold
-# answer at these limits took at most about 3 s on the same VM.
-MAX_PMAX = {"fit": 150, "verify": 22, "diagram": 60}
-
-# The smallest --pmax each command accepts. A fit samples p = 6..pmax+4 and
+# The one size option of each command, with its lowest and highest value.
+# Cost grows steeply with p, as the coefficients of the p-th power grow
+# exponentially; at the highest values one cold answer took at most about
+# 3 s on a 2-core Linux VM with Python 3.11. A fit samples p = 6..pmax+4 and
 # needs 3 samples to certify even a constant, so pmax 4 is the first with a
 # window; verify's diagonal-families-s4-6 and diagonal-polynomial-fits need
 # the same window and report spurious failures below it.
-MIN_PMAX = {"fit": 4, "verify": 4}
+LIMITS = {
+    "decompose": ("power", 0, 100),
+    "multiplicity": ("power", 0, 100),
+    "fan": ("power", 0, 40),
+    "singular": ("power", 0, 40),
+    "closed-form": ("power", 0, 30),
+    "fit": ("pmax", 4, 150),
+    "verify": ("pmax", 4, 22),
+    "diagram": ("pmax", 0, 60),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,32 +76,27 @@ def build_parser() -> argparse.ArgumentParser:
     def add_format(p):
         p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
 
-    def add_power(p, command):
+    def add_size(p, command, default=None):
+        option, low, high = LIMITS[command]
+        what = "the tensor power p" if option == "power" else "the largest power"
+        least = f"at least {low} and " if low else ""
         p.add_argument(
-            "--power",
+            f"--{option}",
             type=_positive_int,
-            required=True,
-            help=f"the tensor power p, at most {MAX_POWER[command]}",
-        )
-
-    def add_pmax(p, command, **kwargs):
-        low = f"at least {MIN_PMAX[command]} and " if command in MIN_PMAX else ""
-        p.add_argument(
-            "--pmax",
-            type=_positive_int,
-            help=f"the largest power, {low}at most {MAX_PMAX[command]}",
-            **kwargs,
+            required=default is None,
+            default=default,
+            help=f"{what}, {least}at most {high}",
         )
 
     p = sub.add_parser("decompose", help="decompose the p-th tensor power into irreducibles")
     p.add_argument("--module", choices=("vector", "spinor"), required=True)
-    add_power(p, "decompose")
+    add_size(p, "decompose")
     p.add_argument("--cache", metavar="DIR", default=None)
     add_format(p)
 
     p = sub.add_parser("multiplicity", help="multiplicity of one weight in the p-th power")
     p.add_argument("--module", choices=("vector", "spinor"), required=True)
-    add_power(p, "multiplicity")
+    add_size(p, "multiplicity")
     p.add_argument("--weight", type=_weight_arg, required=True, metavar="V1,V2")
     p.add_argument(
         "--extended",
@@ -106,12 +106,12 @@ def build_parser() -> argparse.ArgumentParser:
     add_format(p)
 
     p = sub.add_parser("fan", help="fan coefficients of the p-fold diagonal injection")
-    add_power(p, "fan")
+    add_size(p, "fan")
     add_format(p)
 
     p = sub.add_parser("singular", help="singular element of the p-th power")
     p.add_argument("--module", choices=("vector", "spinor"), required=True)
-    add_power(p, "singular")
+    add_size(p, "singular")
     p.add_argument(
         "--projected",
         action="store_true",
@@ -122,9 +122,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("closed-form", help="closed-form coefficients and printed-formula diffs")
     p.add_argument("--kind", choices=("fan", "vector", "spinor"), required=True)
-    add_power(p, "closed-form")
-    p.add_argument("--weight", type=_weight_arg, default=None, metavar="V1,V2")
-    p.add_argument(
+    add_size(p, "closed-form")
+    one = p.add_mutually_exclusive_group()
+    one.add_argument("--weight", type=_weight_arg, default=None, metavar="V1,V2")
+    one.add_argument(
         "--diff-printed",
         action="store_true",
         help="emit points where the verbatim published formula disagrees",
@@ -134,12 +135,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("fit", help="fit a polynomial in p along a diagonal family")
     p.add_argument("--s", type=int, required=True, metavar="S", help="family index 1..6")
     p.add_argument("--t", type=_positive_int, required=True, metavar="T")
-    add_pmax(p, "fit", default=10)
+    add_size(p, "fit", default=10)
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
     p.add_argument("--suite", choices=tuple(SUITE_ORDER) + ("all",), default="all")
-    add_pmax(p, "verify", default=10)
+    add_size(p, "verify", default=10)
     p.add_argument(
         "--timings",
         action="store_true",
@@ -149,53 +150,70 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("diagram", help="growth diagram of tensor powers as DOT")
     p.add_argument("--module", choices=("vector", "spinor"), required=True)
-    add_pmax(p, "diagram", required=True)
+    add_size(p, "diagram")
 
     return top
 
 
-# Rendering. A series or decomposition is printed from its JSON payload, the
-# text that cached() stores: canonical, sorted by point, every coefficient a
-# decimal string. The formats only rearrange those strings, so a cache hit
-# is printed as stored, with nothing parsed back.
+# Rendering. Every answer but a fit or a diagram is one JSON object, printed
+# by _print_answer; its CSV columns are the keys its rows are read at. A
+# series or decomposition is printed from its payload, the text that cached()
+# stores: canonical, sorted by point, every coefficient a decimal string. The
+# formats only rearrange those strings, so a cache hit is printed as stored,
+# with nothing parsed back.
 
 
-def _series_text(payload, fmt: str) -> str:
-    rows = [(e["weight"], e["coeff"]) for e in payload]  # in every format: checks the shape
-    if fmt == "json":
-        return canonical_json(payload) + "\n"
-    if fmt == "csv":
-        return "weight,coeff\n" + "".join(f'"{w}",{c}\n' for w, c in rows)
-    return "".join(f"{w:>12}  {c}\n" for w, c in rows)
+def _print_answer(fmt: str, obj, keys: tuple, pretty, entries=None, quoted: int = 0) -> None:
+    """Print obj in fmt, built whole before any of it is printed.
 
-
-def _decomposition_text(payload, fmt: str) -> str:
-    module, power = payload["module"], payload["power"]  # in every format: checks the shape
-    rows = [(t["weight"], t["mult"], t["dim"]) for t in payload["terms"]]
-    if fmt == "json":
-        return canonical_json(payload) + "\n"
-    if fmt == "csv":
-        return "weight,mult,dim\n" + "".join(f'"{w}",{m},{d}\n' for w, m, d in rows)
-    total = sum(int(m) * int(d) for _, m, d in rows)
-    return "".join(
-        [f"{module}^(x{power}) =\n"]
-        + [f"  {m:>8} x L({w})  dim {d}\n" for w, m, d in rows]
-        + [f"total dimension {total}\n"]
-    )
-
-
-def _print_payload(render, payload, fmt: str) -> None:
-    """Print render(payload, fmt), built whole before any of it is printed.
-
-    A payload read from the cache has passed its digest check, which tells a
-    changed file from the one written but not a well-formed payload from
-    another; one that render cannot read is an error, and stdout stays empty.
+    The rows of the answer are its entries, obj itself or entries(obj), each
+    a dict read at keys. json prints obj; csv prints the keys and then the
+    rows, the cell at index quoted in double quotes; pretty prints
+    pretty(obj, rows). The rows are read in every format, so they check the
+    shape of obj. A payload read from the cache has passed its digest check,
+    which tells a changed file from the one written but not a well-formed
+    payload from another; one that cannot be read is an error, and stdout
+    stays empty.
     """
     try:
-        text = render(payload, fmt)
+        rows = list(map(itemgetter(*keys), obj if entries is None else entries(obj)))
+        if fmt == "json":
+            text = canonical_json(obj) + "\n"
+        elif fmt == "csv":
+            line = ",".join('"{}"' if i == quoted else "{}" for i in range(len(keys))) + "\n"
+            text = ",".join(keys) + "\n" + "".join(starmap(line.format, rows))
+        else:
+            text = pretty(obj, rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed payload: {exc!r}") from None
     print(text, end="")
+
+
+_SERIES_KEYS = ("weight", "coeff")
+
+
+def _series_pretty(_, rows) -> str:
+    return "".join(f"{w:>12}  {c}\n" for w, c in rows)
+
+
+def _terms(payload) -> list:
+    payload["module"], payload["power"]  # read in every format: they check the shape
+    return payload["terms"]
+
+
+def _decomposition_pretty(payload, rows) -> str:
+    head = f"{payload['module']}^(x{payload['power']}) =\n"
+    lines = [f"  {m:>8} x L({w})  dim {d}\n" for w, m, d in rows]
+    return head + "".join(lines) + f"total dimension {sum(int(m) * int(d) for _, m, d in rows)}\n"
+
+
+def _print_point(args, label: str, key: str, value: int) -> None:
+    # one value at one weight: multiplicity and closed-form --weight
+    obj = {label: getattr(args, label), "power": args.power, "weight": args.weight.text()}
+    obj[key] = str(value)
+    _print_answer(
+        args.format, obj, tuple(obj), lambda o, _: o[key] + "\n", entries=lambda o: [o], quoted=2
+    )
 
 
 def _cmd_decompose(args) -> int:
@@ -204,7 +222,8 @@ def _cmd_decompose(args) -> int:
         f"decompose-{args.module}-{args.power}",
         lambda: decomposition(args.module, args.power).to_json_obj(),
     )
-    _print_payload(_decomposition_text, payload, args.format)
+    keys = ("weight", "mult", "dim")
+    _print_answer(args.format, payload, keys, _decomposition_pretty, entries=_terms)
     return 0
 
 
@@ -216,23 +235,7 @@ def _cmd_multiplicity(args) -> int:
             file=sys.stderr,
         )
         return 2
-    val = m_extended(args.module, args.power, args.weight)
-    if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "module": args.module,
-                    "power": args.power,
-                    "weight": args.weight.text(),
-                    "multiplicity": str(val),
-                }
-            )
-        )
-    elif args.format == "csv":
-        print("module,power,weight,multiplicity")
-        print(f'{args.module},{args.power},"{args.weight.text()}",{val}')
-    else:
-        print(val)
+    _print_point(args, "module", "multiplicity", m_extended(args.module, args.power, args.weight))
     return 0
 
 
@@ -240,7 +243,8 @@ def _cmd_fan(args) -> int:
     if args.power < 1:
         print("fan needs --power >= 1", file=sys.stderr)
         return 2
-    _print_payload(_series_text, fan_with_zero(args.power).to_json_obj(), args.format)
+    payload = fan_with_zero(args.power).to_json_obj()
+    _print_answer(args.format, payload, _SERIES_KEYS, _series_pretty)
     return 0
 
 
@@ -252,8 +256,13 @@ def _cmd_singular(args) -> int:
         f"singular-{which}-{args.module}-{args.power}",
         lambda: fn(args.module, args.power).to_json_obj(),
     )
-    _print_payload(_series_text, payload, args.format)
+    _print_answer(args.format, payload, _SERIES_KEYS, _series_pretty)
     return 0
+
+
+def _diff_pretty(_, rows) -> str:
+    lines = [f"{pt:>12}  printed {a:>6}  direct {b:>6}\n" for pt, a, b in rows]
+    return "".join(lines) + f"{len(rows)} differing points\n"
 
 
 def _cmd_closed_form(args) -> int:
@@ -261,41 +270,17 @@ def _cmd_closed_form(args) -> int:
         print("closed-form needs --power >= 1", file=sys.stderr)
         return 2
     if args.diff_printed:
-        rows = diff_report(args.kind, args.power)
-        if args.format == "json":
-            print(canonical_json(rows))
-        elif args.format == "csv":
-            print("point,printed,direct")
-            for r in rows:
-                print('"{point}",{printed},{direct}'.format(**r))
-        else:
-            for r in rows:
-                print(f'{r["point"]:>12}  printed {r["printed"]:>6}  direct {r["direct"]:>6}')
-            print(f"{len(rows)} differing points")
+        report = diff_report(args.kind, args.power)
+        _print_answer(args.format, report, ("point", "printed", "direct"), _diff_pretty)
         return 0
     form = CLOSED_FORMS[args.kind]
     if args.weight is not None:
-        val = form.validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
-        if args.format == "json":
-            print(
-                canonical_json(
-                    {
-                        "kind": args.kind,
-                        "power": args.power,
-                        "weight": args.weight.text(),
-                        "coeff": str(val),
-                    }
-                )
-            )
-        elif args.format == "csv":
-            print("kind,power,weight,coeff")
-            print(f'{args.kind},{args.power},"{args.weight.text()}",{val}')
-        else:
-            print(val)
+        value = form.validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
+        _print_point(args, "kind", "coeff", value)
         return 0
     points = _support_halo(form.truth(args.power))
-    values = form.validated(args.power, points)
-    _print_payload(_series_text, series_json_obj(zip(points, values)), args.format)
+    payload = series_json_obj(zip(points, form.validated(args.power, points)))
+    _print_answer(args.format, payload, _SERIES_KEYS, _series_pretty)
     return 0
 
 
@@ -315,52 +300,44 @@ def _cmd_fit(args) -> int:
         print("--s must be 1..6", file=sys.stderr)
         return 2
     hi = args.pmax + 4
-    values = _diagonal_values(args.s, args.t, hi + 3)
-    xs = list(range(6, hi + 1))
-    ys = [values[p] for p in xs]
     try:
-        fit = cfm.fit_polynomial(xs, ys)
+        fit, predictions = cfm.fit_window(_diagonal_values(args.s, args.t, hi + 3), hi)
     except cfm.PolynomialityError as exc:
         print(f"no polynomial certified: {exc}", file=sys.stderr)
         return 1
-    preds = []
-    for p in range(hi + 1, hi + 4):
-        preds.append(
-            {
-                "p": p,
-                "fit": str(fit(p)),
-                "recurrence": str(values[p]),
-            }
-        )
     coeffs = [str(c) for c in fit.coefficients()]
+    preds = [(p, str(fitted), str(recurred)) for p, fitted, recurred in predictions]
     if args.format == "json":
-        print(
-            canonical_json(
-                {
-                    "s": args.s,
-                    "t": args.t,
-                    "window": [xs[0], xs[-1]],
-                    "degree": fit.degree,
-                    "coefficients": coeffs,
-                    "predictions": preds,
-                }
-            )
-        )
+        obj = {
+            "s": args.s,
+            "t": args.t,
+            "window": [fit.x0, hi],
+            "degree": fit.degree,
+            "coefficients": coeffs,
+            "predictions": [dict(zip(("p", "fit", "recurrence"), r)) for r in preds],
+        }
+        print(canonical_json(obj))
     elif args.format == "csv":
         print("k,coefficient")
         for k, c in enumerate(coeffs):
             print(f"{k},{c}")
         print("p,fit,recurrence")
-        for r in preds:
-            print("{p},{fit},{recurrence}".format(**r))
+        for p, fitted, recurred in preds:
+            print(f"{p},{fitted},{recurred}")
     else:
-        print(f"family s={args.s} t={args.t}, window p={xs[0]}..{xs[-1]}")
+        print(f"family s={args.s} t={args.t}, window p={fit.x0}..{hi}")
         print(f"degree {fit.degree}, coefficients (ascending): {', '.join(coeffs)}")
-        for r in preds:
-            mark = "ok" if r["fit"] == r["recurrence"] else "MISMATCH"
-            print(f'  predict p={r["p"]}: {r["fit"]} (recurrence {r["recurrence"]}) {mark}')
-    bad = any(r["fit"] != r["recurrence"] for r in preds)
-    return 1 if bad else 0
+        for p, fitted, recurred in preds:
+            mark = "ok" if fitted == recurred else "MISMATCH"
+            print(f"  predict p={p}: {fitted} (recurrence {recurred}) {mark}")
+    return 1 if any(fitted != recurred for _, fitted, recurred in preds) else 0
+
+
+def _report_pretty(report, rows) -> str:
+    head = f"suite {report['suite']} (pmax={report['pmax']})\n"
+    lines = [f"  [{status}] {name}: {evidence}\n" for name, status, evidence in rows]
+    counts = ", ".join(f"{report[s]} {s}" for s in ("pass", "fail", "documented-discrepancy"))
+    return head + "".join(lines) + counts + "\n"
 
 
 def _cmd_verify(args) -> int:
@@ -368,14 +345,8 @@ def _cmd_verify(args) -> int:
     if args.timings:
         for c in report.checks:
             print(f"{c.name} {c.seconds:.4f} s {c.points} points", file=sys.stderr)
-    if args.format == "json":
-        print(canonical_json(report.to_json_obj()))
-    elif args.format == "csv":
-        print("name,status,evidence")
-        for c in report.checks:
-            print(f'{c.name},{c.status},"{c.evidence}"')
-    else:
-        print(report.render_pretty(), end="")
+    keys, checks = ("name", "status", "evidence"), itemgetter("checks")
+    _print_answer(args.format, report.to_json_obj(), keys, _report_pretty, entries=checks, quoted=2)
     return 0 if report.ok else 1
 
 
@@ -425,18 +396,14 @@ def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
     args = _parser().parse_args(_attach_weight_values(argv))
-    for option, limits in (("power", MAX_POWER), ("pmax", MAX_PMAX)):
-        limit = limits.get(args.command)
-        value = getattr(args, option, None)
-        if limit is not None and value > limit:
-            print(
-                f"error: --{option} {value} is above the limit {limit} of {args.command}",
-                file=sys.stderr,
-            )
-            return 1
-    low = MIN_PMAX.get(args.command)
-    if low is not None and args.pmax < low:
-        print(f"error: --pmax {args.pmax} is below the limit {low} of {args.command}", file=sys.stderr)
+    option, low, high = LIMITS[args.command]
+    value = getattr(args, option)
+    if not low <= value <= high:
+        side, limit = ("below", low) if value < low else ("above", high)
+        print(
+            f"error: --{option} {value} is {side} the limit {limit} of {args.command}",
+            file=sys.stderr,
+        )
         return 1
     try:
         return _DISPATCH[args.command](args)

@@ -8,7 +8,8 @@ power, all polynomials in p for fixed index:
   * diagonal_formula: six anti-diagonal families s = 1..6 of the vector
     power, M(p-t-s+1, t) as a gamma-factor expression in (p, t);
   * fit_polynomial: certified Newton interpolation used to rediscover such
-    polynomials from recurrence samples and predict beyond the window.
+    polynomials from recurrence samples; fit_window fits the samples at
+    p = 6..hi and predicts beyond them.
 
 Weight maps exist in validated form (matching the multiplicity oracles) and,
 behind printed=True, in the published form, which differs by coordinate
@@ -377,3 +378,14 @@ def fit_polynomial(xs, ys) -> NewtonFit:
     raise PolynomialityError(
         f"window of {len(ys)} samples does not certify a polynomial"
     )
+
+
+def fit_window(values, hi: int):
+    """The fit of a sequence in p on the window 6..hi, and its predictions.
+
+    values[p] must exist for p = 6..hi+3. Returns the certified fit of
+    values[6..hi] and [(p, fit(p), values[p]) for p = hi+1..hi+3], or raises
+    PolynomialityError when the window does not certify a polynomial.
+    """
+    fit = fit_polynomial(range(6, hi + 1), [values[p] for p in range(6, hi + 1)])
+    return fit, [(p, fit(p), values[p]) for p in range(hi + 1, hi + 4)]

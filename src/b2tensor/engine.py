@@ -152,11 +152,8 @@ class MultiplicityFunction:
     def __call__(self, mu: Weight) -> int:
         return self.at(mu.d1, mu.d2)
 
-    def restrict_positive(self) -> dict:
-        return {Weight(d1, d2): m for (d1, d2), m in self.values.items() if m}
-
     def to_result(self) -> DecompositionResult:
-        return DecompositionResult.from_dict(self.module, self.power, self.restrict_positive())
+        return DecompositionResult.from_dict(self.module, self.power, self.dominant)
 
 
 def recur_multiplicity(module, p_max: int):

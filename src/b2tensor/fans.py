@@ -20,7 +20,8 @@ Pi is the source term the recursion adds at each step.
 The closed-form evaluators here compute coefficients of R^(p-1) (fan) and of
 Pi (singular powers). Each exists in two variants: a verbatim transcription
 of the published index formula, and a validated evaluator that matches the
-direct convolution exactly. diff_report exposes their disagreements.
+direct convolution exactly. CLOSED_FORMS holds both as batch evaluators, one
+entry per kind; diff_report exposes their disagreements.
 """
 
 from __future__ import annotations
@@ -167,16 +168,6 @@ def fan_closed_form(p: int, a: int, b: int) -> int:
     return _fan_many(p, [(2 * a, 2 * b)], _tb_lax)[0]
 
 
-def fan_closed_form_printed(p: int, a: int, b: int) -> int:
-    """Verbatim transcription (strict truncated binomial). Kept for the diff report."""
-    return _fan_many(p, [(2 * a, 2 * b)], _tb_strict)[0]
-
-
-def fan_closed_form_many(p: int, points) -> list:
-    """fan_closed_form at doubled points (d1, d2) = (2a, 2b); 0 off the even coset."""
-    return _fan_many(p, points, _tb_lax)
-
-
 def fan_line_structure(p: int):
     """Coefficients of R^(p-1) along the alpha1 line from its lowest corner.
 
@@ -265,21 +256,11 @@ def _vector_many(p: int, points, tb) -> list:
 
 def vector_singular_closed(p: int, weight: Weight) -> int:
     """Validated coefficient of Pi_vector at the given point (lax binomials)."""
-    return vector_singular_closed_many(p, [(weight.d1, weight.d2)])[0]
+    return _vector_many(p, [(weight.d1, weight.d2)], _tb_lax)[0]
 
 
-def vector_singular_closed_printed(p: int, weight: Weight) -> int:
-    """Verbatim transcription of the published pointwise formula (strict binomials)."""
-    return _vector_many(p, [(weight.d1, weight.d2)], _tb_strict)[0]
-
-
-def vector_singular_closed_many(p: int, points) -> list:
-    """vector_singular_closed at doubled points (d1, d2); Pi_vector lives on the even coset."""
-    return _vector_many(p, points, _tb_lax)
-
-
-def spinor_singular_closed_many(p: int, points) -> list:
-    """spinor_singular_closed at doubled points (d1, d2); 0 off the p-th spinor coset."""
+def _spinor_many(p: int, points) -> list:
+    # the spinor closed form at doubled points (d1, d2), 0 off the p-th spinor coset:
     # Pi_spinor = sum_k (-1)^k C(p,k) A_k(d1) B_k(d2), where the (i, j) block
     # A_k depends on (k, d1) only and the (n, m) block B_k on (k, d2) only
     ks = range(p + 1)
@@ -326,27 +307,20 @@ def spinor_singular_closed(p: int, weight: Weight) -> int:
     Y = (p + 2k) - d2 = 8n + 4m, the coefficient is
     sum (-1)^(k+i+j+m+n) C(p,k) C(p-k,i) C(k,j) C(p-k,m) C(k,n).
     """
-    return spinor_singular_closed_many(p, [(weight.d1, weight.d2)])[0]
-
-
-def spinor_singular_closed_printed(p: int, weight: Weight) -> int:
-    """Verbatim transcription of the published spinor pointwise formula.
-
-    Superscripts are consumed exactly as printed; half-integer binomial
-    arguments and non-integer sign exponents kill their terms, as a literal
-    reading dictates.
-    """
-    return _spinor_printed_many(p, [(weight.d1, weight.d2)])[0]
+    return _spinor_many(p, [(weight.d1, weight.d2)])[0]
 
 
 def _spinor_printed_many(p: int, points) -> list:
     # The published sum over k = 1..p+1, l = 1..k, m = 1..p-k+2 of
     #   (-1)^(k + (c-d)/2 - (l+m) + 1) tb(p,k-1) tb(k,l-1) tb(p-k+1,m-1)
     #     tb(k, (1/2)(4(1-m)-k+c-p/2+1)) tb(k, (1/2)(2-4m+k-d+p/2+1)),
-    # reordered only: the sign splits as (-1)^(k+(c-d)/2+1) (-1)^l (-1)^m, and
-    # (-1)^l tb(k,l-1) are the only l-dependent factors, so their sum is taken
-    # once per k. (c-d)/2 = (c2-d2)/4 in doubled coordinates; where it is not
-    # an integer, neither is any sign exponent, so every term dies.
+    # with its superscripts consumed exactly as printed: half-integer binomial
+    # arguments and non-integer sign exponents kill their terms, as a literal
+    # reading dictates. Reordered only: the sign splits as
+    # (-1)^(k+(c-d)/2+1) (-1)^l (-1)^m, and (-1)^l tb(k,l-1) are the only
+    # l-dependent factors, so their sum is taken once per k. (c-d)/2 =
+    # (c2-d2)/4 in doubled coordinates; where it is not an integer, neither is
+    # any sign exponent, so every term dies.
     ks = range(1, p + 2)
     outer = [
         _tb_strict(p, k - 1)
@@ -403,17 +377,17 @@ class ClosedForm(NamedTuple):
 CLOSED_FORMS = {
     "fan": ClosedForm(
         fan_with_zero,
-        fan_closed_form_many,
+        partial(_fan_many, tb=_tb_lax),
         partial(_fan_many, tb=_tb_strict),
     ),
     "vector": ClosedForm(
         partial(singular_power_projected, 1),
-        vector_singular_closed_many,
+        partial(_vector_many, tb=_tb_lax),
         partial(_vector_many, tb=_tb_strict),
     ),
     "spinor": ClosedForm(
         partial(singular_power_projected, 2),
-        spinor_singular_closed_many,
+        _spinor_many,
         _spinor_printed_many,
     ),
 }

@@ -87,16 +87,6 @@ class VerificationReport:
             "checks": [c.to_json_obj() for c in self.checks],
         }
 
-    def render_pretty(self) -> str:
-        lines = [f"suite {self.suite} (pmax={self.pmax})"]
-        for c in self.checks:
-            lines.append(f"  [{c.status}] {c.name}: {c.evidence}")
-        n = self.counts()
-        lines.append(
-            f"{n[PASS]} pass, {n[FAIL]} fail, {n[DOCUMENTED]} documented-discrepancy"
-        )
-        return "\n".join(lines) + "\n"
-
 
 def _fail(name: str, where: str) -> CheckResult:
     return CheckResult(name, FAIL, f"first mismatch at {where}")
@@ -135,7 +125,7 @@ def check_dimension_sum(pmax: int) -> CheckResult:
     for mod, dim in (("vector", 5), ("spinor", 4)):
         recs = recur_multiplicity(mod, bound)
         for p in range(bound + 1):
-            total = sum(m * dim_irrep(w) for w, m in recs[p].restrict_positive().items())
+            total = sum(m * dim_irrep(w) for w, m in recs[p].dominant.items())
             if total != dim**p:
                 return _fail(name, f"module={mod} p={p}")
     return CheckResult(
@@ -498,7 +488,7 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
 
     The family (s,t) has degree s+t-1, and certifying a degree-d polynomial
     on the window 6..pmax+4 takes d+3 samples, so t is capped accordingly;
-    below pmax=6 no family fits in the window and the check fails."""
+    below pmax=4 no family fits in the window and the check fails."""
     name = "diagonal-polynomial-fits"
     hi = pmax + 4
     window = hi - 5  # samples in 6..hi
@@ -507,16 +497,15 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
     for s in (1, 2, 3):
         tmax = min(4, window - 3 - (s - 1))
         for t in range(tmax + 1):
-            xs = list(range(6, hi + 1))
-            ys = [recs[p](cf.diagonal_weight(s, t, p)) for p in xs]
+            values = {p: recs[p](cf.diagonal_weight(s, t, p)) for p in range(6, hi + 4)}
             try:
-                fit = cf.fit_polynomial(xs, ys)
+                _, predictions = cf.fit_window(values, hi)
             except cf.PolynomialityError:
                 return _fail(name, f"s={s} t={t}: window not polynomial")
-            for p in range(hi + 1, hi + 4):
-                if fit(p) != recs[p](cf.diagonal_weight(s, t, p)):
+            for p, fitted, recurred in predictions:
+                if fitted != recurred:
                     return _fail(name, f"s={s} t={t} prediction p={p}")
-                npred += 1
+            npred += len(predictions)
             nfits += 1
     if nfits == 0:
         return _fail(name, f"window 6..{hi} too small for any certified fit")

@@ -382,3 +382,14 @@ def test_fit_input_validation():
         cf.fit_polynomial([0, 2, 3], [1, 2, 3])
     with pytest.raises(ValueError):
         cf.fit_polynomial([0, 1], [1, 2])
+
+
+def test_fit_window_fits_six_to_hi_and_predicts_three_beyond():
+    squares = [p * p for p in range(20)]
+    fit, predictions = cf.fit_window(squares, 10)
+    assert (fit.x0, fit.degree, fit.coefficients()) == (6, 2, (0, 0, 1))
+    assert predictions == [(11, 121, 121), (12, 144, 144), (13, 169, 169)]
+    off = {p: p * p + (p == 12) for p in range(6, 14)}  # only the samples it reads
+    assert cf.fit_window(off, 10)[1][1] == (12, 144, 145)
+    with pytest.raises(cf.PolynomialityError):
+        cf.fit_window([2**p for p in range(20)], 10)

@@ -37,11 +37,8 @@ from b2tensor.fans import (
     _tb_strict,
     _vector_many,
     diff_report,
-    fan_closed_form_printed,
     fan_line_structure,
     singular_power_as_sum,
-    spinor_singular_closed_printed,
-    vector_singular_closed_printed,
 )
 from b2tensor import engine, fans
 from b2tensor.series import PowerChain
@@ -273,15 +270,18 @@ def test_factored_spinor_singular_equals_brute_force():
                     assert spinor_singular_closed(p, w) == brute_spinor_singular(p, d1, d2), (p, w)
 
 
+def printed_at(kind):
+    # the printed reading one point at a time, so no table is shared between points
+    return lambda p, w: CLOSED_FORMS[kind].printed(p, [(w.d1, w.d2)])[0]
+
+
 POINTWISE = {
     "fan": (
         lambda p, w: fan_closed_form(p, w.d1 // 2, w.d2 // 2) if w.d1 % 2 == w.d2 % 2 == 0 else 0,
-        lambda p, w: (
-            fan_closed_form_printed(p, w.d1 // 2, w.d2 // 2) if w.d1 % 2 == w.d2 % 2 == 0 else 0
-        ),
+        printed_at("fan"),
     ),
-    "vector": (vector_singular_closed, vector_singular_closed_printed),
-    "spinor": (spinor_singular_closed, spinor_singular_closed_printed),
+    "vector": (vector_singular_closed, printed_at("vector")),
+    "spinor": (spinor_singular_closed, printed_at("spinor")),
 }
 
 

@@ -10,7 +10,7 @@ from b2tensor import LatticeSeries, decomposition, dim_irrep, singular_power_dir
 from b2tensor import cache
 from b2tensor.cache import cached, canonical_json, load, payload_digest, store
 from b2tensor import cli
-from b2tensor.cli import MAX_PMAX, MAX_POWER, MIN_PMAX, _diagonal_values, _parser, build_parser, main
+from b2tensor.cli import LIMITS, _diagonal_values, _parser, build_parser, main
 from conftest import text_by_fractions
 from b2tensor.diagram import to_dot
 from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
@@ -76,11 +76,37 @@ def test_cli_multiplicity_requires_extended_for_non_dominant(capsys):
     assert code == 0 and out.strip() == "-6"
 
 
-def test_cli_rejects_bad_weight(capsys):
+def usage_error(capsys, *argv) -> str:
     with pytest.raises(SystemExit) as exc:
-        main(["multiplicity", "--module", "vector", "--power", "2", "--weight", "zzz"])
+        main(list(argv))
     assert exc.value.code == 2
-    capsys.readouterr()
+    return capsys.readouterr().err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("text,reason", [
+    ("zzz", "weight must be 'v1,v2', got 'zzz'"),
+    ("1/3,0", "(1/3,0) is not a half-integer point"),
+    ("1/2,0", "(1,0)/2 is off the weight lattice"),
+    ("1/0,0", "Fraction(1, 0)"),
+])
+def test_cli_bad_weight_names_the_problem(capsys, text, reason):
+    err = usage_error(capsys, "multiplicity", "--module", "vector", "--power", "2", "--weight", text)
+    assert err == f"b2tensor multiplicity: error: argument --weight: {reason}"
+
+
+@pytest.mark.parametrize("text,reason", [("-3", "-3 is negative"), ("x", "'x' is not an integer")])
+def test_cli_bad_size_names_the_problem(capsys, text, reason):
+    err = usage_error(capsys, "fan", "--power", text)
+    assert err == f"b2tensor fan: error: argument --power: {reason}"
+    err = usage_error(capsys, "diagram", "--module", "vector", "--pmax", text)
+    assert err == f"b2tensor diagram: error: argument --pmax: {reason}"
+
+
+def test_cli_closed_form_takes_a_weight_or_the_diff_not_both(capsys):
+    err = usage_error(
+        capsys, "closed-form", "--kind", "vector", "--power", "2", "--weight", "0,0", "--diff-printed"
+    )
+    assert err == "b2tensor closed-form: error: argument --diff-printed: not allowed with argument --weight"
 
 
 def test_cli_fan_and_closed_form_agree(capsys):
@@ -239,7 +265,8 @@ def test_cli_power_limit_fails_before_computing(capsys, monkeypatch, command, ex
         raise AssertionError("a product was computed")
 
     monkeypatch.setattr(LatticeSeries, "__mul__", no_products)
-    limit = MAX_POWER[command]
+    option, _, limit = LIMITS[command]
+    assert option == "power"
     code, out, err = run_cli(capsys, command, *extra, "--power", str(limit + 1))
     assert code == 1 and out == ""
     assert err == f"error: --power {limit + 1} is above the limit {limit} of {command}\n"
@@ -247,12 +274,18 @@ def test_cli_power_limit_fails_before_computing(capsys, monkeypatch, command, ex
     assert code == 1
 
 
-@pytest.mark.parametrize("command", sorted(MAX_POWER))
+def test_cli_every_command_has_one_limit():
+    assert set(LIMITS) == set(cli._DISPATCH)
+    assert {option for option, _, _ in LIMITS.values()} == {"power", "pmax"}
+
+
+@pytest.mark.parametrize("command", sorted(c for c, limit in LIMITS.items() if limit[0] == "power"))
 def test_cli_power_limits_are_stated_and_above_the_benchmark(capsys, command):
+    _, _, high = LIMITS[command]
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert f"at most {MAX_POWER[command]}" in capsys.readouterr().out
-    assert MAX_POWER[command] >= 12  # the largest p of the query-mix benchmark
+    assert f"at most {high}" in capsys.readouterr().out
+    assert high >= 12  # the largest p of the query-mix benchmark
 
 
 @pytest.mark.parametrize("command,extra,first_step", [
@@ -265,7 +298,7 @@ def test_cli_pmax_limit_fails_before_computing(capsys, monkeypatch, command, ext
         raise AssertionError(f"{first_step} was called")
 
     monkeypatch.setattr(cli, first_step, nothing_computed)
-    limit = MAX_PMAX[command]
+    _, _, limit = LIMITS[command]
     code, out, err = run_cli(capsys, command, *extra, "--pmax", str(limit + 1))
     assert code == 1 and out == ""
     assert err == f"error: --pmax {limit + 1} is above the limit {limit} of {command}\n"
@@ -279,10 +312,12 @@ def test_cli_pmax_limits_are_stated_and_cover_current_use(capsys, command, in_us
     with pytest.raises(SystemExit):
         main([command, "--help"])
     text = capsys.readouterr().out
-    assert f"at most {MAX_PMAX[command]}" in text
-    assert MAX_PMAX[command] >= in_use
-    if command in MIN_PMAX:
-        assert f"at least {MIN_PMAX[command]} and at most" in text
+    option, low, high = LIMITS[command]
+    assert option == "pmax"
+    assert f"at most {high}" in text
+    assert high >= in_use
+    if low:
+        assert f"at least {low} and at most" in text
 
 
 @pytest.mark.parametrize("command,extra,first_step", [
@@ -296,7 +331,7 @@ def test_cli_pmax_lower_limit_fails_before_computing(capsys, monkeypatch, comman
         raise AssertionError(f"{first_step} was called")
 
     monkeypatch.setattr(cli, first_step, nothing_computed)
-    low = MIN_PMAX[command]
+    _, low, _ = LIMITS[command]
     assert low == 4
     for pmax in range(low):
         code, out, err = run_cli(capsys, command, *extra, "--pmax", str(pmax))
