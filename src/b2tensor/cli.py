@@ -33,8 +33,10 @@ from .verify import SUITE_ORDER, run_suite
 def _weight_arg(text: str) -> Weight:
     try:
         return Weight.parse(text)
-    except (ValueError, ZeroDivisionError) as exc:
+    except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
+    except ZeroDivisionError:
+        raise argparse.ArgumentTypeError(f"{text} has a zero denominator") from None
 
 
 def _positive_int(text: str) -> int:
