@@ -7,7 +7,6 @@ canonical (sorted keys, fixed separators) so reruns are byte-identical.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 from pathlib import Path
@@ -20,6 +19,8 @@ def canonical_json(obj) -> str:
 
 
 def payload_digest(payload) -> str:
+    import hashlib  # loads OpenSSL (about 4 ms and 3.6 MB), which only a load or store needs
+
     return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
 
 

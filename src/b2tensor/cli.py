@@ -9,9 +9,11 @@ from __future__ import annotations
 import argparse
 import re
 import sys
+from collections import OrderedDict
 from functools import lru_cache
 from itertools import starmap
 from operator import itemgetter
+from typing import NamedTuple
 
 from . import closed_forms as cfm
 from .cache import cached, canonical_json
@@ -69,6 +71,11 @@ LIMITS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    return _build_parsers()[0]
+
+
+def _build_parsers() -> tuple:
+    """The top-level parser and the map from each command to its own parser."""
     top = argparse.ArgumentParser(
         prog="b2tensor",
         description="Exact decomposition of tensor powers of the so(5) vector and spinor modules",
@@ -154,23 +161,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--module", choices=("vector", "spinor"), required=True)
     add_size(p, "diagram")
 
-    return top
+    return top, sub.choices
 
 
-# Rendering. Every answer but a fit or a diagram is one JSON object, printed
-# by _print_answer; its CSV columns are the keys its rows are read at. A
-# series or decomposition is printed from its payload, the text that cached()
-# stores: canonical, sorted by point, every coefficient a decimal string. The
-# formats only rearrange those strings, so a cache hit is printed as stored,
-# with nothing parsed back.
+# Rendering. A handler returns its Answer: the exit code and the whole text
+# of stdout and of stderr, which main prints. Every answer but a fit or a
+# diagram is one JSON object rendered by _render; its CSV columns are the
+# keys its rows are read at. A series or decomposition is rendered from its
+# payload, the text that cached() stores: canonical, sorted by point, every
+# coefficient a decimal string. The formats only rearrange those strings, so
+# a cache hit is printed as stored, with nothing parsed back.
 
 
-def _print_answer(fmt: str, obj, keys: tuple, pretty, entries=None, quoted: int = 0) -> None:
-    """Print obj in fmt, built whole before any of it is printed.
+class Answer(NamedTuple):
+    """A command's exit code and the text it prints on stdout and stderr."""
+
+    code: int
+    out: str = ""
+    err: str = ""
+
+
+def _render(fmt: str, obj, keys: tuple, pretty, entries=None, quoted: int = 0) -> str:
+    """The text of obj in fmt.
 
     The rows of the answer are its entries, obj itself or entries(obj), each
-    a dict read at keys. json prints obj; csv prints the keys and then the
-    rows, the cell at index quoted in double quotes; pretty prints
+    a dict read at keys. json renders obj; csv renders the keys and then
+    the rows, the cell at index quoted in double quotes; pretty is
     pretty(obj, rows). The rows are read in every format, so they check the
     shape of obj. A payload read from the cache has passed its digest check,
     which tells a changed file from the one written but not a well-formed
@@ -188,7 +204,7 @@ def _print_answer(fmt: str, obj, keys: tuple, pretty, entries=None, quoted: int 
             text = pretty(obj, rows)
     except (KeyError, TypeError, ValueError) as exc:
         raise ValueError(f"malformed payload: {exc!r}") from None
-    print(text, end="")
+    return text
 
 
 _SERIES_KEYS = ("weight", "coeff")
@@ -209,48 +225,44 @@ def _decomposition_pretty(payload, rows) -> str:
     return head + "".join(lines) + f"total dimension {sum(int(m) * int(d) for _, m, d in rows)}\n"
 
 
-def _print_point(args, label: str, key: str, value: int) -> None:
+def _point(args, label: str, key: str, value: int) -> str:
     # one value at one weight: multiplicity and closed-form --weight
     obj = {label: getattr(args, label), "power": args.power, "weight": args.weight.text()}
     obj[key] = str(value)
-    _print_answer(
+    return _render(
         args.format, obj, tuple(obj), lambda o, _: o[key] + "\n", entries=lambda o: [o], quoted=2
     )
 
 
-def _cmd_decompose(args) -> int:
+def _cmd_decompose(args) -> Answer:
     payload = cached(
         args.cache,
         f"decompose-{args.module}-{args.power}",
         lambda: decomposition(args.module, args.power).to_json_obj(),
     )
     keys = ("weight", "mult", "dim")
-    _print_answer(args.format, payload, keys, _decomposition_pretty, entries=_terms)
-    return 0
+    return Answer(0, _render(args.format, payload, keys, _decomposition_pretty, entries=_terms))
 
 
-def _cmd_multiplicity(args) -> int:
+def _cmd_multiplicity(args) -> Answer:
     if not args.extended and not is_dominant(args.weight):
-        print(
-            f"weight {args.weight.text()} is not dominant; pass --extended for "
-            "the antisymmetric extension",
-            file=sys.stderr,
+        return Answer(
+            2,
+            err=f"weight {args.weight.text()} is not dominant; pass --extended for "
+            "the antisymmetric extension\n",
         )
-        return 2
-    _print_point(args, "module", "multiplicity", m_extended(args.module, args.power, args.weight))
-    return 0
+    value = m_extended(args.module, args.power, args.weight)
+    return Answer(0, _point(args, "module", "multiplicity", value))
 
 
-def _cmd_fan(args) -> int:
+def _cmd_fan(args) -> Answer:
     if args.power < 1:
-        print("fan needs --power >= 1", file=sys.stderr)
-        return 2
+        return Answer(2, err="fan needs --power >= 1\n")
     payload = fan_with_zero(args.power).to_json_obj()
-    _print_answer(args.format, payload, _SERIES_KEYS, _series_pretty)
-    return 0
+    return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 
 
-def _cmd_singular(args) -> int:
+def _cmd_singular(args) -> Answer:
     which = "projected" if args.projected else "direct"
     fn = singular_power_projected if args.projected else singular_power_direct
     payload = cached(
@@ -258,8 +270,7 @@ def _cmd_singular(args) -> int:
         f"singular-{which}-{args.module}-{args.power}",
         lambda: fn(args.module, args.power).to_json_obj(),
     )
-    _print_answer(args.format, payload, _SERIES_KEYS, _series_pretty)
-    return 0
+    return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 
 
 def _diff_pretty(_, rows) -> str:
@@ -267,23 +278,19 @@ def _diff_pretty(_, rows) -> str:
     return "".join(lines) + f"{len(rows)} differing points\n"
 
 
-def _cmd_closed_form(args) -> int:
+def _cmd_closed_form(args) -> Answer:
     if args.power < 1:
-        print("closed-form needs --power >= 1", file=sys.stderr)
-        return 2
+        return Answer(2, err="closed-form needs --power >= 1\n")
     if args.diff_printed:
         report = diff_report(args.kind, args.power)
-        _print_answer(args.format, report, ("point", "printed", "direct"), _diff_pretty)
-        return 0
+        return Answer(0, _render(args.format, report, ("point", "printed", "direct"), _diff_pretty))
     form = CLOSED_FORMS[args.kind]
     if args.weight is not None:
         value = form.validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
-        _print_point(args, "kind", "coeff", value)
-        return 0
+        return Answer(0, _point(args, "kind", "coeff", value))
     points = _support_halo(form.truth(args.power))
     payload = series_json_obj(zip(points, form.validated(args.power, points)))
-    _print_answer(args.format, payload, _SERIES_KEYS, _series_pretty)
-    return 0
+    return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 
 
 @lru_cache(maxsize=64)
@@ -297,16 +304,14 @@ def _diagonal_values(s: int, t: int, p_last: int) -> tuple:
     return tuple(recs[p](cfm.diagonal_weight(s, t, p)) for p in range(p_last + 1))
 
 
-def _cmd_fit(args) -> int:
+def _cmd_fit(args) -> Answer:
     if not 1 <= args.s <= 6:
-        print("--s must be 1..6", file=sys.stderr)
-        return 2
+        return Answer(2, err="--s must be 1..6\n")
     hi = args.pmax + 4
     try:
         fit, predictions = cfm.fit_window(_diagonal_values(args.s, args.t, hi + 3), hi)
     except cfm.PolynomialityError as exc:
-        print(f"no polynomial certified: {exc}", file=sys.stderr)
-        return 1
+        return Answer(1, err=f"no polynomial certified: {exc}\n")
     coeffs = [str(c) for c in fit.coefficients()]
     preds = [(p, str(fitted), str(recurred)) for p, fitted, recurred in predictions]
     if args.format == "json":
@@ -318,21 +323,20 @@ def _cmd_fit(args) -> int:
             "coefficients": coeffs,
             "predictions": [dict(zip(("p", "fit", "recurrence"), r)) for r in preds],
         }
-        print(canonical_json(obj))
+        lines = [canonical_json(obj)]
     elif args.format == "csv":
-        print("k,coefficient")
-        for k, c in enumerate(coeffs):
-            print(f"{k},{c}")
-        print("p,fit,recurrence")
-        for p, fitted, recurred in preds:
-            print(f"{p},{fitted},{recurred}")
+        lines = ["k,coefficient", *(f"{k},{c}" for k, c in enumerate(coeffs))]
+        lines += ["p,fit,recurrence", *(f"{p},{fitted},{recurred}" for p, fitted, recurred in preds)]
     else:
-        print(f"family s={args.s} t={args.t}, window p={fit.x0}..{hi}")
-        print(f"degree {fit.degree}, coefficients (ascending): {', '.join(coeffs)}")
+        lines = [
+            f"family s={args.s} t={args.t}, window p={fit.x0}..{hi}",
+            f"degree {fit.degree}, coefficients (ascending): {', '.join(coeffs)}",
+        ]
         for p, fitted, recurred in preds:
             mark = "ok" if fitted == recurred else "MISMATCH"
-            print(f"  predict p={p}: {fitted} (recurrence {recurred}) {mark}")
-    return 1 if any(fitted != recurred for _, fitted, recurred in preds) else 0
+            lines.append(f"  predict p={p}: {fitted} (recurrence {recurred}) {mark}")
+    code = 1 if any(fitted != recurred for _, fitted, recurred in preds) else 0
+    return Answer(code, "".join(line + "\n" for line in lines))
 
 
 def _report_pretty(report, rows) -> str:
@@ -342,19 +346,16 @@ def _report_pretty(report, rows) -> str:
     return head + "".join(lines) + counts + "\n"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> Answer:
     report = run_suite(args.suite, args.pmax)
-    if args.timings:
-        for c in report.checks:
-            print(f"{c.name} {c.seconds:.4f} s {c.points} points", file=sys.stderr)
     keys, checks = ("name", "status", "evidence"), itemgetter("checks")
-    _print_answer(args.format, report.to_json_obj(), keys, _report_pretty, entries=checks, quoted=2)
-    return 0 if report.ok else 1
+    text = _render(args.format, report.to_json_obj(), keys, _report_pretty, entries=checks, quoted=2)
+    lines = [f"{c.name} {c.seconds:.4f} s {c.points} points\n" for c in report.checks]
+    return Answer(0 if report.ok else 1, text, "".join(lines) if args.timings else "")
 
 
-def _cmd_diagram(args) -> int:
-    print(to_dot(args.module, args.pmax), end="")
-    return 0
+def _cmd_diagram(args) -> Answer:
+    return Answer(0, to_dot(args.module, args.pmax))
 
 
 _DISPATCH = {
@@ -370,9 +371,89 @@ _DISPATCH = {
 
 
 @lru_cache(maxsize=1)
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser unchanged, so one instance serves every call
-    return build_parser()
+def _parsers() -> tuple:
+    # parsing leaves the parsers unchanged, so one instance serves every call
+    return _build_parsers()
+
+
+def _parse(argv: list) -> argparse.Namespace:
+    """Parse argv with its command's own parser, as the top-level parser would.
+
+    The top-level parser hands everything after the command to that parser
+    and reports what it leaves over; going there directly skips the
+    top-level pass. No arguments, an unknown command and the top-level
+    --help still go through the top-level parser.
+    """
+    top, commands = _parsers()
+    parser = commands.get(argv[0]) if argv else None
+    if parser is None:
+        return top.parse_args(argv)
+    args, extras = parser.parse_known_args(argv[1:])
+    if extras:
+        top.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+# Repeated queries are answered with the text printed the first time, from
+# one LRU bounded in characters: each entry is charged its text plus
+# _KEY_CHARS for its key and bookkeeping (about 660 bytes under tracemalloc),
+# so many short answers cannot outgrow the bound either. For scale, fan
+# --power 40 prints 0.55 M characters and decompose vector --power 100
+# 0.23 M. Only an answer with exit code 0 and nothing on stderr is kept.
+# Three kinds of query bypass the memo:
+# - verify, as a self-check must recompute and --timings reports live numbers;
+# - any query with --cache, whose load, digest check and store stay as they are;
+# - an answer at one weight (multiplicity, closed-form --weight): its text is
+#   a single number, shorter than its key, and its keys are every lattice
+#   point. Kept, the seeded query mix of benchmark/run.py filled the memo
+#   with 10 644 of them in 600 rounds and raised peak RSS by 7 MB (Python
+#   3.11, one process).
+MEMO_CHARS = 1 << 20
+_KEY_CHARS = 700
+
+
+def _memo_key(args):
+    """The key of the query's answer in the memo, or None if it bypasses the memo."""
+    bypass = args.command == "verify" or getattr(args, "cache", None) is not None
+    if bypass or getattr(args, "weight", None) is not None:
+        return None
+    return tuple(sorted(vars(args).items()))
+
+
+def _charge(text: str) -> int:
+    return len(text) + _KEY_CHARS
+
+
+class _TextMemo:
+    """Texts by key, least recently used first, charged at most `bound` characters."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.texts = OrderedDict()
+        self.chars = 0
+
+    def get(self, key):
+        text = self.texts.get(key)
+        if text is not None:
+            self.texts.move_to_end(key)
+        return text
+
+    def put(self, key, text: str) -> None:
+        """Keep text under key, which is not in the memo: main puts only after a miss."""
+        if _charge(text) > self.bound:
+            return
+        self.texts[key] = text
+        self.chars += _charge(text)
+        while self.chars > self.bound:
+            self.chars -= _charge(self.texts.popitem(last=False)[1])
+
+    def clear(self) -> None:
+        self.texts.clear()
+        self.chars = 0
+
+
+_ANSWERS = _TextMemo(MEMO_CHARS)
 
 
 _NEGATIVE_VALUE = re.compile(r"-\d")
@@ -397,7 +478,7 @@ def _attach_weight_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    args = _parser().parse_args(_attach_weight_values(argv))
+    args = _parse(_attach_weight_values(argv))
     option, low, high = LIMITS[args.command]
     value = getattr(args, option)
     if not low <= value <= high:
@@ -407,11 +488,20 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
+    key = _memo_key(args)
+    text = None if key is None else _ANSWERS.get(key)
+    if text is not None:
+        sys.stdout.write(text)
+        return 0
     try:
-        return _DISPATCH[args.command](args)
+        code, out, err = _DISPATCH[args.command](args)
     except (ValueError, KeyError, RuntimeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+        code, out, err = 1, "", f"error: {exc}\n"
+    sys.stderr.write(err)
+    sys.stdout.write(out)
+    if key is not None and code == 0 and not err:
+        _ANSWERS.put(key, out)
+    return code
 
 
 if __name__ == "__main__":

@@ -525,7 +525,7 @@ def check_diagonal_zeros(pmax: int) -> CheckResult:
     n = 0
     for s in range(1, 7):
         for t in range(0, (bound - s + 2) // 2 + 1):
-            p = 2 * t + s - 2
+            p = cf.diagonal_zero_power(s, t)
             if p < 1 or p > bound:
                 continue
             if cf.diagonal_formula(s, t, p, corrected=(s == 5)) != 0:

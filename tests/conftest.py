@@ -1,12 +1,21 @@
-"""Shared strategies (weights on the doubled lattice, dominant weights, powers)
-and the Fraction reference of the weight text."""
+"""Shared strategies (weights on the doubled lattice, dominant weights, powers),
+the Fraction reference of the weight text, and a fresh CLI answer memo for
+every test."""
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import strategies as st
 
-from b2tensor import WEYL_GROUP, Weight
+from b2tensor import WEYL_GROUP, Weight, cli
 from b2tensor.fans import _support_halo
+
+
+@pytest.fixture(autouse=True)
+def fresh_answer_memo():
+    """Empty the CLI's memo of answer texts, so a test that monkeypatches the
+    engine never gets text an earlier test computed."""
+    cli._ANSWERS.clear()
 
 
 def weights(span: int = 12):

@@ -1,5 +1,5 @@
 """Golden digests of the command line: exit code, stdout and stderr of about
-300 argument sets, compared against tests/data/cli_digests.json.
+400 argument sets, compared against tests/data/cli_digests.json.
 
 Each entry is the sha256 of the JSON list [exit code, stdout, stderr] of one
 in-process `b2tensor.cli.main(argv)` call, in the order listed, so a cache
@@ -95,6 +95,34 @@ def golden_argvs() -> list:
     out += [["fit", "--s", "1", "--t", "0", "--pmax", pmax] for pmax in ("3", "151")]
     out.append(["diagram", "--module", "vector", "--pmax", "61"])
     out += [["decompose", "--module", "tensor", "--power", "2"], ["fan"], ["nope"]]
+    # dispatch edge cases: no command, leftovers, abbreviations, help late in
+    # the line, options before the command, negative weights in every position
+    out += [
+        [],
+        ["-h"],
+        ["--bogus"],
+        ["--", "fan", "--power", "2"],
+        ["fan", "--power", "2", "extra"],
+        ["fan", "--power", "2", "--bogus"],
+        ["fan", "--power", "2", "--bogus", "extra"],
+        ["fan", "--bogus"],
+        ["fan", "--power"],
+        ["fan", "--power=2", "--power", "3"],
+        ["fan", "--power", "2", "--", "extra"],
+        ["decompose", "--mod", "vector", "--power", "2"],
+        ["decompose", "--mod", "vector", "--pow", "2", "--form", "csv"],
+        ["decompose", "--module", "vector", "-h"],
+        ["decompose", "--module", "vector", "--power", "2", "--help", "--bogus"],
+        ["closed-form", "--kind", "fan", "--power", "3", "--weight"],
+        ["closed-form", "--kind", "fan", "--power", "3", "--weight", "1,0", "--diff-printed"],
+    ]
+    for module in MODULES:
+        out.append(["multiplicity", "--module", module, "--power", "3", "--extended", "--weight", "-1,0"])
+        out.append(["multiplicity", "--module", module, "--power", "3", "--weight=-1,0", "--extended"])
+        out.append(["multiplicity", "--module", module, "--power", "3", "--weight", "-1,0"])
+    for kind in KINDS:
+        each_format("closed-form", "--kind", kind, "--power", "3", "--weight", "-1,0")
+    out.append(["closed-form", "--weight", "-1,0", "--kind", "vector", "--power", "2"])
     return out
 
 
@@ -115,12 +143,14 @@ def digests(cache_dir: str) -> list:
 
 
 def test_cli_output_matches_golden_digests(tmp_path, monkeypatch):
+    """Two passes in one process: the second answers repeats from the memo."""
     monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help and usage to the terminal
     want = json.loads(DIGESTS.read_text(encoding="utf-8"))
-    got = digests(str(tmp_path))
-    assert [argv for argv, _ in got] == [argv for argv, _ in want]
-    differ = [" ".join(argv) for (argv, a), (_, b) in zip(got, want) if a != b]
-    assert not differ, "output changed for:\n" + "\n".join(differ)
+    for sweep in ("first", "second"):
+        got = digests(str(tmp_path / sweep))
+        assert [argv for argv, _ in got] == [argv for argv, _ in want]
+        differ = [" ".join(argv) for (argv, a), (_, b) in zip(got, want) if a != b]
+        assert not differ, f"{sweep} pass: output changed for:\n" + "\n".join(differ)
 
 
 if __name__ == "__main__":

@@ -10,7 +10,7 @@ from b2tensor import LatticeSeries, decomposition, dim_irrep, singular_power_dir
 from b2tensor import cache
 from b2tensor.cache import cached, canonical_json, load, payload_digest, store
 from b2tensor import cli
-from b2tensor.cli import LIMITS, _diagonal_values, _parser, build_parser, main
+from b2tensor.cli import LIMITS, _diagonal_values, _parsers, build_parser, main
 from conftest import text_by_fractions
 from b2tensor.diagram import to_dot
 from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
@@ -165,8 +165,8 @@ def test_cli_weight_with_negative_first_coordinate(capsys, argv, want):
 
 
 def test_cli_parser_is_built_once_and_reused(capsys):
-    assert _parser() is _parser()
-    assert build_parser() is not _parser()  # the public builder still gives a fresh parser
+    assert _parsers() is _parsers()
+    assert build_parser() is not _parsers()[0]  # the public builder still gives a fresh parser
     for _ in range(2):
         code, out, _ = run_cli(capsys, "multiplicity", "--module", "vector", "--power", "12", "--weight", "10,1")
         assert code == 0 and out.strip() == "55"
