@@ -396,21 +396,23 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 # Repeated queries are answered with the text printed the first time, from
-# one LRU bounded in characters: each entry is charged its text plus
-# _KEY_CHARS for its key and bookkeeping (about 660 bytes under tracemalloc),
-# so many short answers cannot outgrow the bound either. For scale, fan
-# --power 40 prints 0.55 M characters and decompose vector --power 100
-# 0.23 M. Only an answer with exit code 0 and nothing on stderr is kept.
+# one LRU of at most MEMO_CHARS characters of text; a longer answer is not
+# kept. For scale, fan --power 40 prints 0.55 M characters and decompose
+# vector --power 100 0.23 M. Only an answer with exit code 0 and nothing on
+# stderr is kept. Only a process that calls main again and again gains, such
+# as the query-mix worker of benchmark/run.py, which answers 63 % of its
+# queries from here; python -m b2tensor answers one query and never hits.
 # Three kinds of query bypass the memo:
 # - verify, as a self-check must recompute and --timings reports live numbers;
 # - any query with --cache, whose load, digest check and store stay as they are;
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
-#   a single number, shorter than its key, and its keys are every lattice
-#   point. Kept, the seeded query mix of benchmark/run.py filled the memo
-#   with 10 644 of them in 600 rounds and raised peak RSS by 7 MB (Python
-#   3.11, one process).
+#   a single number and its keys are every lattice point. Kept, they filled
+#   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
+#   by 7 MB; charging each entry 700 characters for its key still let up to
+#   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
+# Keys are not charged: what is kept is the answer to a whole command, long
+# and few (a full query-mix run ends with 110 entries of 94 K characters).
 MEMO_CHARS = 1 << 20
-_KEY_CHARS = 700
 
 
 def _memo_key(args):
@@ -421,12 +423,8 @@ def _memo_key(args):
     return tuple(sorted(vars(args).items()))
 
 
-def _charge(text: str) -> int:
-    return len(text) + _KEY_CHARS
-
-
 class _TextMemo:
-    """Texts by key, least recently used first, charged at most `bound` characters."""
+    """Texts by key, least recently used first, at most `bound` characters in all."""
 
     def __init__(self, bound: int):
         self.bound = bound
@@ -441,12 +439,12 @@ class _TextMemo:
 
     def put(self, key, text: str) -> None:
         """Keep text under key, which is not in the memo: main puts only after a miss."""
-        if _charge(text) > self.bound:
+        if len(text) > self.bound:
             return
         self.texts[key] = text
-        self.chars += _charge(text)
+        self.chars += len(text)
         while self.chars > self.bound:
-            self.chars -= _charge(self.texts.popitem(last=False)[1])
+            self.chars -= len(self.texts.popitem(last=False)[1])
 
     def clear(self) -> None:
         self.texts.clear()

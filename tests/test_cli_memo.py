@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from b2tensor import cli
-from b2tensor.cli import _KEY_CHARS, MEMO_CHARS, Answer, _parse, _TextMemo, build_parser, main
+from b2tensor.cli import MEMO_CHARS, Answer, _parse, _TextMemo, build_parser, main
 from test_cli_golden import golden_argvs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,38 +55,30 @@ def test_memo_holds_at_most_its_bound_after_the_largest_answers():
     # --power 100 in json, and one answer longer than the bound
     memo = _TextMemo(MEMO_CHARS)
 
-    def charged():
-        return sum(len(text) + _KEY_CHARS for text in memo.texts.values())
+    def held():
+        return sum(map(len, memo.texts.values()))
 
     for key, size in (("fan", 550_000), ("decompose", 230_000), ("singular", 400_000)):
         memo.put(key, "x" * size)
-        assert memo.chars == charged() <= MEMO_CHARS
+        assert memo.chars == held() <= MEMO_CHARS
     assert list(memo.texts) == ["decompose", "singular"]  # the least recent one went
-    memo.put("huge", "x" * MEMO_CHARS)
+    memo.put("huge", "x" * (MEMO_CHARS + 1))
     assert "huge" not in memo.texts and list(memo.texts) == ["decompose", "singular"]
     assert memo.get("decompose") is not None
     memo.put("fan", "x" * 550_000)
     assert list(memo.texts) == ["decompose", "fan"]  # a read counts as a use
-    assert memo.chars == charged() == 780_000 + 2 * _KEY_CHARS
-
-
-def test_memo_bound_counts_the_keys_of_short_answers():
-    memo = _TextMemo(10 * _KEY_CHARS)
-    for i in range(100):
-        memo.put(i, "1\n")
-    assert len(memo.texts) == 9 and memo.chars == 9 * (_KEY_CHARS + 2) <= memo.bound
-    assert list(memo.texts) == list(range(91, 100))
+    assert memo.chars == held() == 780_000
 
 
 def test_cli_memo_evicts_the_least_recent_answer(monkeypatch):
     first = ["decompose", "--module", "vector", "--power", "3"]
     second = ["fan", "--power", "2", "--format", "json"]
     texts = [run(argv)[1] for argv in (first, second)]
-    memo = _TextMemo(max(map(len, texts)) + _KEY_CHARS)
+    memo = _TextMemo(max(map(len, texts)))
     monkeypatch.setattr(cli, "_ANSWERS", memo)
     for argv, text in zip((first, second), texts):
         assert run(argv) == (0, text, "")
-        assert list(memo.texts.values()) == [text] and memo.chars == len(text) + _KEY_CHARS
+        assert list(memo.texts.values()) == [text] and memo.chars == len(text)
 
 
 def test_repeated_query_prints_the_stored_text(monkeypatch):
