@@ -454,7 +454,7 @@ class _TextMemo:
 _ANSWERS = _TextMemo(MEMO_CHARS)
 
 
-_NEGATIVE_VALUE = re.compile(r"-\d")
+_NEGATIVE_VALUE = re.compile(r"-\.?\d")  # the leading minus of every number Fraction reads
 
 
 def _attach_weight_values(argv):

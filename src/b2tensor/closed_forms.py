@@ -18,9 +18,9 @@ slips; the discrepancies are documented where the two disagree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, gcd, lcm
+from typing import NamedTuple
 
 from .lattice import Weight
 
@@ -284,8 +284,7 @@ def _divisors(n: int):
 # polynomial rediscovery from samples
 
 
-@dataclass(frozen=True)
-class NewtonFit:
+class NewtonFit(NamedTuple):
     """Polynomial in Newton forward-difference form anchored at x0.
 
     The polynomial is sum_k diffs[k] * C(x - x0, k) / den: diffs are the

@@ -12,8 +12,8 @@ b2tensor.fans. All four must agree exactly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .lattice import (
     MODULE_INDEX,
@@ -37,8 +37,7 @@ class NegativeMultiplicityError(RuntimeError):
     """Extraction produced a negative coefficient: input was not a character."""
 
 
-@dataclass(frozen=True)
-class DecompositionResult:
+class DecompositionResult(NamedTuple):
     """Map from dominant highest weights to positive multiplicities."""
 
     module: str
@@ -49,12 +48,6 @@ class DecompositionResult:
     def from_dict(cls, module: str, power: int, mult: dict) -> "DecompositionResult":
         items = tuple(sorted((w, m) for w, m in mult.items() if m))
         return cls(module, power, items)
-
-    def as_dict(self) -> dict:
-        return dict(self.multiplicities)
-
-    def dimension_sum(self) -> int:
-        return sum(m * dim_irrep(w) for w, m in self.multiplicities)
 
     def to_json_obj(self):
         return {
@@ -122,8 +115,7 @@ def decomposition(module, p: int) -> DecompositionResult:
     return extract_multiplicities(tensor_power_weights(i, p), i, p)
 
 
-@dataclass(frozen=True)
-class MultiplicityFunction:
+class MultiplicityFunction(NamedTuple):
     """Antisymmetrized multiplicity function for one (module, p).
 
     Stores only dominant values, keyed by (d1, d2) tuples of doubled

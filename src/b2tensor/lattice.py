@@ -11,9 +11,9 @@ first transposes (optionally), then applies the signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import NamedTuple
 
 
 def _coord_str(d: int) -> str:
@@ -28,12 +28,19 @@ def point_text(d1: int, d2: int) -> str:
     return f"{_coord_str(d1)},{_coord_str(d2)}"
 
 
-@dataclass(frozen=True, order=True)
-class Weight:
-    """Lattice point in doubled coordinates (d1, d2) = (2*v1, 2*v2)."""
+class Weight(NamedTuple("_WeightFields", [("d1", int), ("d2", int)])):
+    """Lattice point in doubled coordinates (d1, d2) = (2*v1, 2*v2).
 
-    d1: int
-    d2: int
+    A tuple: order, equality and hashing are those of (d1, d2). Build it
+    with Weight(...), which checks the lattice; _make and _replace do not.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, d1: int, d2: int):
+        self = tuple.__new__(cls, (d1, d2))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if (self.d1 - self.d2) % 2 != 0:
@@ -73,13 +80,15 @@ class Weight:
         return f"W({self.text()})"
 
 
-@dataclass(frozen=True)
-class WeylElement:
+class WeylElement(NamedTuple("_WeylFields", [("swap", bool), ("s1", int), ("s2", int)])):
     """Signed permutation: transpose coordinates iff swap, then multiply by (s1,s2)."""
 
-    swap: bool
-    s1: int
-    s2: int
+    __slots__ = ()
+
+    def __new__(cls, swap: bool, s1: int, s2: int):
+        self = tuple.__new__(cls, (swap, s1, s2))
+        self.__post_init__()
+        return self
 
     def __post_init__(self):
         if self.s1 not in (1, -1) or self.s2 not in (1, -1):

@@ -15,9 +15,9 @@ cheap long recurrences run to 3*pmax.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from math import comb, isqrt
+from typing import NamedTuple
 
 from . import closed_forms as cf
 from .engine import (
@@ -48,20 +48,18 @@ FAIL = "fail"
 DOCUMENTED = "documented-discrepancy"
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     status: str
     evidence: str
     points: int = 0  # values compared (printed-formula-diffs: differing rows); 0 on failure
-    seconds: float = field(default=0.0, compare=False)  # set by run_suite
+    seconds: float = 0.0  # set by run_suite
 
     def to_json_obj(self) -> dict:
         return {"name": self.name, "status": self.status, "evidence": self.evidence}
 
 
-@dataclass
-class VerificationReport:
+class VerificationReport(NamedTuple):
     suite: str
     pmax: int
     checks: list
@@ -619,5 +617,5 @@ def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
     for fn in checks:
         start = time.perf_counter()
         result = fn(pmax)
-        results.append(replace(result, seconds=time.perf_counter() - start))
+        results.append(result._replace(seconds=time.perf_counter() - start))
     return VerificationReport(suite, pmax, results)

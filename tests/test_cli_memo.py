@@ -153,6 +153,16 @@ def test_cache_query_after_a_memo_answer_still_writes_its_file(tmp_path):
     assert len(cli._ANSWERS.texts) == 1  # the --cache query is not stored
 
 
+def fresh_python(script):
+    """The words a new interpreter prints running script against src/."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    child = subprocess.run(
+        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
+    )
+    assert child.returncode == 0, child.stderr
+    return child.stdout.split()
+
+
 def test_hashlib_is_loaded_only_for_the_disk_cache(tmp_path):
     script = f"""
 import contextlib, io, sys
@@ -165,10 +175,25 @@ with contextlib.redirect_stdout(io.StringIO()) as out:
     cached = cli.main(["decompose", "--module", "vector", "--power", "2", "--cache", {str(tmp_path)!r}])
 print(code, before, cached, out.getvalue().startswith("vector^(x2) ="))
 """
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    child = subprocess.run(
-        [sys.executable, "-c", script], cwd=ROOT, env=env, capture_output=True, text=True, timeout=120
-    )
-    assert child.returncode == 0, child.stderr
-    assert child.stdout.split() == ["0", "False", "0", "True"]
+    assert fresh_python(script) == ["0", "False", "0", "True"]
     assert json.loads((tmp_path / "decompose-vector-2.json").read_text())["payload"]["power"] == 2
+
+
+def test_no_query_imports_dataclasses_or_inspect():
+    # `import dataclasses` costs about 12 ms of a cold start, most of it in
+    # `inspect`; the records are NamedTuples so that no b2tensor process needs it
+    script = """
+import contextlib, io, sys
+from b2tensor import cli
+def loaded():
+    return [m for m in ("dataclasses", "inspect") if m in sys.modules]
+cli.build_parser()
+print(loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["verify", "--pmax", "4", "--format", "json"])
+print(code, loaded())
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["decompose", "--module", "spinor", "--power", "3"])
+print(code, loaded())
+"""
+    assert fresh_python(script) == ["[]", "0", "[]", "0", "[]"]

@@ -45,13 +45,13 @@ FROZEN = {
 
 def test_frozen_decompositions():
     for (mod, p), pairs in FROZEN.items():
-        assert decomposition(mod, p).as_dict() == as_weight_dict(pairs), (mod, p)
+        assert dict(decomposition(mod, p).multiplicities) == as_weight_dict(pairs), (mod, p)
 
 
 def test_power_zero_and_one():
     for mod, top in (("vector", Weight.make(1, 0)), ("spinor", Weight.make(Fraction(1, 2), Fraction(1, 2)))):
-        assert decomposition(mod, 0).as_dict() == {Weight(0, 0): 1}
-        assert decomposition(mod, 1).as_dict() == {top: 1}
+        assert dict(decomposition(mod, 0).multiplicities) == {Weight(0, 0): 1}
+        assert dict(decomposition(mod, 1).multiplicities) == {top: 1}
 
 
 def test_tensor_power_weight_mass():
@@ -62,7 +62,8 @@ def test_tensor_power_weight_mass():
 @pytest.mark.parametrize("mod,dim", [("vector", 5), ("spinor", 4)])
 def test_dimension_sums(mod, dim):
     for p in range(8):
-        assert decomposition(mod, p).dimension_sum() == dim**p
+        terms = decomposition(mod, p).multiplicities
+        assert sum(m * dim_irrep(w) for w, m in terms) == dim**p
 
 
 def test_routes_agree_small():

@@ -1,11 +1,14 @@
 """Lattice layer: weights, the signed-permutation group, dominance, dimensions."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import b2tensor
 from b2tensor import (
     ALPHA1,
     ALPHA2,
@@ -19,15 +22,93 @@ from b2tensor import (
     to_dominant_regular,
     weights_of_fundamental,
 )
-from b2tensor.lattice import dominated, power_highest_weight
+from b2tensor.closed_forms import NewtonFit
+from b2tensor.engine import decomposition, recur_multiplicity
+from b2tensor.lattice import WeylElement, dominated, power_highest_weight
+from b2tensor.verify import CheckResult, VerificationReport
 from conftest import dominant_weights, text_by_fractions, weights, weyl_elements
 
 
-def test_weight_parity_enforced():
-    with pytest.raises(ValueError):
-        Weight(1, 0)
+@given(st.integers(-50, 50), st.integers(-50, 50))
+def test_weight_parity_enforced(d1, d2):
+    if (d1 - d2) % 2:
+        with pytest.raises(ValueError, match="off the weight lattice"):
+            Weight(d1, d2)
+    else:
+        assert Weight(d1, d2) == (d1, d2)
     with pytest.raises(ValueError):
         Weight.make(Fraction(1, 2), 1)
+
+
+# record contract: the seven records are slotted tuples, and Weight and
+# WeylElement check their fields once per construction
+
+
+@given(st.lists(weights(), max_size=12))
+def test_weight_order_equality_and_hash_are_those_of_the_pair(ws):
+    assert [(w.d1, w.d2) for w in sorted(ws)] == sorted((w.d1, w.d2) for w in ws)
+    for a in ws[:4]:
+        for b in ws:
+            assert (a == b) == ((a.d1, a.d2) == (b.d1, b.d2))
+            if a == b:
+                assert hash(a) == hash(b)
+
+
+@given(weights())
+def test_weight_is_immutable_and_has_no_dict(w):
+    with pytest.raises(AttributeError):
+        w.d1 = w.d1 + 2
+    assert not hasattr(w, "__dict__")
+
+
+def test_weyl_element_rejects_signs_other_than_one():
+    with pytest.raises(ValueError, match="signs must be"):
+        WeylElement(False, 1, 2)
+
+
+@given(st.lists(st.tuples(st.integers(-9, 9), st.booleans()), max_size=8))
+def test_each_weight_runs_its_check_once(points):
+    calls = []
+    check = Weight.__post_init__
+
+    def counted(self):
+        calls.append(self)
+        check(self)
+
+    Weight.__post_init__ = counted
+    try:
+        built = [Weight(2 * a + half, half) for a, half in points]
+    finally:
+        Weight.__post_init__ = check
+    assert calls == built
+
+
+def test_records_are_slotted():
+    records = [
+        Weight(0, 0),
+        WEYL_GROUP[0],
+        decomposition("vector", 1),
+        recur_multiplicity("vector", 1)[1],
+        NewtonFit(0, (0, 1, 2), 1),
+        CheckResult("name", "pass", ""),
+        VerificationReport("all", 4, []),
+    ]
+    for record in records:
+        assert isinstance(record, tuple) and not hasattr(record, "__dict__"), type(record)
+
+
+def test_src_builds_weights_only_through_the_checked_constructor():
+    # _make and _replace skip Weight.__new__ and so the lattice check; the
+    # one call in src/ replaces the timing of a verify CheckResult
+    sites = []
+    for path in sorted(Path(b2tensor.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        sites += [
+            f"{path.name}:{ast.unparse(node)}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace")
+        ]
+    assert sites == ["verify.py:result._replace"]
 
 
 def test_weight_text_round_trip():
