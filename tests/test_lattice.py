@@ -98,17 +98,18 @@ def test_records_are_slotted():
 
 
 def test_src_builds_weights_only_through_the_checked_constructor():
-    # _make and _replace skip Weight.__new__ and so the lattice check; the
-    # one call in src/ replaces the timing of a verify CheckResult
+    # _make and _replace skip Weight.__new__ and so the lattice check. A call
+    # counts as one on a Weight or WeylElement if it sits in lattice.py, which
+    # defines no other record, or if its receiver names either class; on the
+    # other records both stay free to use.
     sites = []
     for path in sorted(Path(b2tensor.__file__).parent.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        sites += [
-            f"{path.name}:{ast.unparse(node)}"
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace")
-        ]
-    assert sites == ["verify.py:result._replace"]
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and node.attr in ("_make", "_replace"):
+                receiver = ast.unparse(node.value)
+                if path.name == "lattice.py" or "Weight" in receiver or "WeylElement" in receiver:
+                    sites.append(f"{path.name}:{ast.unparse(node)}")
+    assert sites == []
 
 
 def test_weight_text_round_trip():

@@ -17,7 +17,11 @@ from b2tensor.verify import SUITES, SUITE_ORDER, run_suite
 
 
 def run_cli(capsys, *argv):
-    code = main(list(argv))
+    """(exit code, stdout, stderr) of one query, argparse's usage errors included."""
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:
+        code = exc.code
     out = capsys.readouterr()
     return code, out.out, out.err
 
@@ -136,16 +140,6 @@ def test_cli_closed_form_single_point_csv(capsys):
     assert pretty == "-3\n"
 
 
-def answer(capsys, argv):
-    """(exit code, stdout, stderr) of one query, usage errors included."""
-    try:
-        code = main(argv)
-    except SystemExit as exc:
-        code = exc.code
-    out = capsys.readouterr()
-    return code, out.out, out.err
-
-
 @pytest.mark.parametrize("value", ["-3,0", "-1,0", "-1,3", "-.5,.5", "-1/2,1/2", "-1.5,.5"])
 @pytest.mark.parametrize(
     "command",
@@ -157,9 +151,12 @@ def answer(capsys, argv):
 )
 def test_cli_weight_with_negative_first_coordinate(capsys, command, value):
     # a separate value with a leading minus must read as the weight, as the '=' form does
-    code, out, err = answer(capsys, [*command, "--weight", value])
-    assert (code, out, err) == answer(capsys, [*command, f"--weight={value}"])
+    code, out, err = run_cli(capsys, *command, "--weight", value)
+    assert (code, out, err) == run_cli(capsys, *command, f"--weight={value}")
     assert code == 0, err
+    want = {("multiplicity", "-3,0"): "-3", ("multiplicity", "-1,0"): "0"}.get((command[0], value))
+    if want is not None:
+        assert out.strip() == want
     w = Weight.parse(value)
     if command[0] == "multiplicity":
         assert int(out) == m_extended("vector", 4, w)
