@@ -33,7 +33,6 @@ from .engine import (
     tensor_with_vector,
 )
 from .fans import (
-    fan_pairwise,
     fan_power_direct,
     fan_with_zero,
     fan_closed_form,

@@ -396,13 +396,20 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 # Repeated queries are answered with the text printed the first time, from
-# one LRU of at most MEMO_CHARS characters of text; a longer answer is not
-# kept. For scale, fan --power 40 prints 0.55 M characters and decompose
-# vector --power 100 0.23 M. Only an answer with exit code 0 and nothing on
-# stderr is kept. Only a process that calls main again and again gains, such
-# as the query-mix worker of benchmark/run.py, which answers 63 % of its
-# queries from here; python -m b2tensor answers one query and never hits.
-# Three kinds of query bypass the memo:
+# one LRU keyed by the command line as given and looked up before parsing, so
+# a hit costs a tuple, a dict lookup and the write. The parse is
+# deterministic, so a stored command line always means the same query; another
+# spelling of it (--power=3, another option order) is stored on its own. Keys
+# come from outside (--power 3, 03, 003 ... are distinct and of any length),
+# so an entry is charged its text plus its key's characters; the memo holds at
+# most MEMO_CHARS and does not keep a larger entry. For scale, fan --power 40
+# prints 0.55 M characters and decompose vector --power 100 0.23 M. Only an
+# answer with exit code 0 and nothing on stderr is kept, and only a process
+# that calls main again and again gains, such as the query-mix worker of
+# benchmark/run.py; python -m b2tensor answers one query and never hits.
+# Whether a miss is stored is decided from the parsed query, so an
+# abbreviation such as --cach bypasses as the full option does. Three kinds of
+# query bypass the memo:
 # - verify, as a self-check must recompute and --timings reports live numbers;
 # - any query with --cache, whose load, digest check and store stay as they are;
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
@@ -410,21 +417,24 @@ def _parse(argv: list) -> argparse.Namespace:
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
 #   by 7 MB; charging each entry 700 characters for its key still let up to
 #   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
-# Keys are not charged: what is kept is the answer to a whole command, long
-# and few (a full query-mix run ends with 110 entries of 94 K characters).
 MEMO_CHARS = 1 << 20
 
 
-def _memo_key(args):
-    """The key of the query's answer in the memo, or None if it bypasses the memo."""
+def _memoizable(args) -> bool:
+    """Whether the query's answer may be kept in the memo."""
     bypass = args.command == "verify" or getattr(args, "cache", None) is not None
-    if bypass or getattr(args, "weight", None) is not None:
-        return None
-    return tuple(sorted(vars(args).items()))
+    return not bypass and getattr(args, "weight", None) is None
+
+
+def _charge(key: tuple, text: str) -> int:
+    return len(text) + sum(map(len, key))
 
 
 class _TextMemo:
-    """Texts by key, least recently used first, at most `bound` characters in all."""
+    """Texts by key, least recently used first, at most `bound` characters in all.
+
+    A key is a tuple of strings; an entry is charged its text and its key.
+    """
 
     def __init__(self, bound: int):
         self.bound = bound
@@ -437,14 +447,15 @@ class _TextMemo:
             self.texts.move_to_end(key)
         return text
 
-    def put(self, key, text: str) -> None:
+    def put(self, key: tuple, text: str) -> None:
         """Keep text under key, which is not in the memo: main puts only after a miss."""
-        if len(text) > self.bound:
+        charge = _charge(key, text)
+        if charge > self.bound:
             return
         self.texts[key] = text
-        self.chars += len(text)
+        self.chars += charge
         while self.chars > self.bound:
-            self.chars -= len(self.texts.popitem(last=False)[1])
+            self.chars -= _charge(*self.texts.popitem(last=False))
 
     def clear(self) -> None:
         self.texts.clear()
@@ -476,6 +487,11 @@ def _attach_weight_values(argv):
 def main(argv=None) -> int:
     if argv is None:
         argv = sys.argv[1:]
+    key = tuple(argv)
+    text = _ANSWERS.get(key)
+    if text is not None:
+        sys.stdout.write(text)
+        return 0
     args = _parse(_attach_weight_values(argv))
     option, low, high = LIMITS[args.command]
     value = getattr(args, option)
@@ -486,18 +502,13 @@ def main(argv=None) -> int:
             file=sys.stderr,
         )
         return 1
-    key = _memo_key(args)
-    text = None if key is None else _ANSWERS.get(key)
-    if text is not None:
-        sys.stdout.write(text)
-        return 0
     try:
         code, out, err = _DISPATCH[args.command](args)
     except (ValueError, KeyError, RuntimeError) as exc:
         code, out, err = 1, "", f"error: {exc}\n"
     sys.stderr.write(err)
     sys.stdout.write(out)
-    if key is not None and code == 0 and not err:
+    if code == 0 and not err and _memoizable(args):
         _ANSWERS.put(key, out)
     return code
 

@@ -67,13 +67,6 @@ def fan_with_zero(p: int) -> LatticeSeries:
     return fan_power_direct(p).reflect().scale(-1)
 
 
-def fan_pairwise() -> LatticeSeries:
-    """The seven signed shifts of the pairwise injection: fan_with_zero(2) without the zero point."""
-    full = fan_with_zero(2)
-    zero = Weight(0, 0)
-    return full - LatticeSeries.unit(zero, full.coeff(zero))
-
-
 def _tb_lax(j: int, i: int) -> int:
     # binomial with the widened domain 0 <= i <= j (validated reading)
     return comb(j, i) if 0 <= i <= j else 0

@@ -76,9 +76,6 @@ class LatticeSeries:
     def support(self):
         return [Weight(d1, d2) for d1, d2 in sorted(self._terms)]
 
-    def mass(self) -> int:
-        return sum(self._terms.values())
-
     def __len__(self):
         return len(self._terms)
 
@@ -142,20 +139,6 @@ class LatticeSeries:
     def reflect(self) -> "LatticeSeries":
         """Image under the full reflection w -> -w."""
         return LatticeSeries._from_tuples({(-d1, -d2): c for (d1, d2), c in self._terms.items()})
-
-    def apply_weyl(self, w) -> "LatticeSeries":
-        return LatticeSeries({w.apply(x): c for x, c in self.items()})
-
-    def is_weyl_invariant(self) -> bool:
-        return all(self.apply_weyl(w) == self for w in WEYL_GROUP)
-
-    def support_bounds(self):
-        """Exact bounding box ((min d1, max d1), (min d2, max d2)), doubled coords."""
-        if not self._terms:
-            return (0, 0), (0, 0)
-        d1s = [d1 for d1, _ in self._terms]
-        d2s = [d2 for _, d2 in self._terms]
-        return (min(d1s), max(d1s)), (min(d2s), max(d2s))
 
     def to_json_obj(self):
         return series_json_obj(sorted(self._terms.items()))

@@ -1,6 +1,6 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers),
-the Fraction reference of the weight text, and a fresh CLI answer memo for
-every test."""
+the Fraction reference of the weight text, properties of a LatticeSeries read
+from its terms, and a fresh CLI answer memo for every test."""
 
 from fractions import Fraction
 
@@ -55,3 +55,19 @@ def halo_weights(series):
 def text_by_fractions(w: Weight) -> str:
     """Weight.text through Fraction: the reference for its doubled-integer path."""
     return f"{Fraction(w.d1, 2)},{Fraction(w.d2, 2)}"
+
+
+def mass(series) -> int:
+    """The sum of the coefficients: the dimension of a character."""
+    return sum(series.by_tuple().values())
+
+
+def is_weyl_invariant(series) -> bool:
+    terms = dict(series.items())
+    return all({g.apply(w): c for w, c in terms.items()} == terms for g in WEYL_GROUP)
+
+
+def support_bounds(series):
+    """The bounding box ((min d1, max d1), (min d2, max d2)) of the support, doubled coordinates."""
+    d1s, d2s = zip(*series.by_tuple())
+    return (min(d1s), max(d1s)), (min(d2s), max(d2s))

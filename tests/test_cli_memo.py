@@ -50,35 +50,72 @@ def test_memo_bound_is_a_mebibyte_of_characters():
     assert cli._ANSWERS.bound == MEMO_CHARS
 
 
+def held(memo):
+    """The characters the memo's entries are charged: each text and its key."""
+    return sum(len(text) + sum(map(len, key)) for key, text in memo.texts.items())
+
+
 def test_memo_holds_at_most_its_bound_after_the_largest_answers():
     # the sizes of the largest answers: fan --power 40 and decompose vector
     # --power 100 in json, and one answer longer than the bound
     memo = _TextMemo(MEMO_CHARS)
-
-    def held():
-        return sum(map(len, memo.texts.values()))
-
-    for key, size in (("fan", 550_000), ("decompose", 230_000), ("singular", 400_000)):
+    for key, size in ((("fan",), 550_000), (("decompose",), 230_000), (("singular",), 400_000)):
         memo.put(key, "x" * size)
-        assert memo.chars == held() <= MEMO_CHARS
-    assert list(memo.texts) == ["decompose", "singular"]  # the least recent one went
-    memo.put("huge", "x" * (MEMO_CHARS + 1))
-    assert "huge" not in memo.texts and list(memo.texts) == ["decompose", "singular"]
-    assert memo.get("decompose") is not None
-    memo.put("fan", "x" * 550_000)
-    assert list(memo.texts) == ["decompose", "fan"]  # a read counts as a use
-    assert memo.chars == held() == 780_000
+        assert memo.chars == held(memo) <= MEMO_CHARS
+    assert list(memo.texts) == [("decompose",), ("singular",)]  # the least recent one went
+    memo.put(("huge",), "x" * (MEMO_CHARS + 1))
+    assert ("huge",) not in memo.texts and list(memo.texts) == [("decompose",), ("singular",)]
+    assert memo.get(("decompose",)) is not None
+    memo.put(("fan",), "x" * 550_000)
+    assert list(memo.texts) == [("decompose",), ("fan",)]  # a read counts as a use
+    assert memo.chars == held(memo) == 780_000 + len("decompose") + len("fan")
+
+
+def test_memo_charges_each_entry_its_key():
+    memo = _TextMemo(100)
+    memo.put(("fan", "--power", "2"), "x" * 50)
+    assert memo.chars == 50 + 3 + 7 + 1
+    memo.put(("k" * 40,), "y" * 61)  # the text fits the bound, text and key do not
+    assert list(memo.texts) == [("fan", "--power", "2")] and memo.chars == 61
+    memo.put(("k" * 30,), "y" * 10)  # 61 + 40 is over the bound: the first entry goes
+    assert list(memo.texts) == [("k" * 30,)] and memo.chars == 40 == held(memo)
+
+
+def test_long_spellings_of_one_query_keep_the_memo_bounded():
+    # --power 3, 03, 003 ...: each spelling is its own key, thousands of
+    # characters long; together they are more than the bound
+    argvs = [["decompose", "--module", "vector", "--power", "3".rjust(n, "0")] for n in range(3000, 3400)]
+    want = run(argvs[0])
+    assert sum(map(len, argvs[0])) > 3000 and want[0] == 0
+    for argv in argvs:
+        assert run(argv) == want
+        assert cli._ANSWERS.chars == held(cli._ANSWERS) <= MEMO_CHARS
+    assert 0 < len(cli._ANSWERS.texts) < len(argvs)  # the bound evicted the oldest
+    assert tuple(argvs[-1]) in cli._ANSWERS.texts and tuple(argvs[0]) not in cli._ANSWERS.texts
 
 
 def test_cli_memo_evicts_the_least_recent_answer(monkeypatch):
     first = ["decompose", "--module", "vector", "--power", "3"]
     second = ["fan", "--power", "2", "--format", "json"]
     texts = [run(argv)[1] for argv in (first, second)]
-    memo = _TextMemo(max(map(len, texts)))
+    charges = [len(text) + sum(map(len, argv)) for argv, text in zip((first, second), texts)]
+    memo = _TextMemo(max(charges))
     monkeypatch.setattr(cli, "_ANSWERS", memo)
-    for argv, text in zip((first, second), texts):
+    for argv, text, charge in zip((first, second), texts, charges):
         assert run(argv) == (0, text, "")
-        assert list(memo.texts.values()) == [text] and memo.chars == len(text)
+        assert list(memo.texts.values()) == [text] and memo.chars == charge
+
+
+def test_repeated_query_is_answered_before_parsing(monkeypatch):
+    argv = ["singular", "--module", "vector", "--power", "2", "--format", "json"]
+    want = run(argv)
+    assert want[0] == 0 and list(cli._ANSWERS.texts) == [tuple(argv)]
+
+    def fail(*_):
+        raise AssertionError("parsed again")
+
+    monkeypatch.setattr(cli, "_parse", fail)
+    assert run(argv) == want
 
 
 def test_repeated_query_prints_the_stored_text(monkeypatch):
@@ -92,7 +129,20 @@ def test_repeated_query_prints_the_stored_text(monkeypatch):
     monkeypatch.setattr(cli, "decomposition", fail)
     assert run(argv) == want
     assert run(["decompose", "--format", "json", "--power", "3", "--module", "spinor"])[0] == 1
-    assert run(["decompose", "--format", "csv", "--power", "3", "--module", "spinor"]) == want
+    # the memo is keyed by the command line as given: another spelling of the
+    # same query is a miss and is computed again
+    assert run(["decompose", "--format", "csv", "--power", "3", "--module", "spinor"])[0] == 1
+
+
+def test_other_spellings_of_a_query_print_the_same_text():
+    first = run(["decompose", "--module", "spinor", "--power", "3", "--format", "csv"])
+    for argv in (
+        ["decompose", "--format", "csv", "--power", "3", "--module", "spinor"],
+        ["decompose", "--module=spinor", "--power=03", "--format=csv"],
+        ["decompose", "--mod", "spinor", "--pow", "3", "--form", "csv"],
+    ):
+        assert run(argv) == first and tuple(argv) in cli._ANSWERS.texts
+    assert len(cli._ANSWERS.texts) == 4
 
 
 @pytest.mark.parametrize(
@@ -106,11 +156,14 @@ def test_repeated_query_prints_the_stored_text(monkeypatch):
         ["fan", "--power", "41"],
         ["fan", "--power", "2", "extra"],
         ["decompose", "--module", "vector", "--power", "2", "--help"],
+        ["decompose", "--module", "tensor", "--power", "2"],
+        ["verify", "--pmax", "3"],
     ],
 )
 def test_failed_answers_are_not_stored(argv):
     code, out, err = run(argv)
     assert code != 0 or (out.startswith("usage:") and not err)
+    assert run(argv) == (code, out, err)  # recomputed, with the same code and stderr
     assert not cli._ANSWERS.texts
 
 
@@ -120,12 +173,23 @@ def test_answers_that_write_stderr_are_not_stored(monkeypatch):
     assert not cli._ANSWERS.texts
 
 
+def test_answers_that_exit_nonzero_are_not_stored(monkeypatch):
+    # a fit whose predictions disagree exits 1 with nothing on stderr
+    monkeypatch.setitem(cli._DISPATCH, "fan", lambda args: Answer(1, "text\n"))
+    for _ in range(2):
+        assert run(["fan", "--power", "2"]) == (1, "text\n", "")
+    assert not cli._ANSWERS.texts
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["multiplicity", "--module", "vector", "--power", "6", "--weight", "2,1"],
         ["multiplicity", "--module", "spinor", "--power", "3", "--weight", "-1/2,1/2", "--extended"],
         ["closed-form", "--kind", "vector", "--power", "3", "--weight", "1,0", "--format", "json"],
+        ["multiplicity", "--module", "vector", "--power", "3", "--wei", "1,0"],
+        ["multiplicity", "--module", "vector", "--power", "3", "--weight", "-1,0", "--extended"],
+        ["closed-form", "--kind", "fan", "--power", "3", "--weight", "-1,0"],
     ],
 )
 def test_answers_at_one_weight_bypass_the_memo(argv):
@@ -142,6 +206,17 @@ def test_verify_bypasses_the_memo(monkeypatch):
     first, second = run(argv), run(argv)
     assert first[:2] == second[:2] and first[0] == 0 and first[2]
     assert len(calls) == 2 and not cli._ANSWERS.texts
+
+
+@pytest.mark.parametrize("option", ["--cache", "--cach", "--ca"])
+def test_cache_queries_bypass_the_memo_in_any_spelling(option, tmp_path, monkeypatch):
+    loads = []
+    real = cli.cached
+    monkeypatch.setattr(cli, "cached", lambda *a: loads.append(a[1]) or real(*a))
+    argv = ["singular", "--module", "spinor", "--power", "2", option, str(tmp_path)]
+    first = run(argv)
+    assert first[0] == 0 and run(argv) == first
+    assert loads == ["singular-direct-spinor-2"] * 2 and not cli._ANSWERS.texts
 
 
 def test_cache_query_after_a_memo_answer_still_writes_its_file(tmp_path):

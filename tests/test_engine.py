@@ -21,7 +21,7 @@ from b2tensor import (
 )
 from b2tensor import engine
 from b2tensor.engine import NegativeMultiplicityError, iterate_single_step
-from conftest import dominant_weights, small_powers, weights
+from conftest import dominant_weights, mass, small_powers, weights
 
 
 def as_weight_dict(pairs):
@@ -55,8 +55,8 @@ def test_power_zero_and_one():
 
 
 def test_tensor_power_weight_mass():
-    assert tensor_power_weights(1, 5).mass() == 5**5
-    assert tensor_power_weights(2, 5).mass() == 4**5
+    assert mass(tensor_power_weights(1, 5)) == 5**5
+    assert mass(tensor_power_weights(2, 5)) == 4**5
 
 
 @pytest.mark.parametrize("mod,dim", [("vector", 5), ("spinor", 4)])
