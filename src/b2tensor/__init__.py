@@ -22,7 +22,6 @@ from .lattice import (
 )
 from .series import LatticeSeries, singular_element, weight_multiplicities, denominator_product
 from .engine import (
-    DecompositionResult,
     MultiplicityFunction,
     tensor_power_weights,
     extract_multiplicities,

@@ -29,7 +29,7 @@ from .fans import (
 )
 from .lattice import Weight, is_dominant
 from .series import series_json_obj
-from .verify import SUITE_ORDER, run_suite
+from .verify import SUITES, run_suite
 
 
 def _weight_arg(text: str) -> Weight:
@@ -148,7 +148,7 @@ def _build_parsers() -> tuple:
     add_format(p)
 
     p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=tuple(SUITE_ORDER) + ("all",), default="all")
+    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
     add_size(p, "verify", default=10)
     p.add_argument(
         "--timings",

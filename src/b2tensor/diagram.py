@@ -24,15 +24,15 @@ def to_dot(module, p_max: int) -> str:
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    levels = [decomposition(i, p) for p in range(p_max + 1)]
+    levels = [decomposition(i, p).multiplicities for p in range(p_max + 1)]
     for p, level in enumerate(levels):
         lines.append(f"  subgraph level_{p} {{ rank=same;")
-        for w, m in level.multiplicities:
+        for w, m in level:
             label = f"{w.text()}\\nx{m}"
             lines.append(f'    {_node_id(p, w)} [label="{label}"];')
         lines.append("  }")
     for p, level in enumerate(levels[:p_max], 1):
-        for mu, _ in level.multiplicities:
+        for mu, _ in level:
             for nu in sorted(single_step_decompose(mu, i)):
                 lines.append(f"  {_node_id(p - 1, mu)} -> {_node_id(p, nu)};")
     lines.append("}")

@@ -7,7 +7,8 @@ Three engines live here:
   * single_step_decompose / iterate_single_step: reduce one tensor factor
     at a time.
 A fourth, driven by the fan of the p-fold diagonal injection, lives in
-b2tensor.fans. All four must agree exactly.
+b2tensor.fans. Each route answers with one MultiplicityFunction record, and
+all four must be equal.
 """
 
 from __future__ import annotations
@@ -37,17 +38,39 @@ class NegativeMultiplicityError(RuntimeError):
     """Extraction produced a negative coefficient: input was not a character."""
 
 
-class DecompositionResult(NamedTuple):
-    """Map from dominant highest weights to positive multiplicities."""
+class MultiplicityFunction(NamedTuple):
+    """Antisymmetrized multiplicity function for one (module, p).
+
+    The answer of every route. Stores only the nonzero dominant values,
+    keyed by (d1, d2) tuples of doubled coordinates, so two records of the
+    same function are equal; evaluation anywhere on the lattice goes through
+    the reflection rule: 0 on rho-shifted walls, otherwise the signed
+    dominant value. Weight stays the type at the boundary: __call__ and
+    multiplicities take or give Weights.
+    """
 
     module: str
     power: int
-    multiplicities: tuple  # sorted tuple of (Weight, int), zero entries pruned
+    values: dict  # (d1, d2) -> nonzero int, dominant keys only
 
-    @classmethod
-    def from_dict(cls, module: str, power: int, mult: dict) -> "DecompositionResult":
-        items = tuple(sorted((w, m) for w, m in mult.items() if m))
-        return cls(module, power, items)
+    @property
+    def multiplicities(self) -> tuple:
+        """The decomposition as (Weight, m) pairs in ascending weight order."""
+        return tuple((Weight(d1, d2), m) for (d1, d2), m in sorted(self.values.items()))
+
+    def at(self, d1: int, d2: int) -> int:
+        """M at the doubled point (d1, d2), without building a Weight."""
+        a, b, sign = reflect_to_chamber(d1 + _R1, d2 + _R2)
+        if sign == 0:
+            return 0
+        return sign * self.values.get((a - _R1, b - _R2), 0)
+
+    def __call__(self, mu: Weight) -> int:
+        return self.at(mu.d1, mu.d2)
+
+    def to_result(self) -> MultiplicityFunction:
+        # the record is its own result; kept only because benchmark/task.py calls it
+        return self
 
     def to_json_obj(self):
         return {
@@ -86,7 +109,7 @@ def tensor_power_weights(module, p: int) -> LatticeSeries:
     return _WEIGHT_POWERS[i][p]
 
 
-def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> DecompositionResult:
+def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> MultiplicityFunction:
     """Invert ch = sum m_mu ch(mu) on a Weyl-invariant diagram.
 
     m_mu = sum_w det(w) * diagram(w(mu+rho) - rho); valid whenever the input
@@ -105,47 +128,14 @@ def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> Decomposit
         if m < 0:
             raise NegativeMultiplicityError(f"m({Weight(d1, d2).text()}) = {m}")
         if m:
-            mult[Weight(d1, d2)] = m
-    return DecompositionResult.from_dict(name, p, mult)
+            mult[d1, d2] = m
+    return MultiplicityFunction(name, p, mult)
 
 
-def decomposition(module, p: int) -> DecompositionResult:
-    """Oracle decomposition of the p-th tensor power."""
+def decomposition(module, p: int) -> MultiplicityFunction:
+    """Oracle decomposition of the p-th tensor power, a new record per call."""
     i = _module_index(module)
     return extract_multiplicities(tensor_power_weights(i, p), i, p)
-
-
-class MultiplicityFunction(NamedTuple):
-    """Antisymmetrized multiplicity function for one (module, p).
-
-    Stores only dominant values, keyed by (d1, d2) tuples of doubled
-    coordinates; evaluation anywhere on the lattice goes through the
-    reflection rule: 0 on rho-shifted walls, otherwise the signed dominant
-    value. Weight stays the type at the boundary: __call__, dominant and
-    to_result take or give Weights.
-    """
-
-    module: str
-    power: int
-    values: dict  # (d1, d2) -> int, dominant keys only
-
-    @property
-    def dominant(self) -> dict:
-        """The dominant values keyed by Weight, as a new dict."""
-        return {Weight(d1, d2): m for (d1, d2), m in self.values.items()}
-
-    def at(self, d1: int, d2: int) -> int:
-        """M at the doubled point (d1, d2), without building a Weight."""
-        a, b, sign = reflect_to_chamber(d1 + _R1, d2 + _R2)
-        if sign == 0:
-            return 0
-        return sign * self.values.get((a - _R1, b - _R2), 0)
-
-    def __call__(self, mu: Weight) -> int:
-        return self.at(mu.d1, mu.d2)
-
-    def to_result(self) -> DecompositionResult:
-        return DecompositionResult.from_dict(self.module, self.power, self.dominant)
 
 
 def recur_multiplicity(module, p_max: int):
@@ -174,10 +164,7 @@ def recur_multiplicity(module, p_max: int):
 
 @lru_cache(maxsize=None)
 def _oracle_function(i: int, p: int) -> MultiplicityFunction:
-    result = decomposition(i, p)
-    return MultiplicityFunction(
-        result.module, p, {(w.d1, w.d2): m for w, m in result.multiplicities}
-    )
+    return decomposition(i, p)
 
 
 def m_extended(module, p: int, mu: Weight) -> int:
@@ -223,7 +210,7 @@ def single_step_decompose(mu: Weight, module) -> dict:
     return {Weight(d1, d2): m for (d1, d2), m in step.items()}
 
 
-def iterate_single_step(module, p: int) -> DecompositionResult:
+def iterate_single_step(module, p: int) -> MultiplicityFunction:
     """p-fold repetition of single_step_decompose starting from the trivial module."""
     i = _module_index(module)
     name = MODULE_NAME[i]
@@ -235,7 +222,7 @@ def iterate_single_step(module, p: int) -> DecompositionResult:
             for nu, k in _single_step(d1, d2, shifts).items():
                 nxt[nu] = nxt.get(nu, 0) + m * k
         acc = {w: m for w, m in nxt.items() if m}
-    return DecompositionResult.from_dict(name, p, {Weight(d1, d2): m for (d1, d2), m in acc.items()})
+    return MultiplicityFunction(name, p, acc)
 
 
 def tensor_with_vector(mu: Weight):

@@ -31,13 +31,7 @@ from math import comb
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .engine import (
-    DecompositionResult,
-    MultiplicityFunction,
-    _module_index,
-    m_extended,
-    tensor_power_weights,
-)
+from .engine import MultiplicityFunction, _module_index, m_extended, tensor_power_weights
 from .lattice import (
     MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
 )
@@ -61,9 +55,11 @@ def fan_power_direct(p: int) -> LatticeSeries:
     return _FAN_POWERS[p - 1]
 
 
-@lru_cache(maxsize=None)
 def fan_with_zero(p: int) -> LatticeSeries:
-    """Fan coefficients gamma_p(a,b) = -R^(p-1)(-a,-b), zero point included (-1)."""
+    """Fan coefficients gamma_p(a,b) = -R^(p-1)(-a,-b), zero point included (-1).
+
+    A new series per call; the fan solve reads R^(p-1) itself instead.
+    """
     return fan_power_direct(p).reflect().scale(-1)
 
 
@@ -208,14 +204,6 @@ def singular_power_projected(module, p: int) -> LatticeSeries:
     Built from the (p-1)-th power, one 8-term factor per new p, and kept.
     """
     return _PROJECTED_POWERS[_module_index(module)][p]
-
-
-def singular_power_as_sum(result: DecompositionResult) -> LatticeSeries:
-    """sum_mu m_mu Psi^(mu) for a given decomposition; must reproduce Phi."""
-    acc = LatticeSeries()
-    for mu, m in result.multiplicities:
-        acc = acc + singular_element(mu).scale(m)
-    return acc
 
 
 def _vector_many(p: int, points, tb) -> list:
@@ -438,10 +426,11 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
     name = MODULE_NAME[i]
     if p == 0:
         return MultiplicityFunction(name, 0, {(0, 0): 1})
-    fan = fan_with_zero(p).by_tuple()
-    if fan.get((0, 0)) != -1:
+    # gamma_p(g) = -R^(p-1)(-g): read the fan at negated points, no reflected copy
+    fan = fan_power_direct(p).by_tuple()
+    if fan.get((0, 0)) != 1:
         raise RuntimeError("degenerate leading fan coefficient")
-    shifts = sorted((g1, g2, c) for (g1, g2), c in fan.items() if (g1, g2) != (0, 0))
+    shifts = sorted((-e1, -e2, -c) for (e1, e2), c in fan.items() if (e1, e2) != (0, 0))
     source = singular_power_projected(i, p).by_tuple()
     l1, l2 = power_highest_weight(i, p)
     r1, r2 = RHO.d1, RHO.d2

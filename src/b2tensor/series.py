@@ -7,8 +7,8 @@ way. Multiplication is convolution; everything is exact.
 Inside a LatticeSeries the terms live in a dict keyed by plain (d1, d2)
 tuples of doubled coordinates, so the convolution adds integer pairs and
 hashes tuples instead of building and hashing a Weight per term product.
-Weight remains the type at the boundary: the constructor, items(),
-support() and coeff() take or give Weights. Hot loops outside this module
+Weight remains the type at the boundary: the constructor, items() and
+coeff() take or give Weights. Hot loops outside this module
 read the tuple-keyed terms through by_tuple(), and the JSON payload is
 written from the tuples (series_json_obj).
 """
@@ -72,9 +72,6 @@ class LatticeSeries:
 
     def coeff(self, w: Weight) -> int:
         return self._terms.get((w.d1, w.d2), 0)
-
-    def support(self):
-        return [Weight(d1, d2) for d1, d2 in sorted(self._terms)]
 
     def __len__(self):
         return len(self._terms)

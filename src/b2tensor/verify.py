@@ -103,12 +103,7 @@ def check_four_routes(pmax: int) -> CheckResult:
         recs = recur_multiplicity(mod, pmax)
         for p in range(pmax + 1):
             a = decomposition(mod, p)
-            if not (
-                a
-                == recs[p].to_result()
-                == fan_recursion_solve(mod, p).to_result()
-                == iterate_single_step(mod, p)
-            ):
+            if not a == recs[p] == fan_recursion_solve(mod, p) == iterate_single_step(mod, p):
                 return _fail(name, f"module={mod} p={p}")
             n += 1
     return CheckResult(
@@ -123,7 +118,7 @@ def check_dimension_sum(pmax: int) -> CheckResult:
     for mod, dim in (("vector", 5), ("spinor", 4)):
         recs = recur_multiplicity(mod, bound)
         for p in range(bound + 1):
-            total = sum(m * dim_irrep(w) for w, m in recs[p].dominant.items())
+            total = sum(m * dim_irrep(w) for w, m in recs[p].multiplicities)
             if total != dim**p:
                 return _fail(name, f"module={mod} p={p}")
     return CheckResult(
@@ -565,6 +560,7 @@ def check_bracket_factorization(pmax: int) -> CheckResult:
 # suites
 
 
+# `all` runs every suite, in this order
 SUITES = {
     "oracle-agreement": [check_four_routes],
     "dimension-identity": [check_dimension_sum],
@@ -596,19 +592,10 @@ SUITES = {
     ],
 }
 
-SUITE_ORDER = [
-    "oracle-agreement",
-    "dimension-identity",
-    "paper-tables",
-    "closed-forms",
-    "fan-singular",
-    "conjectures",
-]
-
 
 def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
     if suite == "all":
-        checks = [fn for s in SUITE_ORDER for fn in SUITES[s]]
+        checks = [fn for suite_checks in SUITES.values() for fn in suite_checks]
     elif suite in SUITES:
         checks = SUITES[suite]
     else:

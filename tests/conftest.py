@@ -1,6 +1,7 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers),
 the Fraction reference of the weight text, properties of a LatticeSeries read
-from its terms, and a fresh CLI answer memo for every test."""
+from its terms (its support among them), and a fresh CLI answer memo for every
+test."""
 
 from fractions import Fraction
 
@@ -65,6 +66,11 @@ def mass(series) -> int:
 def is_weyl_invariant(series) -> bool:
     terms = dict(series.items())
     return all({g.apply(w): c for w, c in terms.items()} == terms for g in WEYL_GROUP)
+
+
+def support(series):
+    """The support of series as Weights, in ascending order."""
+    return [Weight(d1, d2) for d1, d2 in sorted(series.by_tuple())]
 
 
 def support_bounds(series):

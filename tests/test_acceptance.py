@@ -61,7 +61,7 @@ def test_c02_dimension_identity():
     for mod, dim in (("vector", 5), ("spinor", 4)):
         recs = recur_multiplicity(mod, 14)
         for p in range(15):
-            total = sum(m * dim_irrep(w) for w, m in recs[p].dominant.items())
+            total = sum(m * dim_irrep(w) for w, m in recs[p].multiplicities)
             assert total == dim**p, (mod, p)
     ok("C02", "sum of mult * dim == 5^p and 4^p for p <= 14")
 

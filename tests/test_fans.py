@@ -37,11 +37,10 @@ from b2tensor.fans import (
     _vector_many,
     diff_report,
     fan_line_structure,
-    singular_power_as_sum,
 )
 from b2tensor import engine, fans
 from b2tensor.series import PowerChain
-from conftest import halo_weights, mass, support_bounds, weights
+from conftest import halo_weights, mass, support, support_bounds, weights
 
 
 def test_pairwise_fan_has_seven_signed_shifts():
@@ -81,6 +80,14 @@ def test_fan_identity_pointwise_source_inclusive():
         pi = singular_power_projected(module, p)
         for w in halo_weights(pi):
             assert pi.coeff(w) + sum(c * phi.coeff(w + g) for g, c in fan.items()) == 0
+
+
+def singular_power_as_sum(result) -> LatticeSeries:
+    """sum_mu m_mu Psi^(mu) for a given decomposition; must reproduce Phi."""
+    acc = LatticeSeries()
+    for mu, m in result.multiplicities:
+        acc = acc + singular_element(mu).scale(m)
+    return acc
 
 
 def test_direct_singular_element_is_sum_of_singular_elements():
@@ -147,6 +154,15 @@ def test_line_structure_is_previous_binomial_row():
 def test_fan_recursion_solves_to_oracle(module):
     for p in range(0, 7):
         assert fan_recursion_solve(module, p).to_result() == decomposition(module, p)
+
+
+def test_fan_solve_reads_r_without_a_reflected_copy(monkeypatch):
+    # gamma_p(g) = -R^(p-1)(-g) is read off R^(p-1) itself: the solve never
+    # builds fan_with_zero, and fan_with_zero keeps no copy of its own
+    monkeypatch.setattr(fans, "fan_with_zero", None)
+    for p in range(6):
+        assert fan_recursion_solve("spinor", p) == decomposition("spinor", p)
+    assert not hasattr(fan_with_zero, "cache_info")
 
 
 def test_step_audit_worked_example():
@@ -436,7 +452,7 @@ def test_printed_spinor_returns_zero_off_the_quarter_coset_at_once(monkeypatch):
 
 def nested_support_halo(series, step=2):
     pts = set()
-    for w in series.support():
+    for w in support(series):
         for da in (-step, 0, step):
             for db in (-step, 0, step):
                 pts.add((w.d1 + da, w.d2 + db))

@@ -40,7 +40,7 @@ def test_weight_parity_enforced(d1, d2):
         Weight.make(Fraction(1, 2), 1)
 
 
-# record contract: the seven records are slotted tuples, and Weight and
+# record contract: the six records are slotted tuples, and Weight and
 # WeylElement check their fields once per construction
 
 

@@ -20,7 +20,7 @@ from b2tensor import (
     weight_multiplicities,
 )
 from b2tensor.series import _PACKED_MIN_TERMS, _packed_product
-from conftest import dominant_weights, is_weyl_invariant, mass, weights
+from conftest import dominant_weights, is_weyl_invariant, mass, support, weights
 
 
 def small_series():
@@ -173,8 +173,8 @@ def test_large_products_take_the_packed_path(monkeypatch):
 @given(small_series())
 def test_items_and_support_are_sorted_weights(a):
     items = a.items()
-    assert [w for w, _ in items] == a.support() == sorted(a.support())
-    assert all(isinstance(w, Weight) for w in a.support())
+    assert [w for w, _ in items] == support(a) == sorted(support(a))
+    assert all(isinstance(w, Weight) for w in support(a))
     assert all(a.coeff(w) == c != 0 for w, c in items)
     assert {(w.d1, w.d2): c for w, c in items} == dict(a.by_tuple())
 
