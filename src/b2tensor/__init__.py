@@ -18,7 +18,6 @@ from .lattice import (
     is_dominant,
     to_dominant_regular,
     dim_irrep,
-    weights_of_fundamental,
 )
 from .series import LatticeSeries, singular_element, weight_multiplicities, denominator_product
 from .engine import (

@@ -293,15 +293,14 @@ def _cmd_closed_form(args) -> Answer:
     return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 
 
-@lru_cache(maxsize=64)
-def _diagonal_values(s: int, t: int, p_last: int) -> tuple:
+def _diagonal_values(s: int, t: int, p_last: int) -> list:
     """Vector multiplicities along the diagonal family (s, t) for p = 0..p_last.
 
-    Taken from the weight-shift recursion, the slow part of a fit query;
-    repeated queries share the cached tuple, which nobody can mutate.
+    Taken from the weight-shift recursion, the slow part of a fit query; a
+    repeated fit is answered from the text memo and does not get here.
     """
     recs = recur_multiplicity("vector", p_last)
-    return tuple(recs[p](cfm.diagonal_weight(s, t, p)) for p in range(p_last + 1))
+    return [recs[p](cfm.diagonal_weight(s, t, p)) for p in range(p_last + 1)]
 
 
 def _cmd_fit(args) -> Answer:
@@ -466,10 +465,12 @@ _ANSWERS = _TextMemo(MEMO_CHARS)
 
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")  # the leading minus of every number Fraction reads
+# --weight and the abbreviations argparse resolves to it
+_WEIGHT_OPTIONS = frozenset("--weight"[:n] for n in range(3, 9))
 
 
 def _attach_weight_values(argv):
-    """Rewrite `--weight -1,0` as `--weight=-1,0`.
+    """Rewrite `--weight -1,0` as `--weight=-1,0`, and `--wei -1,0` as `--wei=-1,0`.
 
     argparse takes a separate value with a leading minus that is not a plain
     number for an option, so a weight whose first coordinate is negative
@@ -477,8 +478,8 @@ def _attach_weight_values(argv):
     """
     out = []
     for arg in argv:
-        if out and out[-1] == "--weight" and _NEGATIVE_VALUE.match(arg):
-            out[-1] = f"--weight={arg}"
+        if out and out[-1] in _WEIGHT_OPTIONS and _NEGATIVE_VALUE.match(arg):
+            out[-1] = f"{out[-1]}={arg}"
         else:
             out.append(arg)
     return out

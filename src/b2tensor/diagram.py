@@ -7,24 +7,22 @@ so paths from the root count multiplicities.
 
 from __future__ import annotations
 
-from .engine import decomposition, single_step_decompose, _module_index
-from .lattice import MODULE_NAME, Weight
+from .engine import decomposition, single_step_decompose
+from .lattice import Weight
 
 
 def _node_id(p: int, w: Weight) -> str:
     return f"p{p}_{w.d1}_{w.d2}".replace("-", "m")
 
 
-def to_dot(module, p_max: int) -> str:
+def to_dot(module: str, p_max: int) -> str:
     """DOT source for the growth diagram up to level p_max."""
-    i = _module_index(module)
-    name = MODULE_NAME[i]
     lines = [
-        f'digraph "{name}_powers" {{',
+        f'digraph "{module}_powers" {{',
         "  rankdir=TB;",
         '  node [shape=box, fontname="monospace"];',
     ]
-    levels = [decomposition(i, p).multiplicities for p in range(p_max + 1)]
+    levels = [decomposition(module, p).multiplicities for p in range(p_max + 1)]
     for p, level in enumerate(levels):
         lines.append(f"  subgraph level_{p} {{ rank=same;")
         for w, m in level:
@@ -33,7 +31,7 @@ def to_dot(module, p_max: int) -> str:
         lines.append("  }")
     for p, level in enumerate(levels[:p_max], 1):
         for mu, _ in level:
-            for nu in sorted(single_step_decompose(mu, i)):
+            for nu in sorted(single_step_decompose(mu, module)):
                 lines.append(f"  {_node_id(p - 1, mu)} -> {_node_id(p, nu)};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -17,8 +17,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import (
-    MODULE_INDEX,
-    MODULE_NAME,
+    FUNDAMENTAL,
+    FUNDAMENTAL_WEIGHTS,
     RHO,
     WEYL_GROUP,
     Weight,
@@ -27,7 +27,6 @@ from .lattice import (
     is_dominant,
     power_highest_weight,
     reflect_to_chamber,
-    weights_of_fundamental,
 )
 from .series import LatticeSeries, PowerChain
 
@@ -83,39 +82,25 @@ class MultiplicityFunction(NamedTuple):
         }
 
 
-def _module_index(module) -> int:
-    if module in (1, 2):
-        return module
-    try:
-        return MODULE_INDEX[module]
-    except KeyError:
-        raise ValueError(f"unknown module {module!r}") from None
+_WEIGHT_POWERS = {
+    module: PowerChain(LatticeSeries({w: 1 for w in weights}))
+    for module, weights in FUNDAMENTAL_WEIGHTS.items()
+}
 
 
 @lru_cache(maxsize=None)
-def fundamental_character(i: int) -> LatticeSeries:
-    return LatticeSeries({w: 1 for w in weights_of_fundamental(i)})
-
-
-_WEIGHT_POWERS = {i: PowerChain(fundamental_character(i)) for i in (1, 2)}
-
-
-@lru_cache(maxsize=None)
-def tensor_power_weights(module, p: int) -> LatticeSeries:
+def tensor_power_weights(module: str, p: int) -> LatticeSeries:
     """Weight diagram of the p-th tensor power: p-fold convolution."""
-    i = _module_index(module)
-    if p < 0:
-        raise ValueError("power must be >= 0")
-    return _WEIGHT_POWERS[i][p]
+    return _WEIGHT_POWERS[module][p]
 
 
-def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> MultiplicityFunction:
+def extract_multiplicities(diagram: LatticeSeries, module: str, p: int) -> MultiplicityFunction:
     """Invert ch = sum m_mu ch(mu) on a Weyl-invariant diagram.
 
     m_mu = sum_w det(w) * diagram(w(mu+rho) - rho); valid whenever the input
     is an actual character. A negative result is a hard error by design.
+    module and p only label the record.
     """
-    name = MODULE_NAME[_module_index(module)]
     terms = diagram.by_tuple()
     get = terms.get
     mult = {}
@@ -129,50 +114,46 @@ def extract_multiplicities(diagram: LatticeSeries, module, p: int) -> Multiplici
             raise NegativeMultiplicityError(f"m({Weight(d1, d2).text()}) = {m}")
         if m:
             mult[d1, d2] = m
-    return MultiplicityFunction(name, p, mult)
+    return MultiplicityFunction(module, p, mult)
 
 
-def decomposition(module, p: int) -> MultiplicityFunction:
+def decomposition(module: str, p: int) -> MultiplicityFunction:
     """Oracle decomposition of the p-th tensor power, a new record per call."""
-    i = _module_index(module)
-    return extract_multiplicities(tensor_power_weights(i, p), i, p)
+    return extract_multiplicities(tensor_power_weights(module, p), module, p)
 
 
-def recur_multiplicity(module, p_max: int):
+def recur_multiplicity(module: str, p_max: int):
     """Multiplicity functions for p = 0..p_max via the weight-shift recursion.
 
     Step: M(mu, p) = sum over module weights zeta of M(mu - zeta, p - 1),
     evaluated through the antisymmetric extension. Base p=0 is the trivial
     module: M(mu, 0) = det(w) if mu+rho is conjugate to rho, else 0.
     """
-    i = _module_index(module)
-    name = MODULE_NAME[i]
-    shifts = [(z.d1, z.d2) for z in weights_of_fundamental(i)]
-    out = [MultiplicityFunction(name, 0, {(0, 0): 1})]
+    shifts = [(z.d1, z.d2) for z in FUNDAMENTAL_WEIGHTS[module]]
+    out = [MultiplicityFunction(module, 0, {(0, 0): 1})]
     for p in range(1, p_max + 1):
         at = out[-1].at
         dom = {}
-        for d1, d2 in dominated(*power_highest_weight(i, p)):
+        for d1, d2 in dominated(*power_highest_weight(module, p)):
             val = 0
             for z1, z2 in shifts:
                 val += at(d1 - z1, d2 - z2)
             if val:
                 dom[d1, d2] = val
-        out.append(MultiplicityFunction(name, p, dom))
+        out.append(MultiplicityFunction(module, p, dom))
     return out
 
 
 @lru_cache(maxsize=None)
-def _oracle_function(i: int, p: int) -> MultiplicityFunction:
-    return decomposition(i, p)
+def _oracle_function(module: str, p: int) -> MultiplicityFunction:
+    return decomposition(module, p)
 
 
-def m_extended(module, p: int, mu: Weight) -> int:
+def m_extended(module: str, p: int, mu: Weight) -> int:
     """M(mu, p) anywhere on the lattice, from the oracle decomposition."""
-    i = _module_index(module)
-    if reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
+    if module in FUNDAMENTAL and reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
         return 0  # mu + rho on a wall: no decomposition needed
-    return _oracle_function(i, p)(mu)
+    return _oracle_function(module, p)(mu)
 
 
 def _single_step(d1: int, d2: int, shifts) -> dict:
@@ -194,27 +175,25 @@ def _single_step(d1: int, d2: int, shifts) -> dict:
     return out
 
 
-def _step_shifts(i: int):
-    return [(z.d1 + _R1, z.d2 + _R2) for z in weights_of_fundamental(i)]
+def _step_shifts(module: str):
+    return [(z.d1 + _R1, z.d2 + _R2) for z in FUNDAMENTAL_WEIGHTS[module]]
 
 
-def single_step_decompose(mu: Weight, module) -> dict:
-    """Decompose L^mu (x) L^(fundamental i) by the signed-reflection rule.
+def single_step_decompose(mu: Weight, module: str) -> dict:
+    """Decompose L^mu (x) L^module by the signed-reflection rule.
 
     For each weight zeta of the fundamental module, reflect mu+zeta+rho to
     the open chamber and accumulate the determinant sign.
     """
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
-    step = _single_step(mu.d1, mu.d2, _step_shifts(_module_index(module)))
+    step = _single_step(mu.d1, mu.d2, _step_shifts(module))
     return {Weight(d1, d2): m for (d1, d2), m in step.items()}
 
 
-def iterate_single_step(module, p: int) -> MultiplicityFunction:
+def iterate_single_step(module: str, p: int) -> MultiplicityFunction:
     """p-fold repetition of single_step_decompose starting from the trivial module."""
-    i = _module_index(module)
-    name = MODULE_NAME[i]
-    shifts = _step_shifts(i)
+    shifts = _step_shifts(module)
     acc = {(0, 0): 1}
     for _ in range(p):
         nxt = {}
@@ -222,7 +201,7 @@ def iterate_single_step(module, p: int) -> MultiplicityFunction:
             for nu, k in _single_step(d1, d2, shifts).items():
                 nxt[nu] = nxt.get(nu, 0) + m * k
         acc = {w: m for w, m in nxt.items() if m}
-    return MultiplicityFunction(name, p, acc)
+    return MultiplicityFunction(module, p, acc)
 
 
 def tensor_with_vector(mu: Weight):
@@ -250,7 +229,7 @@ def tensor_with_vector(mu: Weight):
         cand = [Weight(2, 0)]
     else:
         # not covered by a printed case; the general rule is still mult-free here
-        step = single_step_decompose(mu, 1)
+        step = single_step_decompose(mu, "vector")
         if any(m != 1 for m in step.values()):
             raise RuntimeError(f"L^{mu.text()} (x) vector is not multiplicity free")
         return sorted(step)

@@ -26,15 +26,13 @@ entry per kind; diff_report exposes their disagreements.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
+from functools import partial
 from math import comb
 from operator import mul
 from typing import Callable, NamedTuple
 
-from .engine import MultiplicityFunction, _module_index, m_extended, tensor_power_weights
-from .lattice import (
-    MODULE_NAME, OMEGA1, OMEGA2, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
-)
+from .engine import MultiplicityFunction, m_extended, tensor_power_weights
+from .lattice import FUNDAMENTAL, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
 from .series import LatticeSeries, PowerChain, denominator_product, singular_element
 
 
@@ -179,31 +177,22 @@ def fan_line_structure(p: int):
 # singular elements of tensor powers
 
 
-def singular_power_direct(module, p: int) -> LatticeSeries:
+def singular_power_direct(module: str, p: int) -> LatticeSeries:
     """Direct singular element Phi = ch(L)^p * R = sum_mu m_mu Psi^(mu)."""
-    return _singular_power_direct(_module_index(module), p)
+    return tensor_power_weights(module, p) * denominator_product()
 
 
-@lru_cache(maxsize=None)
-def _singular_power_direct(i: int, p: int) -> LatticeSeries:
-    if p < 0:
-        raise ValueError("power must be >= 0")
-    return tensor_power_weights(i, p) * denominator_product()
-
-
-# keyed by the module index, so 'vector' and 1 share one chain
 _PROJECTED_POWERS = {
-    1: PowerChain(singular_element(OMEGA1)),
-    2: PowerChain(singular_element(OMEGA2)),
+    module: PowerChain(singular_element(omega)) for module, omega in FUNDAMENTAL.items()
 }
 
 
-def singular_power_projected(module, p: int) -> LatticeSeries:
-    """Projected power Pi = (Psi^(omega_i))^p; the closed forms below evaluate this.
+def singular_power_projected(module: str, p: int) -> LatticeSeries:
+    """Projected power Pi = (Psi^omega)^p; the closed forms below evaluate this.
 
     Built from the (p-1)-th power, one 8-term factor per new p, and kept.
     """
-    return _PROJECTED_POWERS[_module_index(module)][p]
+    return _PROJECTED_POWERS[module][p]
 
 
 def _vector_many(p: int, points, tb) -> list:
@@ -362,12 +351,12 @@ CLOSED_FORMS = {
         partial(_fan_many, tb=_tb_strict),
     ),
     "vector": ClosedForm(
-        partial(singular_power_projected, 1),
+        partial(singular_power_projected, "vector"),
         partial(_vector_many, tb=_tb_lax),
         partial(_vector_many, tb=_tb_strict),
     ),
     "spinor": ClosedForm(
-        partial(singular_power_projected, 2),
+        partial(singular_power_projected, "spinor"),
         _spinor_many,
         _spinor_printed_many,
     ),
@@ -411,7 +400,7 @@ def _support_halo(series: LatticeSeries, step: int = 2) -> list:
 # the fan recursion of the worked example
 
 
-def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
+def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
     """Solve for the multiplicity function from the fan relation.
 
     Processes dominant weights row by row (first coordinate descending, then
@@ -422,17 +411,15 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
 
     The zero point's coefficient -1 is what makes the step well posed.
     """
-    i = _module_index(module)
-    name = MODULE_NAME[i]
+    l1, l2 = power_highest_weight(module, p)
     if p == 0:
-        return MultiplicityFunction(name, 0, {(0, 0): 1})
+        return MultiplicityFunction(module, 0, {(0, 0): 1})
     # gamma_p(g) = -R^(p-1)(-g): read the fan at negated points, no reflected copy
     fan = fan_power_direct(p).by_tuple()
     if fan.get((0, 0)) != 1:
         raise RuntimeError("degenerate leading fan coefficient")
     shifts = sorted((-e1, -e2, -c) for (e1, e2), c in fan.items() if (e1, e2) != (0, 0))
-    source = singular_power_projected(i, p).by_tuple()
-    l1, l2 = power_highest_weight(i, p)
+    source = singular_power_projected(module, p).by_tuple()
     r1, r2 = RHO.d1, RHO.d2
 
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
@@ -461,10 +448,10 @@ def fan_recursion_solve(module, p: int) -> MultiplicityFunction:
                     f"fan solve order broke at dependency {Weight(*rep).text()}"
                 ) from None
         known[nu] = val
-    return MultiplicityFunction(name, p, {w: m for w, m in known.items() if m})
+    return MultiplicityFunction(module, p, {w: m for w, m in known.items() if m})
 
 
-def fan_step_audit(module, p: int, nu: Weight) -> dict:
+def fan_step_audit(module: str, p: int, nu: Weight) -> dict:
     """Audit trail of one fan-recursion step at nu.
 
     Returns {"lines": [(a, contribution)], "singular": Pi(nu), "total": M(nu)}
@@ -472,16 +459,15 @@ def fan_step_audit(module, p: int, nu: Weight) -> dict:
     example's "first line", "second line", ...). Shifted values come from the
     exact extended multiplicity function.
     """
-    i = _module_index(module)
     fan = fan_with_zero(p)
     zero = Weight(0, 0)
     lines: dict = {}
     for g, c in fan.items():
         if g == zero:
             continue
-        contrib = c * m_extended(i, p, nu + g)
+        contrib = c * m_extended(module, p, nu + g)
         if contrib:
             lines[g.d1 // 2] = lines.get(g.d1 // 2, 0) + contrib
-    singular = singular_power_projected(i, p).coeff(nu)
+    singular = singular_power_projected(module, p).coeff(nu)
     total = sum(lines.values()) + singular
     return {"lines": sorted(lines.items()), "singular": singular, "total": total}

@@ -12,7 +12,6 @@ first transposes (optionally), then applies the signs.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
 from typing import NamedTuple
 
 
@@ -129,15 +128,25 @@ RHO = Weight.make(Fraction(3, 2), Fraction(1, 2))
 # e1-e2, e2, e1, e1+e2
 POSITIVE_ROOTS = (ALPHA1, ALPHA2, OMEGA1, Weight.make(1, 1))
 
+# The two fundamental modules by name, the only spelling: their highest
+# weights and their weight multisets (vector dim 5, spinor dim 4). Any other
+# name raises KeyError.
+FUNDAMENTAL = {"vector": OMEGA1, "spinor": OMEGA2}
+FUNDAMENTAL_WEIGHTS = {
+    "vector": (Weight(2, 0), Weight(-2, 0), Weight(0, 2), Weight(0, -2), Weight(0, 0)),
+    "spinor": tuple(Weight(sa, sb) for sa in (1, -1) for sb in (1, -1)),
+}
+
 
 def is_dominant(lam: Weight) -> bool:
     """Closure of the fundamental chamber: v1 >= v2 >= 0."""
     return lam.d1 >= lam.d2 >= 0
 
 
-def power_highest_weight(i: int, p: int) -> tuple:
-    """Doubled coordinates of p*omega_i, the highest weight of the p-th power of module i."""
-    return (2 * p, 0) if i == 1 else (p, p)
+def power_highest_weight(module: str, p: int) -> tuple:
+    """Doubled coordinates of p*omega, the highest weight of the p-th power of the module."""
+    omega = FUNDAMENTAL[module]
+    return p * omega.d1, p * omega.d2
 
 
 def dominated(l1: int, l2: int) -> list:
@@ -202,24 +211,3 @@ def dim_irrep(lam: Weight) -> int:
     if rem:
         raise ArithmeticError(f"dimension of {lam} is not an integer")
     return num
-
-
-@lru_cache(maxsize=None)
-def weights_of_fundamental(i: int) -> tuple:
-    """Weight multiset of the fundamental module: i=1 vector (dim 5), i=2 spinor (dim 4)."""
-    if i == 1:
-        return (
-            Weight.make(1, 0),
-            Weight.make(-1, 0),
-            Weight.make(0, 1),
-            Weight.make(0, -1),
-            Weight.make(0, 0),
-        )
-    if i == 2:
-        h = Fraction(1, 2)
-        return tuple(Weight.make(sa * h, sb * h) for sa in (1, -1) for sb in (1, -1))
-    raise ValueError(f"module index must be 1 or 2, got {i}")
-
-
-MODULE_INDEX = {"vector": 1, "spinor": 2}
-MODULE_NAME = {1: "vector", 2: "spinor"}

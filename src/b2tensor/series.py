@@ -15,7 +15,6 @@ written from the tuples (series_json_obj).
 
 from __future__ import annotations
 
-from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -311,7 +310,6 @@ class PowerChain:
         return powers[n]
 
 
-@lru_cache(maxsize=None)
 def singular_element(lam: Weight) -> LatticeSeries:
     """Signed orbit sum e^(w(lam+rho)-rho) weighted by det(w), 8 terms."""
     if not is_dominant(lam):
@@ -341,7 +339,6 @@ def denominator_product() -> LatticeSeries:
 _ROOT_STEPS = tuple((a.d1, a.d2, 3 * a.d1 + a.d2) for a in POSITIVE_ROOTS)
 
 
-@lru_cache(maxsize=None)
 def weight_multiplicities(lam: Weight) -> LatticeSeries:
     """Weight diagram of the irreducible L^lam by the Freudenthal recursion.
 

@@ -370,15 +370,15 @@ def check_fan_identity(pmax: int) -> CheckResult:
     name = "fan-identity"
     bound = max(1, pmax - 2)
     n = 0
-    for i, mod in ((1, "vector"), (2, "spinor")):
+    for mod in ("vector", "spinor"):
         for p in range(1, bound + 1):
-            lhs = fan_power_direct(p) * singular_power_direct(i, p)
-            if lhs != singular_power_projected(i, p):
+            lhs = fan_power_direct(p) * singular_power_direct(mod, p)
+            if lhs != singular_power_projected(mod, p):
                 return _fail(name, f"module={mod} p={p}")
             n += len(lhs)
     fan = fan_with_zero(3).by_tuple()
-    phi = singular_power_direct(1, 3).by_tuple()
-    pi = singular_power_projected(1, 3)
+    phi = singular_power_direct("vector", 3).by_tuple()
+    pi = singular_power_projected("vector", 3)
     source = pi.by_tuple()
     window = _support_halo(pi)
     for d1, d2 in window:
@@ -403,7 +403,7 @@ def check_singular_contribution(pmax: int) -> CheckResult:
     name = "singular-contribution"
     bound = max(2, pmax - 2)
     for p in range(2, bound + 1):
-        if singular_power_projected(1, p).coeff(Weight.make(p - 2, 1)) != p * (p - 1):
+        if singular_power_projected("vector", p).coeff(Weight.make(p - 2, 1)) != p * (p - 1):
             return _fail(name, f"Pi(p-2,1) at p={p}")
     frozen = {
         5: {"lines": [(0, 20), (1, -48), (2, 14)], "singular": 20, "total": 6},
@@ -456,7 +456,7 @@ def check_multiplicity_free(pmax: int) -> CheckResult:
         for d2 in range(d1 % 2, d1 + 1, 2):
             mu = Weight(d1, d2)
             summands = tensor_with_vector(mu)
-            direct = single_step_decompose(mu, 1)
+            direct = single_step_decompose(mu, "vector")
             if sorted(direct) != list(summands) or any(v != 1 for v in direct.values()):
                 return _fail(name, f"mu={mu.text()}")
             if sum(dim_irrep(nu) for nu in summands) != 5 * dim_irrep(mu):

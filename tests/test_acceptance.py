@@ -5,11 +5,14 @@ Every test prints one `[Cnn] PASS` line when its criterion holds; under
 tolerances anywhere: integers and Fractions compare with ==.
 """
 
+import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
+import b2tensor
 from b2tensor import closed_forms as cf
 from b2tensor.engine import (
     decomposition,
@@ -71,7 +74,7 @@ def test_c03_near_top_multiplicity_and_singular_contribution():
     for p in range(2, 31):
         assert recs[p](Weight.make(p - 2, 1)) == (p - 1) * (p - 2) // 2, p
     for p in range(2, 9):
-        assert singular_power_projected(1, p).coeff(Weight.make(p - 2, 1)) == p * (p - 1), p
+        assert singular_power_projected("vector", p).coeff(Weight.make(p - 2, 1)) == p * (p - 1), p
     ok("C03", "M(p-2,1) == (p-1)(p-2)/2 for p <= 30; Pi(p-2,1) == p(p-1) for p <= 8")
 
 
@@ -129,7 +132,7 @@ def test_c07_vector_products_multiplicity_free():
         for d2 in range(d1 % 2, d1 + 1, 2):
             mu = Weight(d1, d2)
             summands = tensor_with_vector(mu)
-            direct = single_step_decompose(mu, 1)
+            direct = single_step_decompose(mu, "vector")
             assert sorted(direct) == list(summands), mu.text()
             assert all(v == 1 for v in direct.values()), mu.text()
             assert sum(dim_irrep(nu) for nu in summands) == 5 * dim_irrep(mu), mu.text()
@@ -139,14 +142,14 @@ def test_c07_vector_products_multiplicity_free():
 
 
 def test_c08_fan_identity():
-    for i in (1, 2):
+    for mod in ("vector", "spinor"):
         for p in range(1, 9):
-            lhs = fan_power_direct(p) * singular_power_direct(i, p)
-            assert lhs == singular_power_projected(i, p), (i, p)
-    for i in (1, 2):
+            lhs = fan_power_direct(p) * singular_power_direct(mod, p)
+            assert lhs == singular_power_projected(mod, p), (mod, p)
+    for mod in ("vector", "spinor"):
         fan = fan_with_zero(3)
-        phi = singular_power_direct(i, 3)
-        pi = singular_power_projected(i, 3)
+        phi = singular_power_direct(mod, 3)
+        pi = singular_power_projected(mod, 3)
         for w in halo_weights(pi):
             assert pi.coeff(w) + sum(c * phi.coeff(w + g) for g, c in fan.items()) == 0
     ok("C08", "R^(p-1) * Phi == Pi for p <= 8, both modules; pointwise sum vanishes at p=3")
@@ -160,10 +163,10 @@ def test_c09_closed_forms_and_printed_diffs():
             if w.d1 % 2 == 0 and w.d2 % 2 == 0:
                 assert fan_closed_form(p, w.d1 // 2, w.d2 // 2) == truth.coeff(w), (p, w.text())
                 points += 1
-        for i, closed in ((1, vector_singular_closed), (2, spinor_singular_closed)):
-            pi = singular_power_projected(i, p)
+        for mod, closed in (("vector", vector_singular_closed), ("spinor", spinor_singular_closed)):
+            pi = singular_power_projected(mod, p)
             for w in halo_weights(pi):
-                assert closed(p, w) == pi.coeff(w), (i, p, w.text())
+                assert closed(p, w) == pi.coeff(w), (mod, p, w.text())
                 points += 1
     for p in range(1, 5):
         for kind in ("fan", "vector", "spinor"):
@@ -216,10 +219,13 @@ def test_c12_diagonal_zeros():
 
 
 def test_c13_verify_suite_deterministic():
+    # the child imports the package under test, as this process does
+    src = str(Path(b2tensor.__file__).parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     argv = [sys.executable, "-m", "b2tensor", "verify", "--suite", "all", "--pmax", "10",
             "--format", "json"]
-    first = subprocess.run(argv, capture_output=True, timeout=300)
-    second = subprocess.run(argv, capture_output=True, timeout=300)
+    first = subprocess.run(argv, capture_output=True, timeout=300, env=env)
+    second = subprocess.run(argv, capture_output=True, timeout=300, env=env)
     assert first.returncode == 0, first.stderr.decode()
     assert second.returncode == 0
     assert first.stdout == second.stdout

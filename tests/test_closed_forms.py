@@ -13,7 +13,7 @@ from b2tensor import closed_forms as cf
 
 
 def test_vector_table_matches_extended_multiplicities():
-    for p in (2, 3, 6, 9, 12):
+    for p in (2, 3, 4, 5, 6, 9, 12):
         for i in range(4):
             for j in range(4):
                 want = m_extended("vector", p, cf.vector_table_weight(i, j, p))

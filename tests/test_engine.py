@@ -55,8 +55,8 @@ def test_power_zero_and_one():
 
 
 def test_tensor_power_weight_mass():
-    assert mass(tensor_power_weights(1, 5)) == 5**5
-    assert mass(tensor_power_weights(2, 5)) == 4**5
+    assert mass(tensor_power_weights("vector", 5)) == 5**5
+    assert mass(tensor_power_weights("spinor", 5)) == 4**5
 
 
 @pytest.mark.parametrize("mod,dim", [("vector", 5), ("spinor", 4)])
@@ -107,7 +107,7 @@ def test_extended_at_regular_non_dominant():
 @given(dominant_weights(span=10))
 @settings(max_examples=40, deadline=None)
 def test_single_step_vector_matches_case_formulas(mu):
-    by_rule = single_step_decompose(mu, 1)
+    by_rule = single_step_decompose(mu, "vector")
     assert sorted(by_rule) == list(tensor_with_vector(mu))
     assert set(by_rule.values()) == {1}
 
@@ -115,8 +115,8 @@ def test_single_step_vector_matches_case_formulas(mu):
 @given(dominant_weights(span=8))
 @settings(max_examples=30, deadline=None)
 def test_single_step_conserves_dimension(mu):
-    for i, d in ((1, 5), (2, 4)):
-        parts = single_step_decompose(mu, i)
+    for mod, d in (("vector", 5), ("spinor", 4)):
+        parts = single_step_decompose(mu, mod)
         assert sum(m * dim_irrep(nu) for nu, m in parts.items()) == d * dim_irrep(mu)
 
 
@@ -151,6 +151,6 @@ def test_multiplicity_function_matches_weight_level_rule(mod, p, mu):
 def test_iterate_single_step_raises_per_source_weight(monkeypatch):
     # a single shift by -e1-e1 sends rho to the reflection of rho: the one
     # summand of the trivial weight comes out with multiplicity -1
-    monkeypatch.setattr(engine, "weights_of_fundamental", lambda i: [Weight(-6, 0)])
+    monkeypatch.setitem(engine.FUNDAMENTAL_WEIGHTS, "vector", (Weight(-6, 0),))
     with pytest.raises(NegativeMultiplicityError, match=r"single step at 0,0 "):
         iterate_single_step("vector", 1)

@@ -38,7 +38,8 @@ from b2tensor.fans import (
     diff_report,
     fan_line_structure,
 )
-from b2tensor import engine, fans
+from b2tensor import diagram, engine, fans
+from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
 from b2tensor.series import PowerChain
 from conftest import halo_weights, mass, support, support_bounds, weights
 
@@ -65,7 +66,7 @@ def test_fan_is_reflected_denominator_power():
         assert fan_with_zero(p) == fan_power_direct(p).reflect().scale(-1)
 
 
-@pytest.mark.parametrize("module", [1, 2])
+@pytest.mark.parametrize("module", ["vector", "spinor"])
 def test_fan_identity_series(module):
     for p in range(1, 6):
         lhs = fan_power_direct(p) * singular_power_direct(module, p)
@@ -75,7 +76,7 @@ def test_fan_identity_series(module):
 def test_fan_identity_pointwise_source_inclusive():
     p = 2
     fan = fan_with_zero(p)
-    for module in (1, 2):
+    for module in ("vector", "spinor"):
         phi = singular_power_direct(module, p)
         pi = singular_power_projected(module, p)
         for w in halo_weights(pi):
@@ -100,8 +101,8 @@ def test_phi_and_pi_differ():
     # the closed forms evaluate Pi, not Phi: at (0,1) doubled (0,2) the two
     # disagree already at p=2 for the vector module
     w = Weight.make(0, 1)
-    assert singular_power_direct(1, 2).coeff(w) == 0
-    assert singular_power_projected(1, 2).coeff(w) == 2
+    assert singular_power_direct("vector", 2).coeff(w) == 0
+    assert singular_power_projected("vector", 2).coeff(w) == 2
 
 
 def test_fan_closed_form_matches_direct():
@@ -115,14 +116,14 @@ def test_fan_closed_form_matches_direct():
 
 def test_vector_singular_closed_matches_projected():
     for p in range(1, 5):
-        truth = singular_power_projected(1, p)
+        truth = singular_power_projected("vector", p)
         for w in halo_weights(truth):
             assert vector_singular_closed(p, w) == truth.coeff(w)
 
 
 def test_spinor_singular_closed_matches_projected():
     for p in range(1, 6):
-        truth = singular_power_projected(2, p)
+        truth = singular_power_projected("spinor", p)
         for w in halo_weights(truth):
             assert spinor_singular_closed(p, w) == truth.coeff(w)
 
@@ -182,7 +183,7 @@ def test_step_audit_totals_equal_multiplicity(p):
 
 def test_singular_contribution_at_known_weight():
     for p in range(2, 8):
-        assert singular_power_projected(1, p).coeff(Weight.make(p - 2, 1)) == p * (p - 1)
+        assert singular_power_projected("vector", p).coeff(Weight.make(p - 2, 1)) == p * (p - 1)
 
 
 # brute-force triple sums exactly as published, every index in its full range;
@@ -246,7 +247,7 @@ def test_pruned_fan_closed_equals_brute_force(tb):
 @pytest.mark.parametrize("tb", [_tb_lax, _tb_strict], ids=["lax", "strict"])
 def test_pruned_vector_singular_equals_brute_force(tb):
     for p in range(1, 9):
-        box = _index_box(singular_power_projected(1, p), margin=2)
+        box = _index_box(singular_power_projected("vector", p), margin=2)
         got = _vector_many(p, [(2 * c, 2 * d) for c, d in box], tb)
         for (c, d), value in zip(box, got):
             assert value == brute_vector_singular(p, c, d, tb), (p, c, d)
@@ -278,7 +279,7 @@ def brute_spinor_singular(p, d1, d2):
 
 def test_factored_spinor_singular_equals_brute_force():
     for p in range(1, 8):
-        (lo1, hi1), (lo2, hi2) = support_bounds(singular_power_projected(2, p))
+        (lo1, hi1), (lo2, hi2) = support_bounds(singular_power_projected("spinor", p))
         for d1 in range(lo1 - 3, hi1 + 4):
             for d2 in range(lo2 - 3, hi2 + 4):
                 if (d1 - d2) % 2 == 0:
@@ -314,7 +315,10 @@ def test_batch_closed_forms_equal_pointwise(kind, p, points):
     validated, printed = POINTWISE[kind]
     pairs = [(w.d1, w.d2) for w in points] + [(w.d2, w.d1) for w in points]
     at = [Weight(*pt) for pt in pairs]
-    assert form.validated(p, pairs) == [validated(p, w) for w in at]
+    got = form.validated(p, pairs)
+    assert got == [validated(p, w) for w in at]
+    truth = form.truth(p).by_tuple()  # the convolution, far beyond the halo of verify
+    assert got == [truth.get(pt, 0) for pt in pairs]
     if kind != "spinor" or p <= 5:  # the verbatim spinor triple loop is slow
         assert form.printed(p, pairs) == [printed(p, w) for w in at]
 
@@ -329,19 +333,38 @@ def test_batch_closed_forms_cover_the_support():
             assert form.validated(p, pairs) == [form.truth(p).by_tuple()[pt] for pt in pairs]
 
 
-@pytest.mark.parametrize("module", [1, 2])
+@pytest.mark.parametrize("module", ["vector", "spinor"])
 def test_incremental_chains_equal_repeated_power(module):
-    omega = Weight.make(1, 0) if module == 1 else Weight.make(Fraction(1, 2), Fraction(1, 2))
+    omega = Weight.make(1, 0) if module == "vector" else Weight.make(Fraction(1, 2), Fraction(1, 2))
     for p in range(13):
         assert singular_power_projected(module, p) == singular_element(omega).power(p), p
     for p in range(1, 13):
         assert fan_power_direct(p) == denominator_product().power(p - 1), p
 
 
-def test_one_cache_entry_per_module_and_power():
-    assert singular_power_projected("vector", 6) is singular_power_projected(1, 6)
-    assert singular_power_projected("spinor", 5) is singular_power_projected(2, 5)
-    assert singular_power_direct("vector", 4) is singular_power_direct(1, 4)
+# every route that takes a module, at p = 2
+ROUTES_BY_MODULE = {
+    "tensor_power_weights": lambda mod: engine.tensor_power_weights(mod, 2),
+    "decomposition": lambda mod: decomposition(mod, 2),
+    "recur_multiplicity": lambda mod: engine.recur_multiplicity(mod, 2),
+    "iterate_single_step": lambda mod: engine.iterate_single_step(mod, 2),
+    "m_extended": lambda mod: engine.m_extended(mod, 2, Weight(0, 0)),
+    "m_extended on a wall": lambda mod: engine.m_extended(mod, 2, Weight(-2, 0)),
+    "single_step_decompose": lambda mod: engine.single_step_decompose(Weight(4, 0), mod),
+    "singular_power_direct": lambda mod: singular_power_direct(mod, 2),
+    "singular_power_projected": lambda mod: singular_power_projected(mod, 2),
+    "fan_recursion_solve": lambda mod: fan_recursion_solve(mod, 2),
+    "fan_step_audit": lambda mod: fan_step_audit(mod, 2, Weight(0, 0)),
+    "to_dot": lambda mod: diagram.to_dot(mod, 2),
+}
+
+
+@pytest.mark.parametrize("module", [1, "adjoint"])
+@pytest.mark.parametrize("route", sorted(ROUTES_BY_MODULE))
+def test_a_module_is_named_by_its_name_only(route, module):
+    # "vector" and "spinor" are the only spellings; an index is an unknown name
+    with pytest.raises(KeyError):
+        ROUTES_BY_MODULE[route](module)
 
 
 @pytest.mark.parametrize("module,powers", [("vector", range(11, 15)), ("spinor", range(11, 17))])
@@ -362,21 +385,23 @@ def test_chains_fill_bottom_up_without_recursion(monkeypatch):
     # each chain from empty to p = 30 with only 20 frames to spare: a chain that
     # recursed once per p would need at least 30
     monkeypatch.setattr(
-        engine, "_WEIGHT_POWERS", {i: PowerChain(engine.fundamental_character(i)) for i in (1, 2)}
+        engine,
+        "_WEIGHT_POWERS",
+        {mod: PowerChain(LatticeSeries({w: 1 for w in ws})) for mod, ws in FUNDAMENTAL_WEIGHTS.items()},
     )
     monkeypatch.setattr(fans, "_FAN_POWERS", PowerChain(denominator_product()))
     monkeypatch.setattr(
         fans,
         "_PROJECTED_POWERS",
-        {1: PowerChain(singular_element(OMEGA1)), 2: PowerChain(singular_element(OMEGA2))},
+        {"vector": PowerChain(singular_element(OMEGA1)), "spinor": PowerChain(singular_element(OMEGA2))},
     )
     engine.tensor_power_weights.cache_clear()
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(_stack_depth() + 20)
     try:
-        weights30 = engine.tensor_power_weights(1, 30)
+        weights30 = engine.tensor_power_weights("vector", 30)
         fan30 = fan_power_direct(30)
-        pi30 = singular_power_projected(2, 30)
+        pi30 = singular_power_projected("spinor", 30)
     finally:
         sys.setrecursionlimit(limit)
     assert mass(weights30) == 5**30
@@ -417,7 +442,7 @@ def test_factored_printed_spinor_equals_verbatim_triple_loop():
     residues = set()
     nonzero = 0
     for p in range(1, 9):
-        (lo1, hi1), (lo2, hi2) = support_bounds(singular_power_projected(2, p))
+        (lo1, hi1), (lo2, hi2) = support_bounds(singular_power_projected("spinor", p))
         box = [
             (d1, d2)
             for d1 in range(lo1 - 3, max(hi1 + 3, 9 * p + 4) + 1)
@@ -461,5 +486,5 @@ def nested_support_halo(series, step=2):
 
 @pytest.mark.parametrize("step", [1, 2, 3])
 def test_support_halo_equals_nested_loops(step):
-    for series in (fan_with_zero(4), singular_power_projected(2, 5), LatticeSeries()):
+    for series in (fan_with_zero(4), singular_power_projected("spinor", 5), LatticeSeries()):
         assert _support_halo(series, step) == nested_support_halo(series, step)

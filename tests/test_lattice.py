@@ -20,11 +20,16 @@ from b2tensor import (
     dim_irrep,
     is_dominant,
     to_dominant_regular,
-    weights_of_fundamental,
 )
 from b2tensor.closed_forms import NewtonFit
 from b2tensor.engine import decomposition, recur_multiplicity
-from b2tensor.lattice import WeylElement, dominated, power_highest_weight
+from b2tensor.lattice import (
+    FUNDAMENTAL,
+    FUNDAMENTAL_WEIGHTS,
+    WeylElement,
+    dominated,
+    power_highest_weight,
+)
 from b2tensor.verify import CheckResult, VerificationReport
 from conftest import dominant_weights, text_by_fractions, weights, weyl_elements
 
@@ -198,9 +203,10 @@ def test_dim_positive_on_dominants(w):
 
 
 def test_fundamental_weight_multisets():
-    vec = weights_of_fundamental(1)
+    assert set(FUNDAMENTAL) == set(FUNDAMENTAL_WEIGHTS) == {"vector", "spinor"}
+    vec = FUNDAMENTAL_WEIGHTS["vector"]
     assert len(vec) == 5 and Weight.make(0, 0) in vec
-    sp = weights_of_fundamental(2)
+    sp = FUNDAMENTAL_WEIGHTS["spinor"]
     assert len(sp) == 4 and all(abs(z.d1) == 1 and abs(z.d2) == 1 for z in sp)
 
 
@@ -236,5 +242,5 @@ def test_dominated_matches_the_definition():
 
 def test_power_highest_weight_is_p_omega():
     for p in range(6):
-        assert power_highest_weight(1, p) == (p * OMEGA1.d1, p * OMEGA1.d2)
-        assert power_highest_weight(2, p) == (p * OMEGA2.d1, p * OMEGA2.d2)
+        assert power_highest_weight("vector", p) == (p * OMEGA1.d1, p * OMEGA1.d2)
+        assert power_highest_weight("spinor", p) == (p * OMEGA2.d1, p * OMEGA2.d2)

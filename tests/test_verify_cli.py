@@ -149,9 +149,11 @@ def test_cli_closed_form_single_point_csv(capsys):
     ],
 )
 def test_cli_weight_with_negative_first_coordinate(capsys, command, value):
-    # a separate value with a leading minus must read as the weight, as the '=' form does
-    code, out, err = run_cli(capsys, *command, "--weight", value)
-    assert (code, out, err) == run_cli(capsys, *command, f"--weight={value}")
+    # a separate value with a leading minus must read as the weight, as the '=' form
+    # does, after --weight and after each abbreviation argparse resolves to it
+    code, out, err = run_cli(capsys, *command, f"--weight={value}")
+    for option in ("--weight", "--weigh", "--weig", "--wei", "--we", "--w"):
+        assert run_cli(capsys, *command, option, value) == (code, out, err), option
     assert code == 0, err
     want = {("multiplicity", "-3,0"): "-3", ("multiplicity", "-1,0"): "0"}.get((command[0], value))
     if want is not None:
@@ -160,7 +162,7 @@ def test_cli_weight_with_negative_first_coordinate(capsys, command, value):
     if command[0] == "multiplicity":
         assert int(out) == m_extended("vector", 4, w)
     elif command[2] == "vector":
-        assert int(out) == singular_power_projected(1, 3).coeff(w)
+        assert int(out) == singular_power_projected("vector", 3).coeff(w)
     else:
         assert int(out) == fan_with_zero(2).coeff(w)
 
@@ -173,13 +175,9 @@ def test_cli_parser_is_built_once_and_reused(capsys):
         assert code == 0 and out.strip() == "55"
 
 
-def test_cli_fit_samples_are_cached_and_immutable():
-    _diagonal_values.cache_clear()
-    first = _diagonal_values(2, 1, 15)
-    assert _diagonal_values(2, 1, 15) is first
-    assert isinstance(first, tuple)
+def test_cli_fit_samples_follow_the_recursion():
     recs = recur_multiplicity("vector", 15)
-    assert first == tuple(recs[p](cf.diagonal_weight(2, 1, p)) for p in range(16))
+    assert _diagonal_values(2, 1, 15) == [recs[p](cf.diagonal_weight(2, 1, p)) for p in range(16)]
 
 
 def test_cli_closed_form_diff_rows(capsys):
