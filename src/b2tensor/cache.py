@@ -56,7 +56,7 @@ def load(cache_dir, key: str):
         return None
     try:
         body = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, json.JSONDecodeError):
+    except (OSError, ValueError, RecursionError):  # ValueError covers JSON and UTF-8 decode errors
         return None
     if not isinstance(body, dict) or body.get("schema") != SCHEMA:
         return None

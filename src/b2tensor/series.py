@@ -16,7 +16,6 @@ written from the tuples (series_json_obj).
 from __future__ import annotations
 
 from types import MappingProxyType
-from typing import NamedTuple
 
 from .lattice import (
     POSITIVE_ROOTS,
@@ -81,9 +80,6 @@ class LatticeSeries:
     def __eq__(self, other):
         return isinstance(other, LatticeSeries) and self._terms == other._terms
 
-    def __hash__(self):
-        return hash(frozenset(self._terms.items()))
-
     def __add__(self, other: "LatticeSeries") -> "LatticeSeries":
         out = dict(self._terms)
         for k, c in other._terms.items():
@@ -107,10 +103,6 @@ class LatticeSeries:
         a, b = self._terms, other._terms
         if len(a) > len(b):
             a, b = b, a
-        if len(a) > _PACKED_MIN_TERMS:
-            grid = _Grid.of(a, b)
-            if grid.slots <= len(a) * len(b):
-                return LatticeSeries._from_tuples(_packed_product(a, b, grid))
         inner = tuple(b.items())
         out = {}
         get = out.get
@@ -154,93 +146,62 @@ def series_json_obj(terms) -> list:
     return [{"weight": point_text(d1, d2), "coeff": str(c)} for (d1, d2), c in terms if c]
 
 
-# Packed products (Kronecker substitution).
-#
-# A product whose smaller operand has more than _PACKED_MIN_TERMS terms is
-# computed as one big-integer product instead of a loop over term pairs.
-# Each operand becomes an integer X = sum_x a_x * z^slot(x) in the base
-# z = 2^(8*size), and the product's coefficients are the base-z digits of X*Y.
-#
-# Exactness. Let (lo1, lo2) be the corner (coordinatewise minimum) of an
-# operand, s the step (2 when every point of both operands differs from its
-# own corner by even amounts in both coordinates, else 1) and
-# W = (d2 span of a + d2 span of b)/s + 1. The slot of an a-point x is
-# (x1 - lo1)/s * W + (x2 - lo2)/s, and likewise for b with b's corner. The
-# map is affine with the same W on both sides, so slot(x) + slot(y) is the
-# slot of x + y in the product grid with corner lo_a + lo_b, and the d2 offset
-# of x + y is at most W - 1, so every slot k names exactly one product point
-# (row k // W, column k % W). Hence X*Y = sum_k c_k z^k with c_k the exact
-# product coefficient of slot k. For one k each x pairs with at most one y,
-# so |c_k| <= sum|a| * max|b| (and symmetrically); bound is the smaller of
-# the two. With 8*size >= bound.bit_length() + 1 (one sign bit),
-# |c_k| <= bound < h = 2^(8*size - 1). Adding H = sum_k h z^k gives
-# sum_k (c_k + h) z^k with 0 < c_k + h < 2h = z: these are exactly the base-z
-# digits of X*Y + H, read back slot by slot from one to_bytes, minus h. The
-# operands' own coefficients are at most bound in size, so each fits its
-# slot too: X is the positive bytes minus the negative bytes.
-#
-# Threshold: the smaller operand must have more than 16 terms, so every chain
-# (the 4- and 5-term characters, the 8-term singular elements and R) stays on
-# the dict loop. Against R^17 (2 024 terms), dict/packed took 11.0/7.2 ms
-# with 8 terms, 21.5/7.7 with 16, 43.6/8.2 with 32 and 171/12 with 128; the
-# products R^(p-1) * Phi of fan-identity (792 x 2 024 terms at p = 18) went
-# from 0.85 s to 0.026 s. A product whose grid has more slots than term pairs
-# (far-apart sparse operands) also stays on the dict loop, which bounds the
-# packed path's memory by that of the term pairs.
-#
-# Two measured dead ends:
-#   * unpacking by repeated `>>=` of the product copies the remaining integer
-#     each time, which is quadratic in its size, and was slower than the dict
-#     product; one to_bytes and slicing is linear;
-#   * packing a whole chain as one big-integer power costs more than it
-#     saves: Pi_vector at p = 60 took 30.8 s that way against 7.9 s for the
-#     dict chain, because the slots must be as wide as the largest final
-#     coefficient from the first factor on.
+def is_product(c: LatticeSeries, a: LatticeSeries, b: LatticeSeries) -> bool:
+    """Whether c == a * b, decided by one big-integer product.
 
-_PACKED_MIN_TERMS = 16
+    Each series becomes an integer E(x) = sum of coeff * z^slot over its
+    points (Kronecker substitution), and c == a * b exactly when
+    E(a) * E(b) == E(c). A grid with more slots than term pairs (far-apart
+    sparse operands) is compared through the dict product instead, which
+    bounds the memory by that of the term pairs.
 
+    Grid: a and b each have their corner (coordinatewise minimum), and the
+    product box has the sum of the corners. The step s is 2 when a and b
+    each lie on the even coset of their own corner, else 1, and every row
+    is W = (d2 span of a + d2 span of b)/s + 1 slots wide. The slot of x is
+    (x1 - lo1)/s * W + (x2 - lo2)/s, so the slots of x and y add to that of
+    x + y. A point of c off the product grid is not a point of a * b.
 
-class _Grid(NamedTuple):
-    """Slot layout of a packed product: operand corners, step and row width."""
-
-    corner_a: tuple
-    corner_b: tuple
-    step: int
-    width: int
-    rows_a: int
-    rows_b: int
-
-    @classmethod
-    def of(cls, a: dict, b: dict) -> "_Grid":
-        (alo1, ahi1, alo2, ahi2), (blo1, bhi1, blo2, bhi2) = _box(a), _box(b)
-        even = all(not ((d1 - alo1) | (d2 - alo2)) & 1 for d1, d2 in a) and all(
-            not ((d1 - blo1) | (d2 - blo2)) & 1 for d1, d2 in b
-        )
-        step = 2 if even else 1
-        return cls(
-            (alo1, alo2),
-            (blo1, blo2),
-            step,
-            (ahi2 - alo2 + bhi2 - blo2) // step + 1,
-            (ahi1 - alo1) // step + 1,
-            (bhi1 - blo1) // step + 1,
-        )
-
-    @property
-    def slots(self) -> int:
-        return (self.rows_a + self.rows_b - 1) * self.width
+    Exactness: a product coefficient is at most sum|a| * max|b| (for one
+    slot each x pairs with at most one y), and symmetrically; a slot of
+    8*size bits with 2^(8*size - 1) above that bound and above max|c| keeps
+    every digit under z/2 in absolute value. Two base-z expansions whose
+    digits are all under z/2 in absolute value are equal only digit by
+    digit: the digits of their difference are under z, so its lowest
+    nonzero digit, at z^k, leaves it nonzero mod z^(k+1).
+    """
+    at, bt, ct = a._terms, b._terms, c._terms
+    if not at or not bt:
+        return not ct
+    (alo1, ahi1, alo2, ahi2), (blo1, bhi1, blo2, bhi2) = _box(at), _box(bt)
+    step = 2 if _on_even_coset(at, alo1, alo2) and _on_even_coset(bt, blo1, blo2) else 1
+    lo1, lo2, hi1, hi2 = alo1 + blo1, alo2 + blo2, ahi1 + bhi1, ahi2 + bhi2
+    width = (hi2 - lo2) // step + 1
+    if ((hi1 - lo1) // step + 1) * width > len(at) * len(bt):
+        return c == a * b
+    if not ct:
+        return False  # Z[P] has no zero divisors, so a * b != 0
+    clo1, chi1, clo2, chi2 = _box(ct)
+    if clo1 < lo1 or clo2 < lo2 or chi1 > hi1 or chi2 > hi2:
+        return False
+    if step == 2 and not _on_even_coset(ct, lo1, lo2):
+        return False
+    bound = max(
+        min(
+            sum(map(abs, at.values())) * max(map(abs, bt.values())),
+            sum(map(abs, bt.values())) * max(map(abs, at.values())),
+        ),
+        max(map(abs, ct.values())),
+    )
+    size = (bound.bit_length() + 8) // 8  # bytes per slot: bound plus one sign bit
+    x = _encode(at, alo1, alo2, ahi1, step, width, size)
+    y = _encode(bt, blo1, blo2, bhi1, step, width, size)
+    return x * y == _encode(ct, lo1, lo2, hi1, step, width, size)
 
 
-def _box(terms: dict):
-    d1s = [d1 for d1, _ in terms]
-    d2s = [d2 for _, d2 in terms]
-    return min(d1s), max(d1s), min(d2s), max(d2s)
-
-
-def _pack(terms: dict, corner: tuple, rows: int, grid: _Grid, size: int) -> int:
-    lo1, lo2 = corner
-    step, width = grid.step, grid.width
-    pos = bytearray(rows * width * size)
+def _encode(terms: dict, lo1: int, lo2: int, hi1: int, step: int, width: int, size: int) -> int:
+    # sum of coeff * 2^(8 * size * slot), with corner (lo1, lo2) and last row at hi1
+    pos = bytearray(((hi1 - lo1) // step + 1) * width * size)
     neg = bytearray(len(pos))
     for (d1, d2), c in terms.items():
         i = ((d1 - lo1) // step * width + (d2 - lo2) // step) * size
@@ -251,39 +212,14 @@ def _pack(terms: dict, corner: tuple, rows: int, grid: _Grid, size: int) -> int:
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 
-def _packed_product(a: dict, b: dict, grid: _Grid = None) -> dict:
-    """The convolution of two tuple-keyed term dicts by one integer product.
+def _box(terms: dict):
+    d1s = [d1 for d1, _ in terms]
+    d2s = [d2 for _, d2 in terms]
+    return min(d1s), max(d1s), min(d2s), max(d2s)
 
-    grid is _Grid.of(a, b), passed when the caller already has it; the
-    result drops zeros, as the dict loop does. See the comment above
-    _PACKED_MIN_TERMS for why it is exact.
-    """
-    if not a or not b:
-        return {}
-    if grid is None:
-        grid = _Grid.of(a, b)
-    bound = min(
-        sum(map(abs, a.values())) * max(map(abs, b.values())),
-        sum(map(abs, b.values())) * max(map(abs, a.values())),
-    )
-    size = (bound.bit_length() + 8) // 8  # bytes per slot: bound plus one sign bit
-    x = _pack(a, grid.corner_a, grid.rows_a, grid, size)
-    y = _pack(b, grid.corner_b, grid.rows_b, grid, size)
-    n = grid.slots
-    half = 1 << (8 * size - 1)
-    zero = half.to_bytes(size, "little")  # the digit of a zero coefficient
-    digits = (x * y + int.from_bytes(zero * n, "little")).to_bytes(n * size, "little")
-    lo1 = grid.corner_a[0] + grid.corner_b[0]
-    lo2 = grid.corner_a[1] + grid.corner_b[1]
-    step, width = grid.step, grid.width
-    from_bytes = int.from_bytes
-    out = {}
-    for k in range(n):
-        digit = digits[k * size : (k + 1) * size]
-        if digit != zero:
-            row, col = divmod(k, width)
-            out[lo1 + row * step, lo2 + col * step] = from_bytes(digit, "little") - half
-    return out
+
+def _on_even_coset(terms: dict, lo1: int, lo2: int) -> bool:
+    return all(not ((d1 - lo1) | (d2 - lo2)) & 1 for d1, d2 in terms)
 
 
 class PowerChain:

@@ -38,7 +38,7 @@ from b2tensor.fans import (
     diff_report,
     fan_line_structure,
 )
-from b2tensor import diagram, engine, fans
+from b2tensor import diagram, engine, fans, verify
 from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
 from b2tensor.series import PowerChain
 from conftest import halo_weights, mass, support, support_bounds, weights
@@ -71,6 +71,40 @@ def test_fan_identity_series(module):
     for p in range(1, 6):
         lhs = fan_power_direct(p) * singular_power_direct(module, p)
         assert lhs == singular_power_projected(module, p)
+
+
+def _one_coefficient_changed(series):
+    w, _ = series.items()[0]
+    return series + LatticeSeries.unit(w)
+
+
+def _point_on_the_other_coset(series):
+    w, _ = series.items()[0]
+    return series + LatticeSeries.unit(Weight(w.d1 + 1, w.d2 + 1))
+
+
+def _point_past_the_box(series):
+    w, _ = series.items()[-1]
+    return series + LatticeSeries.unit(Weight(w.d1 + 2, w.d2), -1)
+
+
+@pytest.mark.parametrize("route,args,change", [
+    ("singular_power_projected", ("vector", 3), _one_coefficient_changed),
+    ("singular_power_projected", ("vector", 3), _point_on_the_other_coset),
+    ("singular_power_projected", ("vector", 3), _point_past_the_box),
+    ("fan_power_direct", (3,), _one_coefficient_changed),
+])
+def test_fan_identity_check_fails_on_a_changed_operand(monkeypatch, route, args, change):
+    # the only gate that sees is_product fail: the byte gates run passing checks
+    assert verify.check_fan_identity(6).status == verify.PASS
+    real = getattr(verify, route)
+
+    def changed(*called):
+        return change(real(*called)) if called == args else real(*called)
+
+    monkeypatch.setattr(verify, route, changed)
+    got = verify.check_fan_identity(6)
+    assert (got.status, got.evidence) == (verify.FAIL, "first mismatch at module=vector p=3")
 
 
 def test_fan_identity_pointwise_source_inclusive():

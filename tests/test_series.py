@@ -19,7 +19,7 @@ from b2tensor import (
     singular_element,
     weight_multiplicities,
 )
-from b2tensor.series import _PACKED_MIN_TERMS, _packed_product
+from b2tensor.series import is_product
 from conftest import dominant_weights, is_weyl_invariant, mass, support, weights
 
 
@@ -103,26 +103,104 @@ def coefficients():
     return st.one_of(st.integers(-3, 3), st.integers(-(2**70), 2**70)).filter(bool)
 
 
-def packed_operand(cosets):
-    # cosets: the doubled-coordinate parities to draw from, one or both
-    point = st.builds(
-        lambda d1, d2, half: (2 * d1 + half, 2 * d2 + half),
-        st.integers(-5, 5),
-        st.integers(-5, 5),
-        st.sampled_from(cosets),
+def grid_operand(cosets):
+    # cosets: the doubled-coordinate parities to draw from, one or both. A
+    # coefficient, often zero, for every point of a small box keeps most
+    # grids within the term pairs, where is_product packs instead of
+    # multiplying term by term.
+    box = [(2 * d1, 2 * d2) for d1 in (-1, 0, 1) for d2 in (-1, 0, 1)]
+    points = [(d1 + half, d2 + half) for half in cosets for d1, d2 in box]
+    coeffs = st.lists(
+        st.one_of(st.just(0), coefficients()), min_size=len(points), max_size=len(points)
     )
-    return st.dictionaries(point, coefficients(), max_size=12)
+    return coeffs.map(lambda cs: {p: c for p, c in zip(points, cs) if c})
+
+
+def series_of(terms: dict) -> LatticeSeries:
+    return LatticeSeries({Weight(d1, d2): c for (d1, d2), c in terms.items()})
+
+
+def plus(terms: dict, point: tuple, c: int) -> dict:
+    out = dict(terms)
+    out[point] = out.get(point, 0) + c
+    return out
+
+
+def assert_is_product_decides(a: dict, b: dict, pick: int = 0):
+    """is_product(c, a, b) == (c == a * b) for the product and for c near it.
+
+    The near misses: one coefficient off by one either way, an extra point
+    inside the product box on each coset, one past the box, a coefficient
+    of c beyond the slot that a and b alone would need carried into the
+    next slot, and on the halved grid a coefficient moved onto the other
+    coset.
+    """
+    want = plain_convolution(a, b)
+    near = [want]
+    if want:
+        k = sorted(want)[pick % len(want)]
+        near += [plus(want, k, 1), plus(want, k, -1)]
+    if not a or not b:
+        near.append({(0, 0): 1})
+    else:
+        # the product box: a product of nonzero series reaches every side of it
+        xs, ys = [x for x, _ in want], [y for _, y in want]
+        lo1, hi1, lo2, hi2 = min(xs), max(xs), min(ys), max(ys)
+        inside = [
+            (x, y)
+            for x in range(lo1, hi1 + 1)
+            for y in range(lo2, hi2 + 1)
+            if (x - y) % 2 == 0 and (x, y) not in want
+        ]
+        for parity in (0, 1):  # the product's coset and the other one
+            points = [(x, y) for x, y in inside if x % 2 == parity]
+            if points:
+                near.append(plus(want, points[pick % len(points)], 1))
+        # one past the box on two sides
+        top, low = max(want), min(want, key=lambda p: p[1])
+        near += [plus(want, (top[0] + 2, top[1]), 1), plus(want, (low[0], low[1] - 2), -1)]
+        bound = min(
+            sum(map(abs, a.values())) * max(map(abs, b.values())),
+            sum(map(abs, b.values())) * max(map(abs, a.values())),
+        )
+        z = 256 ** ((bound.bit_length() + 8) // 8)  # the slot base of a and b alone
+        # slots in order on the grid: halved when each operand lies on one coset
+        step = 2 if all(len({d1 % 2 for d1, _ in t}) == 1 for t in (a, b)) else 1
+        slots = [(x, y) for x in range(lo1, hi1 + 1, step) for y in range(lo2, hi2 + 1, step)]
+        on_lattice = [(x - y) % 2 == 0 for x, y in slots]
+        carries = [
+            (slots[i], slots[i + 1])
+            for i in range(len(slots) - 1)
+            if on_lattice[i] and on_lattice[i + 1]
+        ]
+        if carries:
+            k, k1 = carries[pick % len(carries)]
+            near.append(plus(plus(want, k, z), k1, -1))  # z*e_k - e_(k+1): the same integer
+        # a coefficient moved onto the other coset, next to its halved-grid slot
+        movable = [(x, y) for x, y in want if x < hi1 and y < hi2] if step == 2 else []
+        if movable:
+            moved = dict(want)
+            x, y = movable[pick % len(movable)]
+            moved[x + 1, y + 1] = moved.pop((x, y))
+            near.append(moved)
+    sa, sb = series_of(a), series_of(b)
+    for c in near:
+        assert is_product(series_of(c), sa, sb) == (series_of(c) == series_of(want)), c
 
 
 @given(
-    st.sampled_from([(0,), (1,), (0, 1)]).flatmap(packed_operand),
-    st.sampled_from([(0,), (1,), (0, 1)]).flatmap(packed_operand),
+    st.sampled_from([(0,), (1,), (0, 1)]).flatmap(grid_operand),
+    st.sampled_from([(0,), (1,), (0, 1)]).flatmap(grid_operand),
+    st.integers(0, 10**6),
 )
-@settings(max_examples=100)
-def test_packed_product_equals_plain_dict_convolution(a, b):
+@example({}, {}, 0)
+@example({}, {(1, 1): 2}, 0)
+@example({(0, 2): -1}, {}, 0)
+@settings(max_examples=100, deadline=None)
+def test_is_product_equals_plain_dict_convolution(a, b, pick):
     # one coset per operand packs on the halved grid, mixed cosets on the full one;
     # empty and single-term operands are among the draws
-    assert _packed_product(a, b) == plain_convolution(a, b)
+    assert_is_product_decides(a, b, pick)
 
 
 @given(
@@ -130,44 +208,49 @@ def test_packed_product_equals_plain_dict_convolution(a, b):
     st.integers(1, 2**80),
     st.sampled_from([1, -1]),
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)),
-    st.tuples(st.integers(1, 4), st.integers(-4, 4)),
+    st.sampled_from([(1, 0), (0, 1)]),
 )
 @example(217, 151, 1, (0, 0), (1, 0))  # 2 * 217 * 151 = 65534, sixteen bits
 @example(217, 151, -1, (0, 0), (1, 0))
 @example(15, 17, -1, (3, 1), (2, 2))  # the single terms meet at 15 * 17 = 255, eight bits
-@settings(max_examples=100)
-def test_packed_product_at_the_coefficient_bound(k, m, sign, shift, gap):
+@settings(max_examples=100, deadline=None)
+def test_is_product_at_the_coefficient_bound(k, m, sign, shift, gap):
     # a = k(e^s + e^(s+g)) and b = sign*m(e^0 + e^-g) meet at s with 2km, which
-    # is exactly the slot bound sum|a| * max|b|; single terms give km, also the bound
+    # is exactly the slot bound sum|a| * max|b|; single terms give km, also the bound.
+    # A gap of one step along an axis keeps the pair's grid within its term
+    # pairs, so it is packed; the (2, 2) example packs its single terms only.
     s1, s2 = 2 * shift[0], 2 * shift[1]
     g1, g2 = 2 * gap[0], 2 * gap[1]
     a = {(s1, s2): k, (s1 + g1, s2 + g2): k}
     b = {(0, 0): sign * m, (-g1, -g2): sign * m}
-    got = _packed_product(a, b)
-    assert got[(s1, s2)] == sign * 2 * k * m
-    assert got == plain_convolution(a, b)
-    assert _packed_product({(s1, s2): k}, {(0, 0): sign * m}) == {(s1, s2): sign * k * m}
+    assert plain_convolution(a, b)[(s1, s2)] == sign * 2 * k * m
+    assert_is_product_decides(a, b)
+    assert_is_product_decides({(s1, s2): k}, {(0, 0): sign * m})
 
 
-def test_large_products_take_the_packed_path(monkeypatch):
-    # above the threshold __mul__ must give what the dict loop gives
-    calls = []
-    real = _packed_product
+def test_dense_operands_are_decided_without_the_dict_product(monkeypatch):
+    # fan-identity's operands and the at-the-bound pairs along one axis fit a
+    # grid no larger than their term pairs, so is_product packs them
+    fan, phi = denominator_product().power(5), singular_element(OMEGA1).power(6)
+    pairs = [(fan, phi), (series_of({(0, 0): 3, (2, 0): 3}), series_of({(0, 0): 5, (-2, 0): 5}))]
+    products = [x * y for x, y in pairs]
 
-    def spy(a, b, grid=None):
-        calls.append((len(a), len(b)))
-        return real(a, b, grid)
+    def refuse(self, other):
+        raise AssertionError("is_product fell back to the dict product")
 
-    monkeypatch.setattr("b2tensor.series._packed_product", spy)
+    monkeypatch.setattr(LatticeSeries, "__mul__", refuse)
+    for (x, y), xy in zip(pairs, products):
+        assert is_product(xy, x, y) and is_product(xy, y, x)
+        assert not is_product(xy + LatticeSeries.unit(), x, y)
+
+
+def test_large_products_equal_plain_dict_convolution():
     big = singular_element(OMEGA1).power(4)
     chain_factor = singular_element(OMEGA1)
-    assert len(big) > _PACKED_MIN_TERMS >= len(chain_factor)
-    want = plain_convolution(as_pairs(big), as_pairs(big))
-    assert dict((big * big).by_tuple()) == want
+    assert dict((big * big).by_tuple()) == plain_convolution(as_pairs(big), as_pairs(big))
     assert dict((big * chain_factor).by_tuple()) == plain_convolution(
         as_pairs(big), as_pairs(chain_factor)
     )
-    assert calls == [(len(big), len(big))]
 
 
 @given(small_series())

@@ -531,6 +531,18 @@ def test_cli_recomputes_a_cache_file_with_a_stale_digest(tmp_path, capsys, kind)
     assert load(tmp_path, key) == json.loads(want)  # rewritten with a good digest
 
 
+@pytest.mark.parametrize("body", [b"\xff\xfe not utf-8", b"[" * 200_000], ids=["bytes", "deep"])
+@pytest.mark.parametrize("kind", ["decompose", "singular-direct"])
+def test_cli_recomputes_an_undecodable_cache_file(tmp_path, capsys, kind, body):
+    # neither a UTF-8 error nor a nesting too deep to parse may fail the query
+    argv, key, want = _command(kind, "vector", 2, "json")
+    argv += ["--power", "2", "--format", "json", "--cache", str(tmp_path)]
+    (tmp_path / f"{key}.json").write_bytes(body)
+    assert load(tmp_path, key) is None
+    assert run_cli(capsys, *argv) == (0, want, "")
+    assert load(tmp_path, key) == json.loads(want)  # rewritten with a good digest
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
 @pytest.mark.parametrize("argv,key,payload", [
     (["decompose", "--module", "vector"], "decompose-vector-3",
