@@ -505,7 +505,7 @@ def main(argv=None) -> int:
         return 1
     try:
         code, out, err = _DISPATCH[args.command](args)
-    except (ValueError, KeyError, RuntimeError) as exc:
+    except (ValueError, KeyError, RuntimeError, OSError) as exc:
         code, out, err = 1, "", f"error: {exc}\n"
     sys.stderr.write(err)
     sys.stdout.write(out)

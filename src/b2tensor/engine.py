@@ -28,7 +28,7 @@ from .lattice import (
     power_highest_weight,
     reflect_to_chamber,
 )
-from .series import LatticeSeries, PowerChain
+from .series import LatticeSeries
 
 _R1, _R2 = RHO.d1, RHO.d2  # rho in doubled coordinates
 
@@ -82,8 +82,8 @@ class MultiplicityFunction(NamedTuple):
         }
 
 
-_WEIGHT_POWERS = {
-    module: PowerChain(LatticeSeries({w: 1 for w in weights}))
+_WEIGHT_DIAGRAMS = {
+    module: LatticeSeries({w: 1 for w in weights})
     for module, weights in FUNDAMENTAL_WEIGHTS.items()
 }
 
@@ -91,7 +91,7 @@ _WEIGHT_POWERS = {
 @lru_cache(maxsize=None)
 def tensor_power_weights(module: str, p: int) -> LatticeSeries:
     """Weight diagram of the p-th tensor power: p-fold convolution."""
-    return _WEIGHT_POWERS[module][p]
+    return _WEIGHT_DIAGRAMS[module].power(p)
 
 
 def extract_multiplicities(diagram: LatticeSeries, module: str, p: int) -> MultiplicityFunction:
@@ -130,6 +130,8 @@ def recur_multiplicity(module: str, p_max: int):
     module: M(mu, 0) = det(w) if mu+rho is conjugate to rho, else 0.
     """
     shifts = [(z.d1, z.d2) for z in FUNDAMENTAL_WEIGHTS[module]]
+    if p_max < 0:
+        raise ValueError("negative power")
     out = [MultiplicityFunction(module, 0, {(0, 0): 1})]
     for p in range(1, p_max + 1):
         at = out[-1].at
@@ -194,6 +196,8 @@ def single_step_decompose(mu: Weight, module: str) -> dict:
 def iterate_single_step(module: str, p: int) -> MultiplicityFunction:
     """p-fold repetition of single_step_decompose starting from the trivial module."""
     shifts = _step_shifts(module)
+    if p < 0:
+        raise ValueError("negative power")
     acc = {(0, 0): 1}
     for _ in range(p):
         nxt = {}

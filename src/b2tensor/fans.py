@@ -33,24 +33,21 @@ from typing import Callable, NamedTuple
 
 from .engine import MultiplicityFunction, m_extended, tensor_power_weights
 from .lattice import FUNDAMENTAL, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
-from .series import LatticeSeries, PowerChain, denominator_product, singular_element
+from .series import LatticeSeries, denominator_product, singular_element
 
 
 # ---------------------------------------------------------------------------
 # fans
 
 
-_FAN_POWERS = PowerChain(denominator_product())
+_DENOMINATOR = denominator_product()
 
 
 def fan_power_direct(p: int) -> LatticeSeries:
-    """R^(p-1): the fan of the diagonal injection into p factors (p >= 1).
-
-    Built from R^(p-2), one multiplication by R per new p, and kept.
-    """
+    """R^(p-1): the fan of the diagonal injection into p factors (p >= 1), kept by R."""
     if p < 1:
         raise ValueError("fan needs p >= 1")
-    return _FAN_POWERS[p - 1]
+    return _DENOMINATOR.power(p - 1)
 
 
 def fan_with_zero(p: int) -> LatticeSeries:
@@ -179,20 +176,15 @@ def fan_line_structure(p: int):
 
 def singular_power_direct(module: str, p: int) -> LatticeSeries:
     """Direct singular element Phi = ch(L)^p * R = sum_mu m_mu Psi^(mu)."""
-    return tensor_power_weights(module, p) * denominator_product()
+    return tensor_power_weights(module, p) * _DENOMINATOR
 
 
-_PROJECTED_POWERS = {
-    module: PowerChain(singular_element(omega)) for module, omega in FUNDAMENTAL.items()
-}
+_SINGULAR_ELEMENTS = {module: singular_element(omega) for module, omega in FUNDAMENTAL.items()}
 
 
 def singular_power_projected(module: str, p: int) -> LatticeSeries:
-    """Projected power Pi = (Psi^omega)^p; the closed forms below evaluate this.
-
-    Built from the (p-1)-th power, one 8-term factor per new p, and kept.
-    """
-    return _PROJECTED_POWERS[module][p]
+    """Projected power Pi = (Psi^omega)^p, kept by Psi^omega; the closed forms below evaluate it."""
+    return _SINGULAR_ELEMENTS[module].power(p)
 
 
 def _vector_many(p: int, points, tb) -> list:
@@ -412,6 +404,8 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
     The zero point's coefficient -1 is what makes the step well posed.
     """
     l1, l2 = power_highest_weight(module, p)
+    if p < 0:
+        raise ValueError("negative power")
     if p == 0:
         return MultiplicityFunction(module, 0, {(0, 0): 1})
     # gamma_p(g) = -R^(p-1)(-g): read the fan at negated points, no reflected copy

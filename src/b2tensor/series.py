@@ -31,7 +31,9 @@ from .lattice import (
 class LatticeSeries:
     """Immutable sparse map Weight -> nonzero integer coefficient."""
 
-    __slots__ = ("_terms",)
+    # _powers is set by the first power() call and read with a default, so
+    # the constructors never touch it
+    __slots__ = ("_terms", "_powers")
 
     def __init__(self, terms=None):
         clean = {}
@@ -113,16 +115,24 @@ class LatticeSeries:
         return LatticeSeries._from_tuples({k: c for k, c in out.items() if c})
 
     def power(self, n: int) -> "LatticeSeries":
+        """self^n, built once and kept.
+
+        A series keeps every power it has been raised to for as long as it
+        lives. A new power is filled bottom-up by a loop from the highest one
+        held, one multiplication by self per new power, so a large power
+        takes no recursion. Repeated multiplication, not squaring: every
+        caller raises a small factor (a fundamental weight diagram, an
+        8-term singular element or R), and n passes of a large operand
+        against a few terms cost far less than squaring it.
+        """
         if n < 0:
             raise ValueError("negative power")
-        # Repeated multiplication by the base, not binary exponentiation: every
-        # caller raises a small factor (an 8-term singular element or R), and
-        # squaring a large sparse operand costs far more than n passes of it
-        # against 8 terms.
-        acc = LatticeSeries.unit()
-        for _ in range(n):
-            acc = acc * self
-        return acc
+        powers = getattr(self, "_powers", None)
+        if powers is None:
+            powers = self._powers = [LatticeSeries.unit()]
+        while len(powers) <= n:
+            powers.append(powers[-1] * self)
+        return powers[n]
 
     def reflect(self) -> "LatticeSeries":
         """Image under the full reflection w -> -w."""
@@ -220,30 +230,6 @@ def _box(terms: dict):
 
 def _on_even_coset(terms: dict, lo1: int, lo2: int) -> bool:
     return all(not ((d1 - lo1) | (d2 - lo2)) & 1 for d1, d2 in terms)
-
-
-class PowerChain:
-    """The powers factor^0, factor^1, ... of one series, each built once.
-
-    Indexing fills the chain bottom-up by a loop from its highest built
-    power, one multiplication by the factor per new power, so a large power
-    takes no recursion. Every chain raises a small factor, for which n passes
-    against its few terms cost far less than squaring a large operand.
-    """
-
-    __slots__ = ("_factor", "_powers")
-
-    def __init__(self, factor: LatticeSeries):
-        self._factor = factor
-        self._powers = [LatticeSeries.unit()]
-
-    def __getitem__(self, n: int) -> LatticeSeries:
-        if n < 0:
-            raise ValueError("negative power")
-        powers = self._powers
-        while len(powers) <= n:
-            powers.append(powers[-1] * self._factor)
-        return powers[n]
 
 
 def singular_element(lam: Weight) -> LatticeSeries:

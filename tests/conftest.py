@@ -1,14 +1,14 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers),
 the Fraction reference of the weight text, properties of a LatticeSeries read
-from its terms (its support among them), and a fresh CLI answer memo for every
-test."""
+from its terms (its support among them), the reference for its powers, and a
+fresh CLI answer memo for every test."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from b2tensor import WEYL_GROUP, Weight, cli
+from b2tensor import WEYL_GROUP, LatticeSeries, Weight, cli
 from b2tensor.fans import _support_halo
 
 
@@ -56,6 +56,14 @@ def halo_weights(series):
 def text_by_fractions(w: Weight) -> str:
     """Weight.text through Fraction: the reference for its doubled-integer path."""
     return f"{Fraction(w.d1, 2)},{Fraction(w.d2, 2)}"
+
+
+def repeated_product(base, n: int):
+    """base^n as n products by base from the unit: the reference for LatticeSeries.power."""
+    acc = LatticeSeries.unit()
+    for _ in range(n):
+        acc = acc * base
+    return acc
 
 
 def mass(series) -> int:

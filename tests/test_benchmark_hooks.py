@@ -42,7 +42,8 @@ def test_tracer_runs_the_cli(tmp_path, mode):
         assert got["counts"]["lattice.Weight.new"] > 0
         return
     names = {span[0] for span in got["spans"]}
-    assert {"cli.main", "series.mul", "fans.diff_report", "verify.four-routes-agree"} <= names
+    want = {"cli.main", "series.mul", "series.power", "fans.diff_report", "verify.four-routes-agree"}
+    assert want <= names
     assert not [n for n in names if n.startswith("verify.check_")]  # every check span renamed
     assert set(got["lru"]) == {"engine.tensor_power_weights"}
 

@@ -40,8 +40,7 @@ from b2tensor.fans import (
 )
 from b2tensor import diagram, engine, fans, verify
 from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
-from b2tensor.series import PowerChain
-from conftest import halo_weights, mass, support, support_bounds, weights
+from conftest import halo_weights, mass, repeated_product, support, support_bounds, weights
 
 
 def test_pairwise_fan_has_seven_signed_shifts():
@@ -62,7 +61,7 @@ def test_pairwise_fan_has_seven_signed_shifts():
 
 def test_fan_is_reflected_denominator_power():
     for p in (1, 2, 3, 4):
-        assert fan_power_direct(p) == denominator_product().power(p - 1)
+        assert fan_power_direct(p) == repeated_product(denominator_product(), p - 1)
         assert fan_with_zero(p) == fan_power_direct(p).reflect().scale(-1)
 
 
@@ -370,10 +369,11 @@ def test_batch_closed_forms_cover_the_support():
 @pytest.mark.parametrize("module", ["vector", "spinor"])
 def test_incremental_chains_equal_repeated_power(module):
     omega = Weight.make(1, 0) if module == "vector" else Weight.make(Fraction(1, 2), Fraction(1, 2))
+    psi, r = singular_element(omega), denominator_product()
     for p in range(13):
-        assert singular_power_projected(module, p) == singular_element(omega).power(p), p
+        assert singular_power_projected(module, p) == repeated_product(psi, p), p
     for p in range(1, 13):
-        assert fan_power_direct(p) == denominator_product().power(p - 1), p
+        assert fan_power_direct(p) == repeated_product(r, p - 1), p
 
 
 # every route that takes a module, at p = 2
@@ -401,6 +401,27 @@ def test_a_module_is_named_by_its_name_only(route, module):
         ROUTES_BY_MODULE[route](module)
 
 
+# the four routes and the three powered families, each at (module, p)
+ROUTES_BY_POWER = {
+    "decomposition": decomposition,
+    "recur_multiplicity": engine.recur_multiplicity,
+    "iterate_single_step": engine.iterate_single_step,
+    "fan_recursion_solve": fan_recursion_solve,
+    "tensor_power_weights": engine.tensor_power_weights,
+    "singular_power_direct": singular_power_direct,
+    "singular_power_projected": singular_power_projected,
+}
+
+
+@pytest.mark.parametrize("module", ["vector", "spinor"])
+@pytest.mark.parametrize("route", sorted(ROUTES_BY_POWER))
+def test_a_negative_power_is_an_error(route, module):
+    with pytest.raises(ValueError, match="negative power"):
+        ROUTES_BY_POWER[route](module, -1)
+    with pytest.raises(KeyError):
+        ROUTES_BY_POWER[route]("adjoint", -1)
+
+
 @pytest.mark.parametrize("module,powers", [("vector", range(11, 15)), ("spinor", range(11, 17))])
 def test_bounded_fan_solve_beyond_verify_range(module, powers):
     # past verify's default pmax, where the g1 cut-off skips the most shifts
@@ -420,14 +441,14 @@ def test_chains_fill_bottom_up_without_recursion(monkeypatch):
     # recursed once per p would need at least 30
     monkeypatch.setattr(
         engine,
-        "_WEIGHT_POWERS",
-        {mod: PowerChain(LatticeSeries({w: 1 for w in ws})) for mod, ws in FUNDAMENTAL_WEIGHTS.items()},
+        "_WEIGHT_DIAGRAMS",
+        {mod: LatticeSeries({w: 1 for w in ws}) for mod, ws in FUNDAMENTAL_WEIGHTS.items()},
     )
-    monkeypatch.setattr(fans, "_FAN_POWERS", PowerChain(denominator_product()))
+    monkeypatch.setattr(fans, "_DENOMINATOR", denominator_product())
     monkeypatch.setattr(
         fans,
-        "_PROJECTED_POWERS",
-        {"vector": PowerChain(singular_element(OMEGA1)), "spinor": PowerChain(singular_element(OMEGA2))},
+        "_SINGULAR_ELEMENTS",
+        {"vector": singular_element(OMEGA1), "spinor": singular_element(OMEGA2)},
     )
     engine.tensor_power_weights.cache_clear()
     limit = sys.getrecursionlimit()
@@ -439,7 +460,7 @@ def test_chains_fill_bottom_up_without_recursion(monkeypatch):
     finally:
         sys.setrecursionlimit(limit)
     assert mass(weights30) == 5**30
-    assert fan30 == denominator_product().power(29)
+    assert fan30 == repeated_product(denominator_product(), 29)
     assert pi30.coeff(Weight(30, 30)) == 1
 
 

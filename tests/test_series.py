@@ -20,7 +20,7 @@ from b2tensor import (
     weight_multiplicities,
 )
 from b2tensor.series import is_product
-from conftest import dominant_weights, is_weyl_invariant, mass, support, weights
+from conftest import dominant_weights, is_weyl_invariant, mass, repeated_product, support, weights
 
 
 def small_series():
@@ -50,13 +50,31 @@ def test_unit_and_zero(a):
     assert not LatticeSeries()
 
 
-@given(small_series(), st.integers(0, 4))
-@settings(max_examples=30)
-def test_power_is_repeated_product(a, n):
-    prod = LatticeSeries.unit(Weight(0, 0))
-    for _ in range(n):
-        prod = prod * a
-    assert a.power(n) == prod
+@given(small_series(), st.lists(st.integers(0, 5), min_size=1, max_size=6))
+@settings(max_examples=40)
+def test_power_is_repeated_product(a, ns):
+    # a fresh base asked for its powers in any order: each is built once and kept
+    for n in ns:
+        assert a.power(n) == repeated_product(a, n)
+        assert a.power(n) is a.power(n)
+
+
+POWER_BASES = {
+    "init": lambda: LatticeSeries({Weight(2, 0): 1, Weight(0, 0): -1}),
+    "mul": lambda: singular_element(OMEGA1) * singular_element(OMEGA2),
+    "from_tuples": lambda: LatticeSeries._from_tuples({(2, 0): 1, (1, 1): 3}),
+    "empty": LatticeSeries,
+}
+
+
+@pytest.mark.parametrize("built", sorted(POWER_BASES))
+def test_power_on_every_constructor(built):
+    base = POWER_BASES[built]()
+    for n in (3, 0, 4):
+        assert base.power(n) == repeated_product(base, n)
+    assert base.power(0) == LatticeSeries.unit()
+    with pytest.raises(ValueError, match="negative power"):
+        base.power(-1)
 
 
 def plain_convolution(a: dict, b: dict) -> dict:

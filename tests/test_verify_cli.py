@@ -1,6 +1,9 @@
 """Verification suites, CLI surface, cache, diagram export."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -409,6 +412,20 @@ def test_cli_decompose_with_cache(tmp_path, capsys):
     assert (tmp_path / "decompose-vector-5.json").is_file()
     code, out2, _ = run_cli(capsys, *argv)
     assert code == 0 and out1 == out2
+
+
+@pytest.mark.parametrize("command", ["decompose", "singular"])
+def test_cli_unusable_cache_path_is_an_error(tmp_path, command):
+    # a directory below a regular file cannot be made: one error line, no traceback
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    argv = [sys.executable, "-m", "b2tensor", command, "--module", "vector", "--power", "2"]
+    argv += ["--cache", str(blocker / "sub")]
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parent.parent / "src"))
+    child = subprocess.run(argv, capture_output=True, text=True, timeout=120, env=env)
+    assert (child.returncode, child.stdout) == (1, "")
+    assert child.stderr.startswith("error: ")
+    assert "Traceback" not in child.stderr
 
 
 def test_cache_store_leaves_no_temporary_files(tmp_path):
