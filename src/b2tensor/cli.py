@@ -54,7 +54,9 @@ def _positive_int(text: str) -> int:
 # The one size option of each command, with its lowest and highest value.
 # Cost grows steeply with p, as the coefficients of the p-th power grow
 # exponentially; at the highest values one cold answer took at most about
-# 3 s on a 2-core Linux VM with Python 3.11. A fit samples p = 6..pmax+4 and
+# 2 s on a 2-core Linux VM with Python 3.11 (closed-form --kind spinor
+# --diff-printed at 30 1.8 s, verify at 22 1.6 s, fit at 150 1.1 s, every
+# other command 0.7 s or less). A fit samples p = 6..pmax+4 and
 # needs 3 samples to certify even a constant, so pmax 4 is the first with a
 # window; verify's diagonal-families-s4-6 and diagonal-polynomial-fits need
 # the same window and report spurious failures below it.

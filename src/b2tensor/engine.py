@@ -28,7 +28,7 @@ from .lattice import (
     power_highest_weight,
     reflect_to_chamber,
 )
-from .series import LatticeSeries
+from .series import ChamberChain, LatticeSeries
 
 _R1, _R2 = RHO.d1, RHO.d2  # rho in doubled coordinates
 
@@ -82,34 +82,45 @@ class MultiplicityFunction(NamedTuple):
         }
 
 
-_WEIGHT_DIAGRAMS = {
-    module: LatticeSeries({w: 1 for w in weights})
+# the powers ch^p of each module's weight diagram, kept on the closed chamber
+_DIAGRAMS = {
+    module: ChamberChain(LatticeSeries({w: 1 for w in weights}), signed=False, shift=0)
     for module, weights in FUNDAMENTAL_WEIGHTS.items()
 }
 
 
 @lru_cache(maxsize=None)
 def tensor_power_weights(module: str, p: int) -> LatticeSeries:
-    """Weight diagram of the p-th tensor power: p-fold convolution."""
-    return _WEIGHT_DIAGRAMS[module].power(p)
+    """Weight diagram of the p-th tensor power, unfolded from its chamber."""
+    return _DIAGRAMS[module].unfold(p)
 
 
-def extract_multiplicities(diagram: LatticeSeries, module: str, p: int) -> MultiplicityFunction:
+# (rho - w rho, det w) for each w in W, doubled: the oracle's eight shifts
+_RHO_SHIFTS = tuple((_R1 - a, _R2 - b, w.det) for w in WEYL_GROUP for a, b in [w.act(_R1, _R2)])
+
+
+def extract_multiplicities(chamber, module: str, p: int) -> MultiplicityFunction:
     """Invert ch = sum m_mu ch(mu) on a Weyl-invariant diagram.
 
-    m_mu = sum_w det(w) * diagram(w(mu+rho) - rho); valid whenever the input
-    is an actual character. A negative result is a hard error by design.
-    module and p only label the record.
+    chamber maps the dominant (d1, d2) of the diagram to their nonzero
+    values; a point off the chamber is read at its absolute coordinates,
+    sorted, as the diagram is invariant. m_mu = sum_w det(w) *
+    diagram(w(mu+rho) - rho); valid whenever the input is an actual
+    character. A negative result is a hard error by design. module and p
+    only label the record.
+
+    By invariance diagram(w(mu+rho) - rho) = diagram(mu + rho - w^-1 rho),
+    and det(w^-1) = det(w), so each mu reads the diagram at mu shifted by
+    the eight fixed rho - w rho.
     """
-    terms = diagram.by_tuple()
-    get = terms.get
+    get = chamber.get
     mult = {}
     # every candidate highest weight shows up in the diagram itself
-    for d1, d2 in sorted(k for k in terms if k[0] >= k[1] >= 0):
+    for d1, d2 in sorted(chamber):
         m = 0
-        for w in WEYL_GROUP:
-            a, b = w.act(d1 + _R1, d2 + _R2)
-            m += w.det * get((a - _R1, b - _R2), 0)
+        for s1, s2, det in _RHO_SHIFTS:
+            a, b = abs(d1 + s1), abs(d2 + s2)
+            m += det * get((a, b) if a >= b else (b, a), 0)
         if m < 0:
             raise NegativeMultiplicityError(f"m({Weight(d1, d2).text()}) = {m}")
         if m:
@@ -119,7 +130,7 @@ def extract_multiplicities(diagram: LatticeSeries, module: str, p: int) -> Multi
 
 def decomposition(module: str, p: int) -> MultiplicityFunction:
     """Oracle decomposition of the p-th tensor power, a new record per call."""
-    return extract_multiplicities(tensor_power_weights(module, p), module, p)
+    return extract_multiplicities(_DIAGRAMS[module].chamber(p), module, p)
 
 
 def recur_multiplicity(module: str, p_max: int):
@@ -146,14 +157,25 @@ def recur_multiplicity(module: str, p_max: int):
     return out
 
 
-@lru_cache(maxsize=None)
+# Bound of the oracle records kept for m_extended. Measured: verify --pmax 10
+# fills 27 (p <= 14 of both modules), verify at its limit pmax 22 fills 51,
+# and 300 query-mix rounds fill 24, so no workload evicts; only a long-lived
+# process asking for ever more (module, p) pairs does.
+ORACLE_ENTRIES = 64
+
+
+@lru_cache(maxsize=ORACLE_ENTRIES)
 def _oracle_function(module: str, p: int) -> MultiplicityFunction:
     return decomposition(module, p)
 
 
 def m_extended(module: str, p: int, mu: Weight) -> int:
     """M(mu, p) anywhere on the lattice, from the oracle decomposition."""
-    if module in FUNDAMENTAL and reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
+    if module not in FUNDAMENTAL:
+        raise KeyError(module)
+    if p < 0:
+        raise ValueError("negative power")
+    if reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
         return 0  # mu + rho on a wall: no decomposition needed
     return _oracle_function(module, p)(mu)
 

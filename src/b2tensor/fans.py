@@ -33,7 +33,7 @@ from typing import Callable, NamedTuple
 
 from .engine import MultiplicityFunction, m_extended, tensor_power_weights
 from .lattice import FUNDAMENTAL, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
-from .series import LatticeSeries, denominator_product, singular_element
+from .series import ChamberChain, LatticeSeries, denominator_product, singular_element
 
 
 # ---------------------------------------------------------------------------
@@ -41,13 +41,20 @@ from .series import LatticeSeries, denominator_product, singular_element
 
 
 _DENOMINATOR = denominator_product()
+# the powers of R, kept on the closed chamber: e^rho R = Delta is anti-invariant
+_FAN = ChamberChain(_DENOMINATOR, signed=True, shift=1)
+
+
+def _fan_power(p: int) -> int:
+    # the exponent p - 1 of the fan of p factors
+    if p < 1:
+        raise ValueError("fan needs p >= 1")
+    return p - 1
 
 
 def fan_power_direct(p: int) -> LatticeSeries:
-    """R^(p-1): the fan of the diagonal injection into p factors (p >= 1), kept by R."""
-    if p < 1:
-        raise ValueError("fan needs p >= 1")
-    return _DENOMINATOR.power(p - 1)
+    """R^(p-1): the fan of the diagonal injection into p factors (p >= 1), a new series per call."""
+    return _FAN.unfold(_fan_power(p))
 
 
 def fan_with_zero(p: int) -> LatticeSeries:
@@ -159,15 +166,9 @@ def fan_line_structure(p: int):
     are (-1)^t C(p-1,t), so the t=p entry is 0; the published structure claim
     expects p+1 nonzero line points weighted by C(p,t) instead.
     """
-    fan = fan_power_direct(p)
-    corner = Weight(-6 * (p - 1), -2 * (p - 1))
-    step = Weight(2, -2)  # alpha1 doubled
-    out = []
-    pt = corner
-    for t in range(p + 1):
-        out.append((t, fan.coeff(pt)))
-        pt = pt + step
-    return out
+    n = _fan_power(p)
+    # from the corner (-6n, -2n) in steps of alpha1 = (2, -2) doubled
+    return [(t, _FAN.at(n, 2 * t - 6 * n, -2 * t - 2 * n)) for t in range(p + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +180,22 @@ def singular_power_direct(module: str, p: int) -> LatticeSeries:
     return tensor_power_weights(module, p) * _DENOMINATOR
 
 
-_SINGULAR_ELEMENTS = {module: singular_element(omega) for module, omega in FUNDAMENTAL.items()}
+# the powers of Psi^omega, kept on the closed chamber: e^rho Psi^omega =
+# A_(omega+rho) is anti-invariant
+_PROJECTED = {
+    module: ChamberChain(singular_element(omega), signed=True, shift=1)
+    for module, omega in FUNDAMENTAL.items()
+}
 
 
 def singular_power_projected(module: str, p: int) -> LatticeSeries:
-    """Projected power Pi = (Psi^omega)^p, kept by Psi^omega; the closed forms below evaluate it."""
-    return _SINGULAR_ELEMENTS[module].power(p)
+    """Projected power Pi = (Psi^omega)^p, a new series per call; the closed forms below evaluate it."""
+    return _PROJECTED[module].unfold(p)
+
+
+def projected_at(module: str, p: int, mu: Weight) -> int:
+    """Pi = (Psi^omega)^p at mu, read from its chamber without unfolding."""
+    return _PROJECTED[module].at(p, mu.d1, mu.d2)
 
 
 def _vector_many(p: int, points, tb) -> list:
@@ -413,8 +424,11 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
     if fan.get((0, 0)) != 1:
         raise RuntimeError("degenerate leading fan coefficient")
     shifts = sorted((-e1, -e2, -c) for (e1, e2), c in fan.items() if (e1, e2) != (0, 0))
-    source = singular_power_projected(module, p).by_tuple()
     r1, r2 = RHO.d1, RHO.d2
+    # Pi(nu) = A^p(nu + p*rho), and nu + p*rho is strictly dominant, so it
+    # is a key of the chamber itself
+    source = _PROJECTED[module].chamber(p)
+    s1, s2 = p * r1, p * r2
 
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
     for nu in reversed(dominated(l1, l2)):
@@ -425,7 +439,7 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
         # rep[0] = a - r1 >= nu[0] + g1 > l1, and that shift and every later
         # one would fail the rep[0] > l1 test below anyway.
         last = l1 - nu[0]
-        val = source.get(nu, 0)
+        val = source.get((nu[0] + s1, nu[1] + s2), 0)
         for g1, g2, c in shifts:
             if g1 > last:
                 break
@@ -462,6 +476,6 @@ def fan_step_audit(module: str, p: int, nu: Weight) -> dict:
         contrib = c * m_extended(module, p, nu + g)
         if contrib:
             lines[g.d1 // 2] = lines.get(g.d1 // 2, 0) + contrib
-    singular = singular_power_projected(module, p).coeff(nu)
+    singular = projected_at(module, p, nu)
     total = sum(lines.values()) + singular
     return {"lines": sorted(lines.items()), "singular": singular, "total": total}

@@ -31,9 +31,7 @@ from .lattice import (
 class LatticeSeries:
     """Immutable sparse map Weight -> nonzero integer coefficient."""
 
-    # _powers is set by the first power() call and read with a default, so
-    # the constructors never touch it
-    __slots__ = ("_terms", "_powers")
+    __slots__ = ("_terms",)
 
     def __init__(self, terms=None):
         clean = {}
@@ -115,24 +113,17 @@ class LatticeSeries:
         return LatticeSeries._from_tuples({k: c for k, c in out.items() if c})
 
     def power(self, n: int) -> "LatticeSeries":
-        """self^n, built once and kept.
+        """self^n by n multiplications from the unit; nothing is kept.
 
-        A series keeps every power it has been raised to for as long as it
-        lives. A new power is filled bottom-up by a loop from the highest one
-        held, one multiplication by self per new power, so a large power
-        takes no recursion. Repeated multiplication, not squaring: every
-        caller raises a small factor (a fundamental weight diagram, an
-        8-term singular element or R), and n passes of a large operand
-        against a few terms cost far less than squaring it.
+        The library's power chains are ChamberChains; this plain product
+        stays under its name because benchmark/tracing.py wraps it.
         """
         if n < 0:
             raise ValueError("negative power")
-        powers = getattr(self, "_powers", None)
-        if powers is None:
-            powers = self._powers = [LatticeSeries.unit()]
-        while len(powers) <= n:
-            powers.append(powers[-1] * self)
-        return powers[n]
+        acc = LatticeSeries.unit()
+        for _ in range(n):
+            acc = acc * self
+        return acc
 
     def reflect(self) -> "LatticeSeries":
         """Image under the full reflection w -> -w."""
@@ -252,6 +243,136 @@ def denominator_product() -> LatticeSeries:
     for alpha in POSITIVE_ROOTS:
         acc = acc * (LatticeSeries.unit() - LatticeSeries.unit(-alpha))
     return acc
+
+
+def _chamber_read(chamber, flip: int, d1: int, d2: int) -> int:
+    """A W-symmetric function at (d1, d2), read from its closed-chamber dict.
+
+    The point is taken to (|d1|, |d2|) sorted, and each of the (up to three)
+    reflections on the way multiplies the value by flip: 1 for an invariant
+    function, so the read is by abs and sort only, and -1, the determinant,
+    for an anti-invariant one. An anti-invariant function is 0 on the walls,
+    where its chamber dict holds no key.
+    """
+    sign = 1
+    if d1 < 0:
+        d1, sign = -d1, flip
+    if d2 < 0:
+        d2, sign = -d2, sign * flip
+    if d1 < d2:
+        d1, d2, sign = d2, d1, sign * flip
+    return sign * chamber.get((d1, d2), 0)
+
+
+class ChamberChain:
+    """The powers F^n of one factor F, each kept by its closed-chamber values.
+
+    With s the shift, G = e^(s*rho) F must be W-invariant (signed False) or
+    W-anti-invariant (signed True). The weight diagram ch is invariant with
+    s = 0; e^rho R = Delta and e^rho Psi^omega = A_(omega+rho) are
+    anti-invariant with s = 1. Then G^n is invariant, except that it is
+    anti-invariant when G is and n is odd, so one point in eight determines
+    it. Power n is held as the dict of the nonzero values of G^n on the
+    closed chamber d1 >= d2 >= 0, and F^n(x) = G^n(x + n*s*rho).
+
+    An invariant power is read at (|d1|, |d2|) sorted; an anti-invariant one
+    takes the determinant of the reflection into the chamber and is 0 on the
+    walls.
+
+    Step: G^n(y) = sum of c_a G^(n-1)(y - a) over the terms c_a e^a of G,
+    computed only at the candidates y = rep(x + a), for x a key of the
+    chamber dict of G^(n-1) and a in the support of G, rep being the sorted
+    absolute values. No other chamber point can be nonzero: if G^n(y) != 0
+    for a dominant y, then y - a = w x for some term a, some w in W and some
+    key x, as the support of G^(n-1) is the W-orbit of its keys. So
+    w^-1 y = x + w^-1 a, where w^-1 a lies in the support of G again because
+    that support is W-stable, and y = rep(w^-1 y).
+
+    Powers are filled bottom-up by a loop from the highest one held, so a
+    large power takes no recursion, and the chain keeps every power it has
+    built for as long as it lives. Only unfold builds a full series, and it
+    keeps none.
+    """
+
+    __slots__ = ("_terms", "_signed", "_shift", "_chambers")
+
+    def __init__(self, factor: LatticeSeries, signed: bool, shift: int):
+        s1, s2 = shift * RHO.d1, shift * RHO.d2
+        g = {(d1 + s1, d2 + s2): c for (d1, d2), c in factor.by_tuple().items()}
+        for w in WEYL_GROUP:
+            sign = w.det if signed else 1
+            if any(g.get(w.act(*x), 0) != sign * c for x, c in g.items()):
+                raise ValueError(f"{factor} shifted by {shift}*rho is not Weyl-symmetric")
+        self._terms = tuple((a1, a2, c) for (a1, a2), c in g.items())
+        self._signed = signed
+        self._shift = shift
+        self._chambers = [{(0, 0): 1}]
+
+    def _flip(self, n: int) -> int:
+        # the sign a reflection puts on G^n: -1 when G^n is anti-invariant
+        return -1 if self._signed and n % 2 else 1
+
+    def chamber(self, n: int) -> MappingProxyType:
+        """Read-only view of G^n on the closed chamber: (d1, d2) -> nonzero value."""
+        if n < 0:
+            raise ValueError("negative power")
+        chambers, terms = self._chambers, self._terms
+        while len(chambers) <= n:
+            prev = chambers[-1]
+            flip = self._flip(len(chambers) - 1)
+            walls_vanish = self._flip(len(chambers)) == -1
+            xs1, xs2 = [x1 for x1, _ in prev], [x2 for _, x2 in prev]
+            shifted = set()
+            for a1, a2, _ in terms:
+                shifted.update(zip(map(a1.__add__, xs1), map(a2.__add__, xs2)))
+            candidates = set()
+            for y1, y2 in shifted:
+                y1, y2 = abs(y1), abs(y2)
+                candidates.add((y1, y2) if y1 >= y2 else (y2, y1))
+            get = prev.get
+            nxt = {}
+            for y1, y2 in candidates:
+                if walls_vanish and (y2 == 0 or y1 == y2):
+                    continue
+                v = 0
+                for a1, a2, c in terms:
+                    # _chamber_read(prev, flip, y1 - a1, y2 - a2), inlined
+                    z1, z2 = y1 - a1, y2 - a2
+                    if z1 < 0:
+                        z1, c = -z1, flip * c
+                    if z2 < 0:
+                        z2, c = -z2, flip * c
+                    if z1 < z2:
+                        z1, z2, c = z2, z1, flip * c
+                    v += c * get((z1, z2), 0)
+                if v:
+                    nxt[y1, y2] = v
+            chambers.append(nxt)
+        return MappingProxyType(chambers[n])
+
+    def at(self, n: int, d1: int, d2: int) -> int:
+        """F^n at the doubled point (d1, d2), without unfolding."""
+        s = n * self._shift
+        return _chamber_read(self.chamber(n), self._flip(n), d1 + s * RHO.d1, d2 + s * RHO.d2)
+
+    def unfold(self, n: int) -> LatticeSeries:
+        """F^n as a full series, a new one per call."""
+        s = n * self._shift
+        s1, s2 = s * RHO.d1, s * RHO.d2
+        flip = self._flip(n)
+        out = {}
+        for (a, b), v in self.chamber(n).items():
+            # the eight images w(a, b), the value times det(w) when anti-invariant
+            u = flip * v
+            out[a - s1, b - s2] = v
+            out[-a - s1, -b - s2] = v
+            out[-b - s1, a - s2] = v
+            out[b - s1, -a - s2] = v
+            out[-a - s1, b - s2] = u
+            out[a - s1, -b - s2] = u
+            out[b - s1, a - s2] = u
+            out[-b - s1, -a - s2] = u
+        return LatticeSeries._from_tuples(out)
 
 
 # Height of a doubled point for the Freudenthal walk: f(d1, d2) = 3*d1 + d2

@@ -37,6 +37,7 @@ from .fans import (
     fan_recursion_solve,
     fan_step_audit,
     fan_with_zero,
+    projected_at,
     singular_power_direct,
     singular_power_projected,
 )
@@ -370,10 +371,11 @@ def check_fan_identity(pmax: int) -> CheckResult:
     name = "fan-identity"
     bound = max(1, pmax - 2)
     n = 0
-    for mod in ("vector", "spinor"):
-        for p in range(1, bound + 1):
+    for p in range(1, bound + 1):
+        fan = fan_power_direct(p)  # unfolded once for both modules
+        for mod in ("vector", "spinor"):
             pi = singular_power_projected(mod, p)
-            if not is_product(pi, fan_power_direct(p), singular_power_direct(mod, p)):
+            if not is_product(pi, fan, singular_power_direct(mod, p)):
                 return _fail(name, f"module={mod} p={p}")
             n += len(pi)
     fan = fan_with_zero(3).by_tuple()
@@ -403,7 +405,7 @@ def check_singular_contribution(pmax: int) -> CheckResult:
     name = "singular-contribution"
     bound = max(2, pmax - 2)
     for p in range(2, bound + 1):
-        if singular_power_projected("vector", p).coeff(Weight.make(p - 2, 1)) != p * (p - 1):
+        if projected_at("vector", p, Weight.make(p - 2, 1)) != p * (p - 1):
             return _fail(name, f"Pi(p-2,1) at p={p}")
     frozen = {
         5: {"lines": [(0, 20), (1, -48), (2, 14)], "singular": 20, "total": 6},

@@ -40,6 +40,7 @@ from b2tensor.fans import (
 )
 from b2tensor import diagram, engine, fans, verify
 from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
+from b2tensor.series import ChamberChain
 from conftest import halo_weights, mass, repeated_product, support, support_bounds, weights
 
 
@@ -401,7 +402,7 @@ def test_a_module_is_named_by_its_name_only(route, module):
         ROUTES_BY_MODULE[route](module)
 
 
-# the four routes and the three powered families, each at (module, p)
+# the four routes, the three powered families and m_extended, each at (module, p)
 ROUTES_BY_POWER = {
     "decomposition": decomposition,
     "recur_multiplicity": engine.recur_multiplicity,
@@ -410,6 +411,8 @@ ROUTES_BY_POWER = {
     "tensor_power_weights": engine.tensor_power_weights,
     "singular_power_direct": singular_power_direct,
     "singular_power_projected": singular_power_projected,
+    "m_extended off a wall": lambda mod, p: engine.m_extended(mod, p, Weight(2, 0)),
+    "m_extended on a wall": lambda mod, p: engine.m_extended(mod, p, Weight(-3, -1)),
 }
 
 
@@ -439,16 +442,14 @@ def _stack_depth() -> int:
 def test_chains_fill_bottom_up_without_recursion(monkeypatch):
     # each chain from empty to p = 30 with only 20 frames to spare: a chain that
     # recursed once per p would need at least 30
+    diagrams = {mod: LatticeSeries({w: 1 for w in ws}) for mod, ws in FUNDAMENTAL_WEIGHTS.items()}
+    singular = {"vector": singular_element(OMEGA1), "spinor": singular_element(OMEGA2)}
     monkeypatch.setattr(
-        engine,
-        "_WEIGHT_DIAGRAMS",
-        {mod: LatticeSeries({w: 1 for w in ws}) for mod, ws in FUNDAMENTAL_WEIGHTS.items()},
+        engine, "_DIAGRAMS", {mod: ChamberChain(d, False, 0) for mod, d in diagrams.items()}
     )
-    monkeypatch.setattr(fans, "_DENOMINATOR", denominator_product())
+    monkeypatch.setattr(fans, "_FAN", ChamberChain(denominator_product(), True, 1))
     monkeypatch.setattr(
-        fans,
-        "_SINGULAR_ELEMENTS",
-        {"vector": singular_element(OMEGA1), "spinor": singular_element(OMEGA2)},
+        fans, "_PROJECTED", {mod: ChamberChain(psi, True, 1) for mod, psi in singular.items()}
     )
     engine.tensor_power_weights.cache_clear()
     limit = sys.getrecursionlimit()

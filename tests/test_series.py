@@ -1,6 +1,7 @@
 """Formal series layer: convolution ring, singular elements, characters."""
 
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import example, given, settings
@@ -19,7 +20,8 @@ from b2tensor import (
     singular_element,
     weight_multiplicities,
 )
-from b2tensor.series import is_product
+from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
+from b2tensor.series import ChamberChain, is_product
 from conftest import dominant_weights, is_weyl_invariant, mass, repeated_product, support, weights
 
 
@@ -53,10 +55,8 @@ def test_unit_and_zero(a):
 @given(small_series(), st.lists(st.integers(0, 5), min_size=1, max_size=6))
 @settings(max_examples=40)
 def test_power_is_repeated_product(a, ns):
-    # a fresh base asked for its powers in any order: each is built once and kept
     for n in ns:
         assert a.power(n) == repeated_product(a, n)
-        assert a.power(n) is a.power(n)
 
 
 POWER_BASES = {
@@ -75,6 +75,72 @@ def test_power_on_every_constructor(built):
     assert base.power(0) == LatticeSeries.unit()
     with pytest.raises(ValueError, match="negative power"):
         base.power(-1)
+
+
+# the library's five chains: (factor, signed, shift)
+CHAIN_FACTORS = {
+    "ch vector": (LatticeSeries({w: 1 for w in FUNDAMENTAL_WEIGHTS["vector"]}), False, 0),
+    "ch spinor": (LatticeSeries({w: 1 for w in FUNDAMENTAL_WEIGHTS["spinor"]}), False, 0),
+    "R": (denominator_product(), True, 1),
+    "Pi vector": (singular_element(OMEGA1), True, 1),
+    "Pi spinor": (singular_element(OMEGA2), True, 1),
+}
+SIGNED_CHAINS = sorted(name for name, (_, signed, _) in CHAIN_FACTORS.items() if signed)
+
+
+def fresh_chain(name: str) -> ChamberChain:
+    return ChamberChain(*CHAIN_FACTORS[name])
+
+
+@lru_cache(maxsize=None)
+def reference_power(name: str, n: int) -> LatticeSeries:
+    return repeated_product(CHAIN_FACTORS[name][0], n)
+
+
+def on_a_wall(d1: int, d2: int) -> bool:
+    return d1 == 0 or d2 == 0 or abs(d1) == abs(d2)
+
+
+@given(st.sampled_from(sorted(CHAIN_FACTORS)), st.lists(st.integers(0, 14), min_size=1, max_size=6))
+@settings(max_examples=40, deadline=None)
+def test_unfolded_chains_are_repeated_products(name, ns):
+    # a fresh chain asked for its powers in any order
+    chain = fresh_chain(name)
+    for n in ns:
+        assert chain.unfold(n) == reference_power(name, n), n
+
+
+@pytest.mark.parametrize("name", SIGNED_CHAINS)
+def test_odd_powers_of_signed_chains_vanish_on_the_walls(name):
+    # e^(n rho) F^n is anti-invariant for odd n: 0 wherever a reflection fixes the point
+    chain = fresh_chain(name)
+    for n in range(8):
+        shifted = [(d1 + 3 * n, d2 + n) for d1, d2 in reference_power(name, n).by_tuple()]
+        if n % 2:
+            assert not [x for x in shifted if on_a_wall(*x)]
+            assert not [x for x in chain.chamber(n) if on_a_wall(*x)]
+            walls = [(d, d) for d in range(-41, 42)] + [(d, -d) for d in range(-41, 42)]
+            walls += [(0, d) for d in range(-40, 41, 2)] + [(d, 0) for d in range(-40, 41, 2)]
+            assert {chain.at(n, x - 3 * n, y - n) for x, y in walls} == {0}
+        elif n:
+            assert [x for x in shifted if on_a_wall(*x)]  # an even power is not anti-invariant
+
+
+@given(st.sampled_from(sorted(CHAIN_FACTORS)), st.integers(0, 14), weights(span=41))
+@settings(max_examples=200, deadline=None)
+def test_point_read_equals_the_unfolded_power(name, n, w):
+    # out to doubled +-41, well past the support of every power read here
+    chain = fresh_chain(name)
+    assert chain.at(n, w.d1, w.d2) == chain.unfold(n).coeff(w)
+
+
+def test_a_chain_factor_must_be_weyl_symmetric():
+    with pytest.raises(ValueError, match="not Weyl-symmetric"):
+        ChamberChain(denominator_product(), signed=False, shift=1)
+    with pytest.raises(ValueError, match="not Weyl-symmetric"):
+        ChamberChain(denominator_product(), signed=True, shift=0)
+    with pytest.raises(ValueError, match="negative power"):
+        fresh_chain("R").chamber(-1)
 
 
 def plain_convolution(a: dict, b: dict) -> dict:

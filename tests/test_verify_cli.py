@@ -16,6 +16,7 @@ from b2tensor import cli
 from b2tensor.cli import LIMITS, _diagonal_values, _parsers, build_parser, main
 from conftest import text_by_fractions
 from b2tensor.diagram import to_dot
+from b2tensor.series import ChamberChain
 from b2tensor.verify import SUITES, run_suite
 
 
@@ -264,9 +265,10 @@ def test_verify_all_pmax14_output_is_byte_identical_to_reference(capsys):
 ])
 def test_cli_power_limit_fails_before_computing(capsys, monkeypatch, command, extra):
     def no_products(*_):
-        raise AssertionError("a product was computed")
+        raise AssertionError("a product or a chain power was computed")
 
     monkeypatch.setattr(LatticeSeries, "__mul__", no_products)
+    monkeypatch.setattr(ChamberChain, "chamber", no_products)
     option, _, limit = LIMITS[command]
     assert option == "power"
     code, out, err = run_cli(capsys, command, *extra, "--power", str(limit + 1))
