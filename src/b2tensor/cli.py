@@ -21,11 +21,11 @@ from .diagram import to_dot
 from .engine import decomposition, m_extended, recur_multiplicity
 from .fans import (
     CLOSED_FORMS,
+    closed_form_window,
     diff_report,
     fan_with_zero,
     singular_power_direct,
     singular_power_projected,
-    _support_halo,
 )
 from .lattice import Weight, is_dominant
 from .series import series_json_obj
@@ -290,7 +290,7 @@ def _cmd_closed_form(args) -> Answer:
     if args.weight is not None:
         value = form.validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
         return Answer(0, _point(args, "kind", "coeff", value))
-    points = _support_halo(form.truth(args.power))
+    points, _ = closed_form_window(args.kind, args.power)
     payload = series_json_obj(zip(points, form.validated(args.power, points)))
     return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 

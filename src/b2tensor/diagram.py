@@ -8,7 +8,7 @@ so paths from the root count multiplicities.
 from __future__ import annotations
 
 from .engine import decomposition, single_step_decompose
-from .lattice import Weight
+from .lattice import FUNDAMENTAL, Weight
 
 
 def _node_id(p: int, w: Weight) -> str:
@@ -17,6 +17,10 @@ def _node_id(p: int, w: Weight) -> str:
 
 def to_dot(module: str, p_max: int) -> str:
     """DOT source for the growth diagram up to level p_max."""
+    if module not in FUNDAMENTAL:
+        raise KeyError(module)
+    if p_max < 0:
+        raise ValueError("negative power")
     lines = [
         f'digraph "{module}_powers" {{',
         "  rankdir=TB;",

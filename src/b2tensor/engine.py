@@ -2,7 +2,8 @@
 
 Three engines live here:
   * extract_multiplicities: the alternating-sum inversion of the character
-    formula applied to the p-fold convolved weight diagram (the oracle),
+    formula applied to the p-fold convolved weight diagram (the oracle);
+    m_extended reads the same sum at one weight,
   * recur_multiplicity: the module-weight-shift recursion in p,
   * single_step_decompose / iterate_single_step: reduce one tensor factor
     at a time.
@@ -17,7 +18,6 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .lattice import (
-    FUNDAMENTAL,
     FUNDAMENTAL_WEIGHTS,
     RHO,
     WEYL_GROUP,
@@ -84,12 +84,15 @@ class MultiplicityFunction(NamedTuple):
 
 # the powers ch^p of each module's weight diagram, kept on the closed chamber
 _DIAGRAMS = {
-    module: ChamberChain(LatticeSeries({w: 1 for w in weights}), signed=False, shift=0)
+    module: ChamberChain(LatticeSeries({w: 1 for w in weights}), signed=False)
     for module, weights in FUNDAMENTAL_WEIGHTS.items()
 }
 
 
-@lru_cache(maxsize=None)
+# Two diagrams: the one caller, singular_power_direct, asks for each (module, p)
+# about once (verify --pmax 10 hit 1 of 17 calls, p <= 40 of both modules none
+# of 82, and keeping all 82 raised that sweep's peak RSS from 17.2 to 25.5 MB).
+@lru_cache(maxsize=2)
 def tensor_power_weights(module: str, p: int) -> LatticeSeries:
     """Weight diagram of the p-th tensor power, unfolded from its chamber."""
     return _DIAGRAMS[module].unfold(p)
@@ -99,28 +102,32 @@ def tensor_power_weights(module: str, p: int) -> LatticeSeries:
 _RHO_SHIFTS = tuple((_R1 - a, _R2 - b, w.det) for w in WEYL_GROUP for a, b in [w.act(_R1, _R2)])
 
 
+def _alternating_sum(get, d1: int, d2: int) -> int:
+    """sum_w det(w) * diagram(w(mu+rho) - rho) at mu = (d1, d2), get reading the chamber.
+
+    By invariance the w term is diagram(mu + rho - w^-1 rho), read at its
+    sorted absolute coordinates, and det(w^-1) = det(w): eight fixed shifts.
+    """
+    m = 0
+    for s1, s2, det in _RHO_SHIFTS:
+        a, b = abs(d1 + s1), abs(d2 + s2)
+        m += det * get((a, b) if a >= b else (b, a), 0)
+    return m
+
+
 def extract_multiplicities(chamber, module: str, p: int) -> MultiplicityFunction:
     """Invert ch = sum m_mu ch(mu) on a Weyl-invariant diagram.
 
     chamber maps the dominant (d1, d2) of the diagram to their nonzero
-    values; a point off the chamber is read at its absolute coordinates,
-    sorted, as the diagram is invariant. m_mu = sum_w det(w) *
-    diagram(w(mu+rho) - rho); valid whenever the input is an actual
-    character. A negative result is a hard error by design. module and p
-    only label the record.
-
-    By invariance diagram(w(mu+rho) - rho) = diagram(mu + rho - w^-1 rho),
-    and det(w^-1) = det(w), so each mu reads the diagram at mu shifted by
-    the eight fixed rho - w rho.
+    values. m_mu is the alternating sum sum_w det(w) * diagram(w(mu+rho) -
+    rho), valid whenever the input is an actual character. A negative
+    result is a hard error by design. module and p only label the record.
     """
     get = chamber.get
     mult = {}
     # every candidate highest weight shows up in the diagram itself
     for d1, d2 in sorted(chamber):
-        m = 0
-        for s1, s2, det in _RHO_SHIFTS:
-            a, b = abs(d1 + s1), abs(d2 + s2)
-            m += det * get((a, b) if a >= b else (b, a), 0)
+        m = _alternating_sum(get, d1, d2)
         if m < 0:
             raise NegativeMultiplicityError(f"m({Weight(d1, d2).text()}) = {m}")
         if m:
@@ -157,27 +164,14 @@ def recur_multiplicity(module: str, p_max: int):
     return out
 
 
-# Bound of the oracle records kept for m_extended. Measured: verify --pmax 10
-# fills 27 (p <= 14 of both modules), verify at its limit pmax 22 fills 51,
-# and 300 query-mix rounds fill 24, so no workload evicts; only a long-lived
-# process asking for ever more (module, p) pairs does.
-ORACLE_ENTRIES = 64
-
-
-@lru_cache(maxsize=ORACLE_ENTRIES)
-def _oracle_function(module: str, p: int) -> MultiplicityFunction:
-    return decomposition(module, p)
-
-
 def m_extended(module: str, p: int, mu: Weight) -> int:
-    """M(mu, p) anywhere on the lattice, from the oracle decomposition."""
-    if module not in FUNDAMENTAL:
-        raise KeyError(module)
+    """M(mu, p) anywhere on the lattice: the alternating sum at mu, read from the ch^p chamber."""
+    chain = _DIAGRAMS[module]
     if p < 0:
         raise ValueError("negative power")
     if reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
-        return 0  # mu + rho on a wall: no decomposition needed
-    return _oracle_function(module, p)(mu)
+        return 0  # mu + rho on a wall: no power of the diagram needed
+    return _alternating_sum(chain.chamber(p).get, mu.d1, mu.d2)
 
 
 def _single_step(d1: int, d2: int, shifts) -> dict:

@@ -42,7 +42,7 @@ from .series import ChamberChain, LatticeSeries, denominator_product, singular_e
 
 _DENOMINATOR = denominator_product()
 # the powers of R, kept on the closed chamber: e^rho R = Delta is anti-invariant
-_FAN = ChamberChain(_DENOMINATOR, signed=True, shift=1)
+_FAN = ChamberChain(_DENOMINATOR, signed=True)
 
 
 def _fan_power(p: int) -> int:
@@ -183,7 +183,7 @@ def singular_power_direct(module: str, p: int) -> LatticeSeries:
 # the powers of Psi^omega, kept on the closed chamber: e^rho Psi^omega =
 # A_(omega+rho) is anti-invariant
 _PROJECTED = {
-    module: ChamberChain(singular_element(omega), signed=True, shift=1)
+    module: ChamberChain(singular_element(omega), signed=True)
     for module, omega in FUNDAMENTAL.items()
 }
 
@@ -376,14 +376,18 @@ def diff_report(kind: str, p: int) -> list:
         form = CLOSED_FORMS[kind]
     except KeyError:
         raise ValueError(f"unknown diff kind {kind!r}") from None
-    truth = form.truth(p)
-    direct = truth.by_tuple()
-    points = _support_halo(truth)
+    points, direct = closed_form_window(kind, p)
     return [
         {"point": Weight(*pt).text(), "printed": str(printed), "direct": str(direct.get(pt, 0))}
         for pt, printed in zip(points, form.printed(p, points))
         if printed != direct.get(pt, 0)
     ]
+
+
+def closed_form_window(kind: str, p: int) -> tuple:
+    """(points, truth terms) of kind at p; the points are the truth's support plus a halo of 2."""
+    truth = CLOSED_FORMS[kind].truth(p)
+    return _support_halo(truth), truth.by_tuple()
 
 
 def _support_halo(series: LatticeSeries, step: int = 2) -> list:

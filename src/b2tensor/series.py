@@ -267,13 +267,13 @@ def _chamber_read(chamber, flip: int, d1: int, d2: int) -> int:
 class ChamberChain:
     """The powers F^n of one factor F, each kept by its closed-chamber values.
 
-    With s the shift, G = e^(s*rho) F must be W-invariant (signed False) or
-    W-anti-invariant (signed True). The weight diagram ch is invariant with
-    s = 0; e^rho R = Delta and e^rho Psi^omega = A_(omega+rho) are
-    anti-invariant with s = 1. Then G^n is invariant, except that it is
+    Unsigned, G = F must be W-invariant, as the weight diagram ch is; signed,
+    G = e^rho F must be W-anti-invariant, as e^rho R = Delta and e^rho
+    Psi^omega = A_(omega+rho) are. Then G^n is invariant, except that it is
     anti-invariant when G is and n is odd, so one point in eight determines
     it. Power n is held as the dict of the nonzero values of G^n on the
-    closed chamber d1 >= d2 >= 0, and F^n(x) = G^n(x + n*s*rho).
+    closed chamber d1 >= d2 >= 0, and F^n(x) = G^n(x + n*s*rho) with s = 1
+    if signed, else 0.
 
     An invariant power is read at (|d1|, |d2|) sorted; an anti-invariant one
     takes the determinant of the reflection into the chamber and is 0 on the
@@ -294,18 +294,17 @@ class ChamberChain:
     keeps none.
     """
 
-    __slots__ = ("_terms", "_signed", "_shift", "_chambers")
+    __slots__ = ("_terms", "_signed", "_chambers")
 
-    def __init__(self, factor: LatticeSeries, signed: bool, shift: int):
-        s1, s2 = shift * RHO.d1, shift * RHO.d2
+    def __init__(self, factor: LatticeSeries, signed: bool):
+        s1, s2 = (RHO.d1, RHO.d2) if signed else (0, 0)
         g = {(d1 + s1, d2 + s2): c for (d1, d2), c in factor.by_tuple().items()}
         for w in WEYL_GROUP:
             sign = w.det if signed else 1
             if any(g.get(w.act(*x), 0) != sign * c for x, c in g.items()):
-                raise ValueError(f"{factor} shifted by {shift}*rho is not Weyl-symmetric")
+                raise ValueError(f"{factor} shifted by {int(signed)}*rho is not Weyl-symmetric")
         self._terms = tuple((a1, a2, c) for (a1, a2), c in g.items())
         self._signed = signed
-        self._shift = shift
         self._chambers = [{(0, 0): 1}]
 
     def _flip(self, n: int) -> int:
@@ -352,12 +351,12 @@ class ChamberChain:
 
     def at(self, n: int, d1: int, d2: int) -> int:
         """F^n at the doubled point (d1, d2), without unfolding."""
-        s = n * self._shift
+        s = n if self._signed else 0
         return _chamber_read(self.chamber(n), self._flip(n), d1 + s * RHO.d1, d2 + s * RHO.d2)
 
     def unfold(self, n: int) -> LatticeSeries:
         """F^n as a full series, a new one per call."""
-        s = n * self._shift
+        s = n if self._signed else 0
         s1, s2 = s * RHO.d1, s * RHO.d2
         flip = self._flip(n)
         out = {}

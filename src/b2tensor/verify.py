@@ -30,7 +30,7 @@ from .engine import (
 )
 from .fans import (
     CLOSED_FORMS,
-    _support_halo,
+    closed_form_window,
     diff_report,
     fan_line_structure,
     fan_power_direct,
@@ -288,14 +288,12 @@ def check_known_window(pmax: int) -> CheckResult:
 
 
 def _closed_form_sweep(kind: str, name: str, truth_name: str, pmax: int) -> CheckResult:
-    # the validated closed form of `kind` against its truth series, over support plus halo
+    # the validated closed form of `kind` against its truth series, over its window
     form = CLOSED_FORMS[kind]
     bound = max(1, pmax - 2)
     n = 0
     for p in range(1, bound + 1):
-        truth = form.truth(p)
-        want = truth.by_tuple()
-        points = _support_halo(truth)
+        points, want = closed_form_window(kind, p)
         for pt, got in zip(points, form.validated(p, points)):
             if got != want.get(pt, 0):
                 return _fail(name, f"p={p} point={Weight(*pt).text()}")
@@ -380,9 +378,7 @@ def check_fan_identity(pmax: int) -> CheckResult:
             n += len(pi)
     fan = fan_with_zero(3).by_tuple()
     phi = singular_power_direct("vector", 3).by_tuple()
-    pi = singular_power_projected("vector", 3)
-    source = pi.by_tuple()
-    window = _support_halo(pi)
+    window, source = closed_form_window("vector", 3)  # Pi_vector and its window
     for d1, d2 in window:
         total = source.get((d1, d2), 0) + sum(
             c * phi.get((d1 + g1, d2 + g2), 0) for (g1, g2), c in fan.items()

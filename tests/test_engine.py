@@ -135,10 +135,10 @@ def test_result_json_round_trip():
     assert [int(t["dim"]) for t in obj["terms"]] == [dim_irrep(w) for w, _ in back]
 
 
-_RECS = {mod: recur_multiplicity(mod, 8) for mod in ("vector", "spinor")}
+_RECS = {mod: recur_multiplicity(mod, 14) for mod in ("vector", "spinor")}
 
 
-@given(st.sampled_from(("vector", "spinor")), small_powers(8), weights(span=20))
+@given(st.sampled_from(("vector", "spinor")), small_powers(14), weights(span=41))
 @settings(max_examples=200, deadline=None)
 def test_multiplicity_function_matches_weight_level_rule(mod, p, mu):
     m = _RECS[mod][p]
@@ -146,6 +146,30 @@ def test_multiplicity_function_matches_weight_level_rule(mod, p, mu):
     want = 0 if sign == 0 else sign * dict(m.multiplicities).get(rep - RHO, 0)
     assert m(mu) == want
     assert m(mu) == m_extended(mod, p, mu)
+
+
+def test_m_extended_reads_the_chamber_without_a_record(monkeypatch):
+    # no record is extracted: at powers no other test asks for, m_extended
+    # answers from the ch^p chamber alone, off and on the walls
+    def no_record(*args):
+        raise AssertionError("m_extended built a record")
+
+    monkeypatch.setattr(engine, "decomposition", no_record)
+    monkeypatch.setattr(engine, "extract_multiplicities", no_record)
+    for mod in ("vector", "spinor"):
+        recs = recur_multiplicity(mod, 29)
+        for p in (23, 29):
+            box = [
+                Weight(d1, d2)
+                for d1 in range(-2 * p - 6, 2 * p + 7)
+                for d2 in range(-2 * p - 6, 2 * p + 7)
+                if (d1 - d2) % 2 == 0
+            ]
+            walls = [mu for mu in box if to_dominant_regular(mu + RHO)[1] == 0]
+            assert walls and len(walls) < len(box)
+            assert {m_extended(mod, p, mu) for mu in walls} == {0}
+            assert [m_extended(mod, p, mu) for mu in box] == [recs[p](mu) for mu in box], (mod, p)
+            assert any(recs[p](mu) < 0 for mu in box)  # reflected values are compared too
 
 
 def test_iterate_single_step_raises_per_source_weight(monkeypatch):

@@ -402,7 +402,7 @@ def test_a_module_is_named_by_its_name_only(route, module):
         ROUTES_BY_MODULE[route](module)
 
 
-# the four routes, the three powered families and m_extended, each at (module, p)
+# the four routes, the three powered families, m_extended and to_dot, each at (module, p)
 ROUTES_BY_POWER = {
     "decomposition": decomposition,
     "recur_multiplicity": engine.recur_multiplicity,
@@ -413,6 +413,7 @@ ROUTES_BY_POWER = {
     "singular_power_projected": singular_power_projected,
     "m_extended off a wall": lambda mod, p: engine.m_extended(mod, p, Weight(2, 0)),
     "m_extended on a wall": lambda mod, p: engine.m_extended(mod, p, Weight(-3, -1)),
+    "to_dot": diagram.to_dot,
 }
 
 
@@ -445,11 +446,11 @@ def test_chains_fill_bottom_up_without_recursion(monkeypatch):
     diagrams = {mod: LatticeSeries({w: 1 for w in ws}) for mod, ws in FUNDAMENTAL_WEIGHTS.items()}
     singular = {"vector": singular_element(OMEGA1), "spinor": singular_element(OMEGA2)}
     monkeypatch.setattr(
-        engine, "_DIAGRAMS", {mod: ChamberChain(d, False, 0) for mod, d in diagrams.items()}
+        engine, "_DIAGRAMS", {mod: ChamberChain(d, False) for mod, d in diagrams.items()}
     )
-    monkeypatch.setattr(fans, "_FAN", ChamberChain(denominator_product(), True, 1))
+    monkeypatch.setattr(fans, "_FAN", ChamberChain(denominator_product(), True))
     monkeypatch.setattr(
-        fans, "_PROJECTED", {mod: ChamberChain(psi, True, 1) for mod, psi in singular.items()}
+        fans, "_PROJECTED", {mod: ChamberChain(psi, True) for mod, psi in singular.items()}
     )
     engine.tensor_power_weights.cache_clear()
     limit = sys.getrecursionlimit()

@@ -77,15 +77,15 @@ def test_power_on_every_constructor(built):
         base.power(-1)
 
 
-# the library's five chains: (factor, signed, shift)
+# the library's five chains: (factor, signed)
 CHAIN_FACTORS = {
-    "ch vector": (LatticeSeries({w: 1 for w in FUNDAMENTAL_WEIGHTS["vector"]}), False, 0),
-    "ch spinor": (LatticeSeries({w: 1 for w in FUNDAMENTAL_WEIGHTS["spinor"]}), False, 0),
-    "R": (denominator_product(), True, 1),
-    "Pi vector": (singular_element(OMEGA1), True, 1),
-    "Pi spinor": (singular_element(OMEGA2), True, 1),
+    "ch vector": (LatticeSeries({w: 1 for w in FUNDAMENTAL_WEIGHTS["vector"]}), False),
+    "ch spinor": (LatticeSeries({w: 1 for w in FUNDAMENTAL_WEIGHTS["spinor"]}), False),
+    "R": (denominator_product(), True),
+    "Pi vector": (singular_element(OMEGA1), True),
+    "Pi spinor": (singular_element(OMEGA2), True),
 }
-SIGNED_CHAINS = sorted(name for name, (_, signed, _) in CHAIN_FACTORS.items() if signed)
+SIGNED_CHAINS = sorted(name for name, (_, signed) in CHAIN_FACTORS.items() if signed)
 
 
 def fresh_chain(name: str) -> ChamberChain:
@@ -135,10 +135,11 @@ def test_point_read_equals_the_unfolded_power(name, n, w):
 
 
 def test_a_chain_factor_must_be_weyl_symmetric():
+    # R is not invariant, and a weight diagram is not anti-invariant after the rho shift
     with pytest.raises(ValueError, match="not Weyl-symmetric"):
-        ChamberChain(denominator_product(), signed=False, shift=1)
+        ChamberChain(denominator_product(), signed=False)
     with pytest.raises(ValueError, match="not Weyl-symmetric"):
-        ChamberChain(denominator_product(), signed=True, shift=0)
+        ChamberChain(CHAIN_FACTORS["ch vector"][0], signed=True)
     with pytest.raises(ValueError, match="negative power"):
         fresh_chain("R").chamber(-1)
 
