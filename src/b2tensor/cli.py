@@ -27,7 +27,7 @@ from .fans import (
     singular_power_direct,
     singular_power_projected,
 )
-from .lattice import Weight, is_dominant
+from .lattice import Weight, deficit, is_dominant
 from .series import series_json_obj
 from .verify import SUITES, run_suite
 
@@ -55,8 +55,9 @@ def _positive_int(text: str) -> int:
 # Cost grows steeply with p, as the coefficients of the p-th power grow
 # exponentially; at the highest values one cold answer took at most about
 # 2 s on a 2-core Linux VM with Python 3.11 (closed-form --kind spinor
-# --diff-printed at 30 1.8 s, verify at 22 1.6 s, fit at 150 1.1 s, every
-# other command 0.7 s or less). A fit samples p = 6..pmax+4 and
+# --diff-printed at 30 1.8 s, verify at 22 1.4 s, every other command 0.7 s
+# or less; fit at 150 0.1 s, as its recursion runs only on the band of the
+# weights it reads). A fit samples p = 6..pmax+4 and
 # needs 3 samples to certify even a constant, so pmax 4 is the first with a
 # window; verify's diagonal-families-s4-6 and diagonal-polynomial-fits need
 # the same window and report spurious failures below it.
@@ -301,8 +302,11 @@ def _diagonal_values(s: int, t: int, p_last: int) -> list:
     Taken from the weight-shift recursion, the slow part of a fit query; a
     repeated fit is answered from the text memo and does not get here.
     """
-    recs = recur_multiplicity("vector", p_last)
-    return [recs[p](cfm.diagonal_weight(s, t, p)) for p in range(p_last + 1)]
+    weights = [cfm.diagonal_weight(s, t, p) for p in range(p_last + 1)]
+    # the weight is s + t - 1 below p*omega at every p, dominant or not
+    depth = max(deficit("vector", p, *w) for p, w in enumerate(weights))
+    recs = recur_multiplicity("vector", p_last, depth)
+    return [recs[p](w) for p, w in enumerate(weights)]
 
 
 def _cmd_fit(args) -> Answer:

@@ -244,18 +244,26 @@ def _has_rational_root(coeffs) -> bool:
 
     A root num/den in lowest terms has num | c0 and den | lead, and it is a
     root iff den^n * f(num/den) = sum c_k num^k den^(n-k) vanishes, which is
-    an integer sum: no Fractions needed.
+    an integer sum: no Fractions needed. For each den that sum is a
+    polynomial in num with the coefficients c_k den^(n-k), evaluated by
+    Horner's rule.
     """
     c0 = coeffs[0]
     if c0 == 0:
         return True
     n = len(coeffs) - 1
-    for r in _divisors(abs(c0)):
-        for num in (r, -r):
-            for den in _divisors(abs(coeffs[-1])):
-                if gcd(num, den) == 1 and sum(
-                    c * num**k * den ** (n - k) for k, c in enumerate(coeffs)
-                ) == 0:
+    nums = _divisors(abs(c0))
+    for den in _divisors(abs(coeffs[-1])):
+        scaled = [c * den ** (n - k) for k, c in enumerate(coeffs)]
+        scaled.reverse()
+        for r in nums:
+            if gcd(r, den) != 1:
+                continue
+            for num in (r, -r):
+                acc = 0
+                for c in scaled:
+                    acc = acc * num + c
+                if acc == 0:
                     return True
     return False
 

@@ -4,7 +4,9 @@ Three engines live here:
   * extract_multiplicities: the alternating-sum inversion of the character
     formula applied to the p-fold convolved weight diagram (the oracle);
     m_extended reads the same sum at one weight,
-  * recur_multiplicity: the module-weight-shift recursion in p,
+  * recur_multiplicity: the module-weight-shift recursion in p, on every
+    dominant point below p*omega or on the band of small deficit that a
+    caller reads near the highest weight,
   * single_step_decompose / iterate_single_step: reduce one tensor factor
     at a time.
 A fourth, driven by the fan of the p-fold diagonal injection, lives in
@@ -22,6 +24,7 @@ from .lattice import (
     RHO,
     WEYL_GROUP,
     Weight,
+    band,
     dim_irrep,
     dominated,
     is_dominant,
@@ -140,12 +143,17 @@ def decomposition(module: str, p: int) -> MultiplicityFunction:
     return extract_multiplicities(_DIAGRAMS[module].chamber(p), module, p)
 
 
-def recur_multiplicity(module: str, p_max: int):
+def recur_multiplicity(module: str, p_max: int, depth: int | None = None):
     """Multiplicity functions for p = 0..p_max via the weight-shift recursion.
 
     Step: M(mu, p) = sum over module weights zeta of M(mu - zeta, p - 1),
     evaluated through the antisymmetric extension. Base p=0 is the trivial
     module: M(mu, 0) = det(w) if mu+rho is conjugate to rho, else 0.
+
+    With depth, each record holds only the dominant points of deficit <=
+    depth below p*omega (lattice.deficit), with their exact values: a caller
+    that reads near the highest weight gets what it reads, at any point
+    whose chamber representative lies in that band.
     """
     shifts = [(z.d1, z.d2) for z in FUNDAMENTAL_WEIGHTS[module]]
     if p_max < 0:
@@ -153,8 +161,23 @@ def recur_multiplicity(module: str, p_max: int):
     out = [MultiplicityFunction(module, 0, {(0, 0): 1})]
     for p in range(1, p_max + 1):
         at = out[-1].at
+        if depth is None:
+            points = dominated(*power_highest_weight(module, p))
+        else:
+            # The band is closed under the step, so its values are exact.
+            # The height f of lattice.deficit is >= 0 on every positive root:
+            # the doubled roots e1-e2, e2, e1, e1+e2 give 2, 0, 2, 2 for the
+            # vector f = d1 and 0, 2, 2, 4 for the spinor f = d1 + d2. For a
+            # dominant x, x - w x is a sum of positive roots, so the dominant
+            # representative of w(nu + rho) maximizes f over its orbit, and
+            # the chamber read of any nu has deficit <= deficit(nu). And
+            # f(zeta) <= f(omega) for every module weight zeta, so mu - zeta
+            # at p - 1 has deficit <= deficit(mu) at p. A band point at p
+            # thus reads band points at p - 1, or points where M is 0 in
+            # both records (walls, and points not below (p-1)*omega).
+            points = band(module, p, depth)
         dom = {}
-        for d1, d2 in dominated(*power_highest_weight(module, p)):
+        for d1, d2 in points:
             val = 0
             for z1, z2 in shifts:
                 val += at(d1 - z1, d2 - z2)

@@ -384,23 +384,51 @@ def diff_report(kind: str, p: int) -> list:
     ]
 
 
+# the halo of closed_form_window, doubled: one step of 2 in each coordinate
+_HALO = tuple((h1, h2) for h1 in (-2, 0, 2) for h2 in (-2, 0, 2))
+
+
 def closed_form_window(kind: str, p: int) -> tuple:
-    """(points, truth terms) of kind at p; the points are the truth's support plus a halo of 2."""
+    """(points, truth terms) of kind at p; the points are the truth's support plus a halo of 2.
+
+    The points are built from the chamber keys of the truth's chain, the
+    truth terms from its unfolded series.
+    """
     truth = CLOSED_FORMS[kind].truth(p)
-    return _support_halo(truth), truth.by_tuple()
-
-
-def _support_halo(series: LatticeSeries, step: int = 2) -> list:
-    """Sorted doubled points within one step (both coordinates) of the support."""
-    keys = series.by_tuple().keys()
-    d1s = [d1 for d1, _ in keys]
-    d2s = [d2 for _, d2 in keys]
-    pts = set()
-    for da in (-step, 0, step):
-        shifted = list(map(da.__add__, d1s))
-        for db in (-step, 0, step):
-            pts.update(zip(shifted, map(db.__add__, d2s)))
-    return sorted(pts)
+    # The truth is x -> G^n(x + s) for its chain's G^n, which is W-symmetric
+    # (Pi: n = p, s = p*rho; the fan, -R^(p-1)(-x) = -G^(p-1)((p-1)*rho - x):
+    # n = p - 1 and, negated, s = -(p-1)*rho), so its support is W.C - s, C
+    # the chamber keys of G^n. The kernel K = {-2, 0, 2}^2 is W-invariant, so
+    # the window support + K is W.C + K - s, the W-orbit of its part in the
+    # closed chamber, shifted. That part is (C + K) in the chamber: for a
+    # chamber point z = w c + k, fold(z) = z and fold(w c) = c, the fold (abs,
+    # sort) is 1-Lipschitz in the max norm, so |z - c| <= 2 in each
+    # coordinate, and z - c is even, as both coordinates of c share a parity;
+    # so z - c is in K. The sorted points are those of the unfolded halo.
+    if kind == "fan":
+        n = _fan_power(p)
+        keys, s1, s2 = _FAN.chamber(n), -n * RHO.d1, -n * RHO.d2
+    else:
+        keys, s1, s2 = _PROJECTED[kind].chamber(p), p * RHO.d1, p * RHO.d2
+    near = set()
+    for h1, h2 in _HALO:
+        for a, b in keys:
+            a, b = a + h1, b + h2
+            if a >= b >= 0:
+                near.add((a, b))
+    # The eight images w(a, b) - s of each point, each coded as the integer
+    # (d1 + off) * base + d2 + off: every coordinate lies in [-off, off] and
+    # base = 2*off + 1, so the codes sort as the points do.
+    off = max(near)[0] + max(abs(s1), abs(s2))
+    base = 2 * off + 1
+    u1, u2 = off - s1, off - s2
+    codes = set()
+    for a, b in near:
+        pa, ma = (u1 + a) * base + u2, (u1 - a) * base + u2
+        pb, mb = (u1 + b) * base + u2, (u1 - b) * base + u2
+        codes.update((pa + b, pa - b, ma + b, ma - b, pb + a, pb - a, mb + a, mb - a))
+    points = [(q - off, r - off) for q, r in (divmod(k, base) for k in sorted(codes))]
+    return points, truth.by_tuple()
 
 
 # ---------------------------------------------------------------------------

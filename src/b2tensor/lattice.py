@@ -149,18 +149,49 @@ def power_highest_weight(module: str, p: int) -> tuple:
     return p * omega.d1, p * omega.d2
 
 
-def dominated(l1: int, l2: int) -> list:
+def deficit(module: str, p: int, d1: int, d2: int) -> int:
+    """The shortfall of the doubled point (d1, d2) below p*omega, in the module's height.
+
+    The height is f = 2<mu, omega>/<omega, omega>: f = d1 for the vector and
+    f = d1 + d2 for the spinor, so f(p*omega) = 2p and the deficit is
+    (2p - f)/2. On the weights of the p-th power it is the integer x (vector)
+    or y (spinor) of p*omega - mu = x*alpha1 + y*alpha2, as f vanishes on
+    the other simple root.
+    """
+    o1, o2 = FUNDAMENTAL[module]
+    f = 2 * (d1 * o1 + d2 * o2) // (o1 * o1 + o2 * o2)
+    return (2 * p - f) // 2
+
+
+def dominated(l1: int, l2: int, x_max: int | None = None, y_max: int | None = None) -> list:
     """Dominant doubled points mu below lam = (l1, l2), in ascending order.
 
     These are the mu with lam - mu = x*alpha1 + y*alpha2 for integers
     x, y >= 0: the coset makes x = (l1 - d1)/2 and y = (l1 + l2 - d1 - d2)/2
     integers, so the conditions x, y >= 0 are d1 <= l1 and d2 <= l1 + l2 - d1.
+    A bound x <= x_max is d1 >= l1 - 2*x_max, and y <= y_max is
+    d2 >= l1 + l2 - 2*y_max - d1; both keep the parity of the coset.
     """
+    top = l1 + l2
+    lo1 = l1 % 2 if x_max is None else max(l1 % 2, l1 - 2 * x_max)
+    lo2 = -top if y_max is None else top - 2 * y_max
     return [
         (d1, d2)
-        for d1 in range(l1 % 2, l1 + 1, 2)
-        for d2 in range(d1 % 2, min(d1, l1 + l2 - d1) + 1, 2)
+        for d1 in range(lo1, l1 + 1, 2)
+        for d2 in range(max(d1 % 2, lo2 - d1), min(d1, top - d1) + 1, 2)
     ]
+
+
+def band(module: str, p: int, depth: int) -> list:
+    """The dominant points below p*omega of deficit <= depth, in ascending order.
+
+    The deficit is x for the vector and y for the spinor (see deficit), so
+    the band is dominated(p*omega) with that coordinate bounded.
+    """
+    l1, l2 = power_highest_weight(module, p)
+    if module == "vector":
+        return dominated(l1, l2, x_max=depth)
+    return dominated(l1, l2, y_max=depth)
 
 
 def reflect_to_chamber(d1: int, d2: int):

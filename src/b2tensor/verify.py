@@ -41,7 +41,7 @@ from .fans import (
     singular_power_direct,
     singular_power_projected,
 )
-from .lattice import Weight, dim_irrep
+from .lattice import Weight, deficit, dim_irrep
 from .series import denominator_product, is_product, singular_element, weight_multiplicities
 
 PASS = "pass"
@@ -258,21 +258,28 @@ def check_known_window(pmax: int) -> CheckResult:
     out to triple the base sweep."""
     name = "known-window"
     long_bound = 3 * pmax
-    recs = recur_multiplicity("vector", max(long_bound, pmax))
-    for p in range(5, pmax + 1):
+    # the points read: rows p and p-1 over -2..3 and row p-2 at 2 and 3, then (p-2, 1)
+    windows = {
+        p: [[Weight.make(p - r, d) for d in range(-2, 4)] for r in (0, 1)]
+        + [[Weight.make(p - 2, 2), Weight.make(p - 2, 3)]]
+        for p in range(5, pmax + 1)
+    }
+    corners = {p: Weight.make(p - 2, 1) for p in range(2, long_bound + 1)}
+    reads = [(p, w) for p, rows in windows.items() for row in rows for w in row]
+    reads += corners.items()
+    depth = max((deficit("vector", p, *w) for p, w in reads), default=0)
+    recs = recur_multiplicity("vector", max(long_bound, pmax), depth)
+    for p, window in windows.items():
         m = recs[p]
-        rows = [
-            [m(Weight.make(p, d)) for d in range(-2, 4)],
-            [m(Weight.make(p - 1, d)) for d in range(-2, 4)],
-        ]
+        rows = [[m(w) for w in row] for row in window]
         if rows[0] != [0, -1, 1, 0, 0, 0]:
             return _fail(name, f"p={p} row p: {rows[0]}")
         if rows[1] != [1 - p, 0, 0, p - 1, 0, 0]:
             return _fail(name, f"p={p} row p-1: {rows[1]}")
-        if m(Weight.make(p - 2, 2)) != p * (p - 3) // 2 or m(Weight.make(p - 2, 3)) != 0:
+        if rows[2] != [p * (p - 3) // 2, 0]:
             return _fail(name, f"p={p} row p-2")
-    for p in range(2, long_bound + 1):
-        if recs[p](Weight.make(p - 2, 1)) != (p - 1) * (p - 2) // 2:
+    for p, corner in corners.items():
+        if recs[p](corner) != (p - 1) * (p - 2) // 2:
             return _fail(name, f"M(p-2,1) at p={p}")
     return CheckResult(
         name,
@@ -433,7 +440,7 @@ def check_character_product(pmax: int) -> CheckResult:
     for d1 in range(0, 2 * vmax + 1):
         for d2 in range(d1 % 2, d1 + 1, 2):
             lam = Weight(d1, d2)
-            if weight_multiplicities(lam) * R != singular_element(lam):
+            if not is_product(singular_element(lam), weight_multiplicities(lam), R):
                 return _fail(name, f"lam={lam.text()}")
             n += 1
     return CheckResult(name, PASS, f"{n} dominant weights with first coordinate <= {vmax}", n)
@@ -483,21 +490,28 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
     name = "diagonal-polynomial-fits"
     hi = pmax + 4
     window = hi - 5  # samples in 6..hi
-    recs = recur_multiplicity("vector", hi + 3)
+    reads = {
+        (s, t): {p: cf.diagonal_weight(s, t, p) for p in range(6, hi + 4)}
+        for s in (1, 2, 3)
+        for t in range(min(4, window - 3 - (s - 1)) + 1)
+    }
+    depth = max(
+        (deficit("vector", p, *w) for weights in reads.values() for p, w in weights.items()),
+        default=0,
+    )
+    recs = recur_multiplicity("vector", hi + 3, depth)
     nfits = npred = 0
-    for s in (1, 2, 3):
-        tmax = min(4, window - 3 - (s - 1))
-        for t in range(tmax + 1):
-            values = {p: recs[p](cf.diagonal_weight(s, t, p)) for p in range(6, hi + 4)}
-            try:
-                _, predictions = cf.fit_window(values, hi)
-            except cf.PolynomialityError:
-                return _fail(name, f"s={s} t={t}: window not polynomial")
-            for p, fitted, recurred in predictions:
-                if fitted != recurred:
-                    return _fail(name, f"s={s} t={t} prediction p={p}")
-            npred += len(predictions)
-            nfits += 1
+    for (s, t), weights in reads.items():
+        values = {p: recs[p](w) for p, w in weights.items()}
+        try:
+            _, predictions = cf.fit_window(values, hi)
+        except cf.PolynomialityError:
+            return _fail(name, f"s={s} t={t}: window not polynomial")
+        for p, fitted, recurred in predictions:
+            if fitted != recurred:
+                return _fail(name, f"s={s} t={t} prediction p={p}")
+        npred += len(predictions)
+        nfits += 1
     if nfits == 0:
         return _fail(name, f"window 6..{hi} too small for any certified fit")
     return CheckResult(

@@ -1,7 +1,7 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers),
 the Fraction reference of the weight text, properties of a LatticeSeries read
-from its terms (its support among them), the reference for its powers, and a
-fresh CLI answer memo for every test."""
+from its terms (its support among them), the references for its powers and
+for the support-plus-halo window, and a fresh CLI answer memo for every test."""
 
 from fractions import Fraction
 
@@ -9,7 +9,6 @@ import pytest
 from hypothesis import strategies as st
 
 from b2tensor import WEYL_GROUP, LatticeSeries, Weight, cli
-from b2tensor.fans import _support_halo
 
 
 @pytest.fixture(autouse=True)
@@ -46,6 +45,23 @@ def weyl_elements():
 
 def small_powers(top: int = 6):
     return st.integers(0, top)
+
+
+def _support_halo(series: LatticeSeries, step: int = 2) -> list:
+    """Sorted doubled points within one step (both coordinates) of the support.
+
+    The reference for fans.closed_form_window, which builds the same points
+    from the chamber of the truth's chain.
+    """
+    keys = series.by_tuple().keys()
+    d1s = [d1 for d1, _ in keys]
+    d2s = [d2 for _, d2 in keys]
+    pts = set()
+    for da in (-step, 0, step):
+        shifted = list(map(da.__add__, d1s))
+        for db in (-step, 0, step):
+            pts.update(zip(shifted, map(db.__add__, d2s)))
+    return sorted(pts)
 
 
 def halo_weights(series):

@@ -21,6 +21,7 @@ from b2tensor import (
 )
 from b2tensor import engine
 from b2tensor.engine import NegativeMultiplicityError, iterate_single_step
+from b2tensor.lattice import deficit
 from conftest import dominant_weights, mass, small_powers, weights
 
 
@@ -146,6 +147,23 @@ def test_multiplicity_function_matches_weight_level_rule(mod, p, mu):
     want = 0 if sign == 0 else sign * dict(m.multiplicities).get(rep - RHO, 0)
     assert m(mu) == want
     assert m(mu) == m_extended(mod, p, mu)
+
+
+_FULL = {mod: recur_multiplicity(mod, 24) for mod in ("vector", "spinor")}
+
+
+@given(st.sampled_from(("vector", "spinor")), st.integers(0, 24), st.integers(0, 8))
+@settings(max_examples=60, deadline=None)
+def test_band_records_equal_the_full_records_on_the_band(mod, p_max, depth):
+    band = recur_multiplicity(mod, p_max, depth)
+    assert len(band) == p_max + 1
+    for p, rec in enumerate(band):
+        full = _FULL[mod][p]
+        assert (rec.module, rec.power) == (mod, p)
+        assert all(deficit(mod, p, *pt) <= depth for pt in rec.values)
+        assert rec.values == {
+            pt: m for pt, m in full.values.items() if deficit(mod, p, *pt) <= depth
+        }, (mod, p, depth)
 
 
 def test_m_extended_reads_the_chamber_without_a_record(monkeypatch):

@@ -30,7 +30,6 @@ from b2tensor.fans import (
     CLOSED_FORMS,
     _fan_many,
     _spinor_printed_many,
-    _support_halo,
     _tb_quarter,
     _tb_lax,
     _tb_strict,
@@ -41,7 +40,15 @@ from b2tensor.fans import (
 from b2tensor import diagram, engine, fans, verify
 from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
 from b2tensor.series import ChamberChain
-from conftest import halo_weights, mass, repeated_product, support, support_bounds, weights
+from conftest import (
+    _support_halo,
+    halo_weights,
+    mass,
+    repeated_product,
+    support,
+    support_bounds,
+    weights,
+)
 
 
 def test_pairwise_fan_has_seven_signed_shifts():
@@ -545,3 +552,14 @@ def nested_support_halo(series, step=2):
 def test_support_halo_equals_nested_loops(step):
     for series in (fan_with_zero(4), singular_power_projected("spinor", 5), LatticeSeries()):
         assert _support_halo(series, step) == nested_support_halo(series, step)
+
+
+@pytest.mark.parametrize("kind", ["fan", "vector", "spinor"])
+def test_folded_window_equals_the_unfolded_halo(kind):
+    # built from the chamber keys of the truth's chain: a wall point missed by
+    # the chamber filter, or a fan window shifted the wrong way, shows here
+    for p in range(1, 15):
+        truth = CLOSED_FORMS[kind].truth(p)
+        points, terms = fans.closed_form_window(kind, p)
+        assert points == nested_support_halo(truth), (kind, p)
+        assert terms == truth.by_tuple()

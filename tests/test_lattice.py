@@ -26,7 +26,10 @@ from b2tensor.engine import decomposition, recur_multiplicity
 from b2tensor.lattice import (
     FUNDAMENTAL,
     FUNDAMENTAL_WEIGHTS,
+    POSITIVE_ROOTS,
     WeylElement,
+    band,
+    deficit,
     dominated,
     power_highest_weight,
 )
@@ -244,3 +247,33 @@ def test_power_highest_weight_is_p_omega():
     for p in range(6):
         assert power_highest_weight("vector", p) == (p * OMEGA1.d1, p * OMEGA1.d2)
         assert power_highest_weight("spinor", p) == (p * OMEGA2.d1, p * OMEGA2.d2)
+
+
+def test_deficit_is_the_simple_root_coordinate_below_p_omega():
+    # p*omega - mu = x*alpha1 + y*alpha2: the vector deficit is x, the spinor one y
+    for module, root in (("vector", ALPHA1), ("spinor", ALPHA2)):
+        for p in range(9):
+            l1, l2 = power_highest_weight(module, p)
+            for d1, d2 in dominated(l1, l2):
+                x, y = (l1 - d1) // 2, (l1 + l2 - d1 - d2) // 2
+                assert deficit(module, p, d1, d2) == (x if root == ALPHA1 else y)
+
+
+def test_band_is_dominated_cut_by_the_deficit():
+    for module in ("vector", "spinor"):
+        for p in range(13):
+            every = dominated(*power_highest_weight(module, p))
+            for depth in range(p + 2):
+                want = [pt for pt in every if deficit(module, p, *pt) <= depth]
+                assert band(module, p, depth) == want, (module, p, depth)
+
+
+def test_deficit_premises_of_the_band():
+    # the height is >= 0 on every positive root and at most f(omega) on every
+    # module weight: the two facts that close recur_multiplicity's band
+    for module, weights_of in FUNDAMENTAL_WEIGHTS.items():
+        assert all(deficit(module, 0, *alpha) <= 0 for alpha in POSITIVE_ROOTS)
+        assert all(deficit(module, 1, *zeta) >= 0 for zeta in weights_of)
+        assert deficit(module, 1, *FUNDAMENTAL[module]) == 0
+    with pytest.raises(KeyError):
+        deficit("adjoint", 1, 0, 0)
