@@ -18,7 +18,7 @@ from typing import NamedTuple
 from . import closed_forms as cfm
 from .cache import cached, canonical_json
 from .diagram import to_dot
-from .engine import decomposition, m_extended, recur_multiplicity
+from .engine import band_values, decomposition, m_extended
 from .fans import (
     CLOSED_FORMS,
     closed_form_window,
@@ -27,7 +27,7 @@ from .fans import (
     singular_power_direct,
     singular_power_projected,
 )
-from .lattice import Weight, deficit, is_dominant
+from .lattice import Weight, is_dominant
 from .series import series_json_obj
 from .verify import SUITES, run_suite
 
@@ -302,11 +302,7 @@ def _diagonal_values(s: int, t: int, p_last: int) -> list:
     Taken from the weight-shift recursion, the slow part of a fit query; a
     repeated fit is answered from the text memo and does not get here.
     """
-    weights = [cfm.diagonal_weight(s, t, p) for p in range(p_last + 1)]
-    # the weight is s + t - 1 below p*omega at every p, dominant or not
-    depth = max(deficit("vector", p, *w) for p, w in enumerate(weights))
-    recs = recur_multiplicity("vector", p_last, depth)
-    return [recs[p](w) for p, w in enumerate(weights)]
+    return band_values("vector", [(p, cfm.diagonal_weight(s, t, p)) for p in range(p_last + 1)])
 
 
 def _cmd_fit(args) -> Answer:

@@ -5,8 +5,8 @@ Three engines live here:
     formula applied to the p-fold convolved weight diagram (the oracle);
     m_extended reads the same sum at one weight,
   * recur_multiplicity: the module-weight-shift recursion in p, on every
-    dominant point below p*omega or on the band of small deficit that a
-    caller reads near the highest weight,
+    dominant point below p*omega or, for band_values, on the band of small
+    deficit that a list of reads near the highest weight needs,
   * single_step_decompose / iterate_single_step: reduce one tensor factor
     at a time.
 A fourth, driven by the fan of the p-fold diagonal injection, lives in
@@ -25,6 +25,7 @@ from .lattice import (
     WEYL_GROUP,
     Weight,
     band,
+    deficit,
     dim_irrep,
     dominated,
     is_dominant,
@@ -185,6 +186,14 @@ def recur_multiplicity(module: str, p_max: int, depth: int | None = None):
                 dom[d1, d2] = val
         out.append(MultiplicityFunction(module, p, dom))
     return out
+
+
+def band_values(module: str, reads) -> list:
+    """M(w, p) for each (p, w) in the list reads, from one recur_multiplicity call: to
+    the largest p read, on the band of the largest deficit read, so each read is exact."""
+    depth = max((deficit(module, p, w.d1, w.d2) for p, w in reads), default=0)
+    recs = recur_multiplicity(module, max((p for p, _ in reads), default=0), depth)
+    return [recs[p](w) for p, w in reads]
 
 
 def m_extended(module: str, p: int, mu: Weight) -> int:

@@ -16,11 +16,13 @@ from __future__ import annotations
 
 import time
 from fractions import Fraction
+from functools import partial
 from math import comb, isqrt
 from typing import NamedTuple
 
 from . import closed_forms as cf
 from .engine import (
+    band_values,
     decomposition,
     iterate_single_step,
     m_extended,
@@ -41,7 +43,7 @@ from .fans import (
     singular_power_direct,
     singular_power_projected,
 )
-from .lattice import Weight, deficit, dim_irrep
+from .lattice import Weight, dim_irrep
 from .series import denominator_product, is_product, singular_element, weight_multiplicities
 
 PASS = "pass"
@@ -91,6 +93,17 @@ def _fail(name: str, where: str) -> CheckResult:
     return CheckResult(name, FAIL, f"first mismatch at {where}")
 
 
+def _claims(module: str, formula, weight, cases):
+    """Compare formula(*key, p) with M(weight(*key, p), p) for each (where, key, p) in
+    cases: the where of the first mismatch (None if none) and how many matched before it."""
+    n = 0
+    for where, key, p in cases:
+        if formula(*key, p) != m_extended(module, p, weight(*key, p)):
+            return where, n
+        n += 1
+    return None, n
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 
@@ -138,16 +151,13 @@ def check_vector_table(pmax: int) -> CheckResult:
     name = "vector-table"
     bound = pmax + 4
     powers = [2, 3] + list(range(6, bound + 1))
-    for p in powers:
-        for i in range(4):
-            for j in range(4):
-                got = cf.vector_table(i, j, p)
-                want = m_extended("vector", p, cf.vector_table_weight(i, j, p))
-                if got != want:
-                    return _fail(name, f"p={p} cell=({i},{j})")
-    return CheckResult(
-        name, PASS, f"16 cells match extended M for p in {{2,3}} and 6..{bound}", 16 * len(powers)
+    cases = (
+        (f"p={p} cell=({i},{j})", (i, j), p) for p in powers for i in range(4) for j in range(4)
     )
+    bad, n = _claims("vector", cf.vector_table, cf.vector_table_weight, cases)
+    if bad:
+        return _fail(name, bad)
+    return CheckResult(name, PASS, f"16 cells match extended M for p in {{2,3}} and 6..{bound}", n)
 
 
 def check_spinor_table(pmax: int) -> CheckResult:
@@ -156,11 +166,10 @@ def check_spinor_table(pmax: int) -> CheckResult:
     name = "spinor-table"
     bound = pmax + 4
     for p in range(2, bound + 1):
-        for (a, b) in cf.SPINOR_TABLE_KEYS:
-            got = cf.spinor_table(a, b, p)
-            want = m_extended("spinor", p, cf.spinor_table_weight(a, b, p))
-            if got != want:
-                return _fail(name, f"p={p} entry=({a},{b})")
+        cases = ((f"p={p} entry=({a},{b})", (a, b), p) for a, b in cf.SPINOR_TABLE_KEYS)
+        bad, _ = _claims("spinor", cf.spinor_table, cf.spinor_table_weight, cases)
+        if bad:
+            return _fail(name, bad)
         for b in (1, 2, 3):
             for a in (Fraction(1, 2), Fraction(3, 2)):
                 if cf.spinor_table(a, b, p) != 0:
@@ -185,15 +194,13 @@ def check_diagonal_low(pmax: int) -> CheckResult:
     """Diagonal families s = 1..3 match the extended multiplicities exactly."""
     name = "diagonal-families-s1-3"
     bound = pmax + 4
-    n = 0
-    for s in (1, 2, 3):
-        for p in range(1, bound + 1):
-            for t in range(0, p + 1):
-                got = cf.diagonal_formula(s, t, p)
-                want = m_extended("vector", p, cf.diagonal_weight(s, t, p))
-                if got != want:
-                    return _fail(name, f"s={s} t={t} p={p}")
-                n += 1
+    cases = (
+        (f"s={s} t={t} p={p}", (s, t), p)
+        for s in (1, 2, 3) for p in range(1, bound + 1) for t in range(p + 1)
+    )
+    bad, n = _claims("vector", cf.diagonal_formula, cf.diagonal_weight, cases)
+    if bad:
+        return _fail(name, bad)
     return CheckResult(name, PASS, f"{n} points exact for s=1..3, p <= {bound}, 0 <= t <= p", n)
 
 
@@ -203,32 +210,22 @@ def check_diagonal_high(pmax: int) -> CheckResult:
     first fails at p = t+1; the refitted bracket matches everywhere."""
     name = "diagonal-families-s4-6"
     bound = pmax + 4
-    n = 0
-    for s in (4, 6):
-        for t in range(0, 7):
-            for p in range(1, bound + 1):
-                got = cf.diagonal_formula(s, t, p)
-                want = m_extended("vector", p, cf.diagonal_weight(s, t, p))
-                if got != want:
-                    return _fail(name, f"s={s} t={t} p={p}")
-                n += 1
-    for t in range(0, 7):
-        first_bad = None
-        for p in range(1, bound + 1):
-            got = cf.diagonal_formula(5, t, p)
-            want = m_extended("vector", p, cf.diagonal_weight(5, t, p))
-            n += 1
-            if got != want:
-                first_bad = p
-                break
+    printed, weight = cf.diagonal_formula, cf.diagonal_weight
+    powers = range(1, bound + 1)
+    cases = ((f"s={s} t={t} p={p}", (s, t), p) for s in (4, 6) for t in range(7) for p in powers)
+    bad, n = _claims("vector", printed, weight, cases)
+    if bad:
+        return _fail(name, bad)
+    for t in range(7):
+        # the documented discrepancy; where is p, so this is the first printed failure
+        first_bad, _ = _claims("vector", printed, weight, ((p, (5, t), p) for p in powers))
         if first_bad != t + 1:
             return _fail(name, f"s=5 t={t}: first printed failure at {first_bad}, expected {t + 1}")
-        for p in range(1, bound + 1):
-            got = cf.diagonal_formula(5, t, p, corrected=True)
-            want = m_extended("vector", p, cf.diagonal_weight(5, t, p))
-            if got != want:
-                return _fail(name, f"s=5 corrected t={t} p={p}")
-            n += 1
+        cases = ((f"s=5 corrected t={t} p={p}", (5, t), p) for p in powers)
+        bad, k = _claims("vector", partial(printed, corrected=True), weight, cases)
+        if bad:
+            return _fail(name, bad)
+        n += first_bad + k
     return CheckResult(
         name,
         DOCUMENTED,
@@ -267,11 +264,9 @@ def check_known_window(pmax: int) -> CheckResult:
     corners = {p: Weight.make(p - 2, 1) for p in range(2, long_bound + 1)}
     reads = [(p, w) for p, rows in windows.items() for row in rows for w in row]
     reads += corners.items()
-    depth = max((deficit("vector", p, *w) for p, w in reads), default=0)
-    recs = recur_multiplicity("vector", max(long_bound, pmax), depth)
+    m = dict(zip(reads, band_values("vector", reads)))
     for p, window in windows.items():
-        m = recs[p]
-        rows = [[m(w) for w in row] for row in window]
+        rows = [[m[p, w] for w in row] for row in window]
         if rows[0] != [0, -1, 1, 0, 0, 0]:
             return _fail(name, f"p={p} row p: {rows[0]}")
         if rows[1] != [1 - p, 0, 0, p - 1, 0, 0]:
@@ -279,7 +274,7 @@ def check_known_window(pmax: int) -> CheckResult:
         if rows[2] != [p * (p - 3) // 2, 0]:
             return _fail(name, f"p={p} row p-2")
     for p, corner in corners.items():
-        if recs[p](corner) != (p - 1) * (p - 2) // 2:
+        if m[p, corner] != (p - 1) * (p - 2) // 2:
             return _fail(name, f"M(p-2,1) at p={p}")
     return CheckResult(
         name,
@@ -332,16 +327,18 @@ def check_diff_reports(pmax: int) -> CheckResult:
     bound = min(pmax, 4)
     n = 0
     counts = []
+    reports = {}
     for p in range(1, bound + 1):
         row = []
         for kind in ("fan", "vector", "spinor"):
-            rows = diff_report(kind, p)
+            rows = reports[kind, p] = diff_report(kind, p)
             if not rows:
                 return _fail(name, f"{kind} p={p}: empty report")
             row.append(len(rows))
             n += len(rows)
         counts.append((p, row))
-    origin = [r for r in diff_report("fan", 2) if r["point"] == "0,0"]
+    fan2 = reports.get(("fan", 2)) or diff_report("fan", 2)  # the sweep stops below p=2 at pmax < 2
+    origin = [r for r in fan2 if r["point"] == "0,0"]
     if origin != [{"point": "0,0", "printed": "0", "direct": "-1"}]:
         return _fail(name, "fan origin row at p=2")
     body = "; ".join(f"p={p}: fan {a}, vector {b}, spinor {c}" for p, (a, b, c) in counts)
@@ -495,14 +492,11 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
         for s in (1, 2, 3)
         for t in range(min(4, window - 3 - (s - 1)) + 1)
     }
-    depth = max(
-        (deficit("vector", p, *w) for weights in reads.values() for p, w in weights.items()),
-        default=0,
-    )
-    recs = recur_multiplicity("vector", hi + 3, depth)
+    flat = [(p, w) for weights in reads.values() for p, w in weights.items()]
+    m = dict(zip(flat, band_values("vector", flat)))  # one recursion for every family
     nfits = npred = 0
     for (s, t), weights in reads.items():
-        values = {p: recs[p](w) for p, w in weights.items()}
+        values = {p: m[p, w] for p, w in weights.items()}
         try:
             _, predictions = cf.fit_window(values, hi)
         except cf.PolynomialityError:

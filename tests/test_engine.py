@@ -20,8 +20,8 @@ from b2tensor import (
     to_dominant_regular,
 )
 from b2tensor import engine
-from b2tensor.engine import NegativeMultiplicityError, iterate_single_step
-from b2tensor.lattice import deficit
+from b2tensor.engine import NegativeMultiplicityError, band_values, iterate_single_step
+from b2tensor.lattice import deficit, reflect_to_chamber
 from conftest import dominant_weights, mass, small_powers, weights
 
 
@@ -164,6 +164,43 @@ def test_band_records_equal_the_full_records_on_the_band(mod, p_max, depth):
         assert rec.values == {
             pt: m for pt, m in full.values.items() if deficit(mod, p, *pt) <= depth
         }, (mod, p, depth)
+
+
+def _near_top(mod, p, k, c, e):
+    """The lattice point of deficit k below p*omega at free coordinate c; e = 1
+    takes the vector point one step up the other coset (same deficit)."""
+    if mod == "vector":
+        d1 = 2 * p - 2 * k - e
+        return Weight(d1, 2 * c + d1 % 2)
+    return Weight(c, 2 * p - 2 * k - c)
+
+
+_READ = st.tuples(st.integers(0, 40), st.integers(-2, 8), st.integers(-46, 46), st.integers(0, 1))
+
+
+@given(st.sampled_from(("vector", "spinor")), st.lists(_READ, max_size=12))
+@settings(max_examples=80, deadline=None)
+def test_band_values_equal_m_extended(mod, reads):
+    reads = [(p, _near_top(mod, p, k, c, e)) for p, k, c, e in reads]
+    assert all(deficit(mod, p, *w) <= 8 for p, w in reads)
+    assert band_values(mod, reads) == [m_extended(mod, p, w) for p, w in reads]
+
+
+def test_band_values_on_walls_and_off_the_chamber():
+    for mod in ("vector", "spinor"):
+        assert band_values(mod, []) == []
+        for p in (0, 1, 6, 40):
+            reads = [
+                (p, _near_top(mod, p, k, c, e))
+                for k in range(-1, 4)
+                for c in range(-2 * p - 6, 2 * p + 7)
+                for e in (0, 1)
+            ]
+            walls = [w for _, w in reads if reflect_to_chamber(w.d1 + RHO.d1, w.d2 + RHO.d2)[2] == 0]
+            assert walls and any(not w.d1 >= w.d2 >= 0 for _, w in reads)
+            got = band_values(mod, reads)
+            assert got == [m_extended(mod, p, w) for _, w in reads], (mod, p)
+            assert p < 6 or min(got) < 0 < max(got)  # reflected values are read too
 
 
 def test_m_extended_reads_the_chamber_without_a_record(monkeypatch):

@@ -256,6 +256,14 @@ def test_verify_all_pmax14_output_is_byte_identical_to_reference(capsys):
     _assert_verify_all_matches_reference(capsys, 14)
 
 
+def test_verify_all_pmax4_output_is_byte_identical_to_reference(capsys):
+    _assert_verify_all_matches_reference(capsys, 4)
+
+
+def test_verify_all_pmax18_output_is_byte_identical_to_reference(capsys):
+    _assert_verify_all_matches_reference(capsys, 18)
+
+
 @pytest.mark.parametrize("command,extra", [
     ("decompose", ["--module", "vector"]),
     ("multiplicity", ["--module", "vector", "--weight", "1,0"]),
