@@ -57,18 +57,15 @@ def _positive_int(text: str) -> int:
 # 2 s on a 2-core Linux VM with Python 3.11 (closed-form --kind spinor
 # --diff-printed at 30 1.8 s, verify at 22 1.4 s, every other command 0.7 s
 # or less; fit at 150 0.1 s, as its recursion runs only on the band of the
-# weights it reads). A fit samples p = 6..pmax+4 and
-# needs 3 samples to certify even a constant, so pmax 4 is the first with a
-# window; verify's diagonal-families-s4-6 and diagonal-polynomial-fits need
-# the same window and report spurious failures below it.
+# weights it reads). fit and verify start at closed_forms.PMAX_MIN, the first fit window.
 LIMITS = {
     "decompose": ("power", 0, 100),
     "multiplicity": ("power", 0, 100),
     "fan": ("power", 0, 40),
     "singular": ("power", 0, 40),
     "closed-form": ("power", 0, 30),
-    "fit": ("pmax", 4, 150),
-    "verify": ("pmax", 4, 22),
+    "fit": ("pmax", cfm.PMAX_MIN, 150),
+    "verify": ("pmax", cfm.PMAX_MIN, 22),
     "diagram": ("pmax", 0, 60),
 }
 

@@ -396,3 +396,8 @@ def fit_window(values, hi: int):
     """
     fit = fit_polynomial(range(6, hi + 1), [values[p] for p in range(6, hi + 1)])
     return fit, [(p, fit(p), values[p]) for p in range(hi + 1, hi + 4)]
+
+
+# The least pmax whose fit window 6..pmax+4 holds the ZERO_SLACK + 1 samples
+# that certify even a constant: verify's fits need it, and so do fit queries.
+PMAX_MIN = ZERO_SLACK + 2

@@ -4,9 +4,9 @@ Three engines live here:
   * extract_multiplicities: the alternating-sum inversion of the character
     formula applied to the p-fold convolved weight diagram (the oracle);
     m_extended reads the same sum at one weight,
-  * recur_multiplicity: the module-weight-shift recursion in p, on every
-    dominant point below p*omega or, for band_values, on the band of small
-    deficit that a list of reads near the highest weight needs,
+  * recur_multiplicity: the module-weight-shift recursion in p, on the band
+    of dominant points below p*omega that lattice.band gives: the whole
+    cone or, for band_values, the small deficit a list of reads needs,
   * single_step_decompose / iterate_single_step: reduce one tensor factor
     at a time.
 A fourth, driven by the fan of the p-fold diagonal injection, lives in
@@ -27,9 +27,7 @@ from .lattice import (
     band,
     deficit,
     dim_irrep,
-    dominated,
     is_dominant,
-    power_highest_weight,
     reflect_to_chamber,
 )
 from .series import ChamberChain, LatticeSeries
@@ -151,10 +149,11 @@ def recur_multiplicity(module: str, p_max: int, depth: int | None = None):
     evaluated through the antisymmetric extension. Base p=0 is the trivial
     module: M(mu, 0) = det(w) if mu+rho is conjugate to rho, else 0.
 
-    With depth, each record holds only the dominant points of deficit <=
-    depth below p*omega (lattice.deficit), with their exact values: a caller
-    that reads near the highest weight gets what it reads, at any point
-    whose chamber representative lies in that band.
+    Each record holds the dominant points of deficit <= depth below p*omega
+    (lattice.deficit), with their exact values; depth None holds every
+    dominant point below p*omega. A caller that reads near the highest
+    weight gets what it reads, at any point whose chamber representative
+    lies in that band.
     """
     shifts = [(z.d1, z.d2) for z in FUNDAMENTAL_WEIGHTS[module]]
     if p_max < 0:
@@ -162,23 +161,19 @@ def recur_multiplicity(module: str, p_max: int, depth: int | None = None):
     out = [MultiplicityFunction(module, 0, {(0, 0): 1})]
     for p in range(1, p_max + 1):
         at = out[-1].at
-        if depth is None:
-            points = dominated(*power_highest_weight(module, p))
-        else:
-            # The band is closed under the step, so its values are exact.
-            # The height f of lattice.deficit is >= 0 on every positive root:
-            # the doubled roots e1-e2, e2, e1, e1+e2 give 2, 0, 2, 2 for the
-            # vector f = d1 and 0, 2, 2, 4 for the spinor f = d1 + d2. For a
-            # dominant x, x - w x is a sum of positive roots, so the dominant
-            # representative of w(nu + rho) maximizes f over its orbit, and
-            # the chamber read of any nu has deficit <= deficit(nu). And
-            # f(zeta) <= f(omega) for every module weight zeta, so mu - zeta
-            # at p - 1 has deficit <= deficit(mu) at p. A band point at p
-            # thus reads band points at p - 1, or points where M is 0 in
-            # both records (walls, and points not below (p-1)*omega).
-            points = band(module, p, depth)
+        # The band is closed under the step, so its values are exact.
+        # The height f of lattice.deficit is >= 0 on every positive root:
+        # the doubled roots e1-e2, e2, e1, e1+e2 give 2, 0, 2, 2 for the
+        # vector f = d1 and 0, 2, 2, 4 for the spinor f = d1 + d2. For a
+        # dominant x, x - w x is a sum of positive roots, so the dominant
+        # representative of w(nu + rho) maximizes f over its orbit, and
+        # the chamber read of any nu has deficit <= deficit(nu). And
+        # f(zeta) <= f(omega) for every module weight zeta, so mu - zeta
+        # at p - 1 has deficit <= deficit(mu) at p. A band point at p
+        # thus reads band points at p - 1, or points where M is 0 in
+        # both records (walls, and points not below (p-1)*omega).
         dom = {}
-        for d1, d2 in points:
+        for d1, d2 in band(module, p, depth):
             val = 0
             for z1, z2 in shifts:
                 val += at(d1 - z1, d2 - z2)
@@ -259,30 +254,23 @@ def iterate_single_step(module: str, p: int) -> MultiplicityFunction:
 def tensor_with_vector(mu: Weight):
     """Highest weights of L^mu (x) L^(vector), which is multiplicity free.
 
-    Case formulas: interior mu (mu1 > mu2 >= 1) gives the five weights
-    mu, mu +- e1, mu +- e2; mu = (n,0) gives {(n+1,0), (n-1,0), (n,1)};
-    mu = (n/2,n/2) gives {mu, mu+e1, mu-e2} except that at n=1 the last
-    weight is not dominant and the product has only two summands. Inputs not
-    covered by a case formula (the mu2 = 1/2 line) fall back to the general
-    single-step rule, which stays multiplicity free.
+    Case formulas, as printed: interior mu (mu1 > mu2 >= 1) gives the five
+    weights mu, mu +- e1, mu +- e2; mu = (n,0) gives {(n+1,0), (n-1,0),
+    (n,1)}; mu = (n/2,n/2) gives {mu, mu+e1, mu-e2}, less (1/2,-1/2) at n=1.
+    Derived, not printed: on the line mu2 = 1/2 the interior formula holds
+    less mu - e2, as mu - e2 + rho = (mu1 + 3/2, 0) lies on a wall. Each
+    weight dropped is the one case weight that is not dominant.
     """
     if not is_dominant(mu):
         raise ValueError(f"{mu} is not dominant")
     e1 = Weight(2, 0)
     e2 = Weight(0, 2)
-    if mu.d1 > mu.d2 >= 2:
+    if mu.d1 > mu.d2 >= 1:
         cand = [mu, mu + e1, mu - e1, mu + e2, mu - e2]
     elif mu.d2 == 0 and mu.d1 >= 2:
         cand = [mu + e1, mu - e1, mu + e2]
-    elif mu.d1 == mu.d2 and mu.d1 >= 1:
+    elif mu.d1 == mu.d2 >= 1:
         cand = [mu, mu + e1, mu - e2]
-        cand = [w for w in cand if is_dominant(w)]  # n=1 drops (1/2,-1/2)
-    elif mu == Weight(0, 0):
-        cand = [Weight(2, 0)]
-    else:
-        # not covered by a printed case; the general rule is still mult-free here
-        step = single_step_decompose(mu, "vector")
-        if any(m != 1 for m in step.values()):
-            raise RuntimeError(f"L^{mu.text()} (x) vector is not multiplicity free")
-        return sorted(step)
-    return sorted(cand)
+    else:  # mu = 0
+        cand = [e1]
+    return sorted(w for w in cand if is_dominant(w))

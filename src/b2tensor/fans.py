@@ -457,10 +457,7 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
         raise RuntimeError("degenerate leading fan coefficient")
     shifts = sorted((-e1, -e2, -c) for (e1, e2), c in fan.items() if (e1, e2) != (0, 0))
     r1, r2 = RHO.d1, RHO.d2
-    # Pi(nu) = A^p(nu + p*rho), and nu + p*rho is strictly dominant, so it
-    # is a key of the chamber itself
-    source = _PROJECTED[module].chamber(p)
-    s1, s2 = p * r1, p * r2
+    pi = _PROJECTED[module].at
 
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
     for nu in reversed(dominated(l1, l2)):
@@ -471,7 +468,7 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
         # rep[0] = a - r1 >= nu[0] + g1 > l1, and that shift and every later
         # one would fail the rep[0] > l1 test below anyway.
         last = l1 - nu[0]
-        val = source.get((nu[0] + s1, nu[1] + s2), 0)
+        val = pi(p, *nu)  # the source term
         for g1, g2, c in shifts:
             if g1 > last:
                 break

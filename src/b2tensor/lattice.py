@@ -182,11 +182,12 @@ def dominated(l1: int, l2: int, x_max: int | None = None, y_max: int | None = No
     ]
 
 
-def band(module: str, p: int, depth: int) -> list:
+def band(module: str, p: int, depth: int | None) -> list:
     """The dominant points below p*omega of deficit <= depth, in ascending order.
 
     The deficit is x for the vector and y for the spinor (see deficit), so
-    the band is dominated(p*omega) with that coordinate bounded.
+    the band is dominated(p*omega) with that coordinate bounded; depth None
+    leaves it unbounded, and the band is every dominant point below p*omega.
     """
     l1, l2 = power_highest_weight(module, p)
     if module == "vector":

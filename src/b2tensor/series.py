@@ -33,16 +33,9 @@ class LatticeSeries:
 
     __slots__ = ("_terms",)
 
-    def __init__(self, terms=None):
-        clean = {}
-        if terms:
-            for w, c in (terms.items() if isinstance(terms, dict) else terms):
-                if c:
-                    key = (w.d1, w.d2)
-                    clean[key] = clean.get(key, 0) + c
-                    if clean[key] == 0:
-                        del clean[key]
-        self._terms = clean
+    def __init__(self, terms: dict | None = None):
+        # terms: Weight -> coefficient; zero coefficients are dropped
+        self._terms = {(w.d1, w.d2): c for w, c in (terms or {}).items() if c}
 
     @classmethod
     def _from_tuples(cls, terms: dict) -> "LatticeSeries":

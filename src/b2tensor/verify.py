@@ -9,7 +9,9 @@ arithmetic; a single unequal value anywhere is a failure.
 
 Sweep sizes derive from one knob, pmax (default 10): sweeps whose cost grows
 quickly stop at pmax or below, polynomial identities run to pmax+4, and the
-cheap long recurrences run to 3*pmax.
+cheap long recurrences run to 3*pmax. pmax starts at closed_forms.PMAX_MIN,
+the first pmax whose fit window 6..pmax+4 certifies a polynomial; every
+sweep bound below is written for pmax at or above it.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def check_known_window(pmax: int) -> CheckResult:
         PASS,
         f"window rows exact for 5 <= p <= {pmax}; M(p-2,1) == (p-1)(p-2)/2 "
         f"for 2 <= p <= {long_bound}",
-        14 * max(0, pmax - 4) + long_bound - 1,
+        14 * len(windows) + long_bound - 1,
     )
 
 
@@ -292,7 +294,7 @@ def check_known_window(pmax: int) -> CheckResult:
 def _closed_form_sweep(kind: str, name: str, truth_name: str, pmax: int) -> CheckResult:
     # the validated closed form of `kind` against its truth series, over its window
     form = CLOSED_FORMS[kind]
-    bound = max(1, pmax - 2)
+    bound = pmax - 2
     n = 0
     for p in range(1, bound + 1):
         points, want = closed_form_window(kind, p)
@@ -321,14 +323,13 @@ def check_spinor_singular_closed(pmax: int) -> CheckResult:
 
 def check_diff_reports(pmax: int) -> CheckResult:
     """The verbatim transcriptions differ from the direct values: under the
-    strict truncated binomial every report is nonempty, e.g. the fan value at
-    the origin is -1 but the printed sum gives 0."""
+    strict truncated binomial every report for p = 1..4 is nonempty, e.g. the
+    fan value at the origin is -1 but the printed sum gives 0."""
     name = "printed-formula-diffs"
-    bound = min(pmax, 4)
     n = 0
     counts = []
     reports = {}
-    for p in range(1, bound + 1):
+    for p in range(1, 5):
         row = []
         for kind in ("fan", "vector", "spinor"):
             rows = reports[kind, p] = diff_report(kind, p)
@@ -337,8 +338,7 @@ def check_diff_reports(pmax: int) -> CheckResult:
             row.append(len(rows))
             n += len(rows)
         counts.append((p, row))
-    fan2 = reports.get(("fan", 2)) or diff_report("fan", 2)  # the sweep stops below p=2 at pmax < 2
-    origin = [r for r in fan2 if r["point"] == "0,0"]
+    origin = [r for r in reports["fan", 2] if r["point"] == "0,0"]
     if origin != [{"point": "0,0", "printed": "0", "direct": "-1"}]:
         return _fail(name, "fan origin row at p=2")
     body = "; ".join(f"p={p}: fan {a}, vector {b}, spinor {c}" for p, (a, b, c) in counts)
@@ -371,7 +371,7 @@ def check_fan_identity(pmax: int) -> CheckResult:
     """R^(p-1) * Phi == Pi as series; equivalently the source-inclusive
     pointwise relation sum_gamma gamma_p(gamma) Phi(mu+gamma) + Pi(mu) = 0."""
     name = "fan-identity"
-    bound = max(1, pmax - 2)
+    bound = pmax - 2
     n = 0
     for p in range(1, bound + 1):
         fan = fan_power_direct(p)  # unfolded once for both modules
@@ -403,7 +403,7 @@ def check_singular_contribution(pmax: int) -> CheckResult:
     p(p-1), the fan lines contribute their published totals, and everything
     sums to the multiplicity (p-1)(p-2)/2."""
     name = "singular-contribution"
-    bound = max(2, pmax - 2)
+    bound = pmax - 2
     for p in range(2, bound + 1):
         if projected_at("vector", p, Weight.make(p - 2, 1)) != p * (p - 1):
             return _fail(name, f"Pi(p-2,1) at p={p}")
@@ -431,7 +431,7 @@ def check_character_product(pmax: int) -> CheckResult:
     """Freudenthal characters times the denominator give singular elements:
     ch(lam) * Psi^0 == Psi^lam on both cosets."""
     name = "character-product"
-    vmax = max(2, pmax // 2)
+    vmax = pmax // 2
     R = denominator_product()
     n = 0
     for d1 in range(0, 2 * vmax + 1):
@@ -452,7 +452,7 @@ def check_multiplicity_free(pmax: int) -> CheckResult:
     formulas agree with the general signed-reflection rule and preserve
     dimension, including the two-summand edge at (1/2,1/2)."""
     name = "vector-product-multiplicity-free"
-    mu1max = max(2, pmax - 2)
+    mu1max = pmax - 2
     n = 0
     for d1 in range(0, 2 * mu1max + 1):
         for d2 in range(d1 % 2, d1 + 1, 2):
@@ -482,8 +482,7 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
     beyond the window again match the recurrence.
 
     The family (s,t) has degree s+t-1, and certifying a degree-d polynomial
-    on the window 6..pmax+4 takes d+3 samples, so t is capped accordingly;
-    below pmax=4 no family fits in the window and the check fails."""
+    on the window 6..pmax+4 takes d+3 samples, so t is capped accordingly."""
     name = "diagonal-polynomial-fits"
     hi = pmax + 4
     window = hi - 5  # samples in 6..hi
@@ -494,7 +493,7 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
     }
     flat = [(p, w) for weights in reads.values() for p, w in weights.items()]
     m = dict(zip(flat, band_values("vector", flat)))  # one recursion for every family
-    nfits = npred = 0
+    npred = 0
     for (s, t), weights in reads.items():
         values = {p: m[p, w] for p, w in weights.items()}
         try:
@@ -505,13 +504,10 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
             if fitted != recurred:
                 return _fail(name, f"s={s} t={t} prediction p={p}")
         npred += len(predictions)
-        nfits += 1
-    if nfits == 0:
-        return _fail(name, f"window 6..{hi} too small for any certified fit")
     return CheckResult(
         name,
         PASS,
-        f"{nfits} fits on window 6..{hi}, {npred} out-of-window predictions match",
+        f"{len(reads)} fits on window 6..{hi}, {npred} out-of-window predictions match",
         npred,
     )
 
@@ -600,6 +596,8 @@ SUITES = {
 
 
 def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
+    if pmax < cf.PMAX_MIN:
+        raise ValueError(f"pmax {pmax} is below {cf.PMAX_MIN}, the first pmax with a fit window")
     if suite == "all":
         checks = [fn for suite_checks in SUITES.values() for fn in suite_checks]
     elif suite in SUITES:

@@ -1,7 +1,8 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers),
-the Fraction reference of the weight text, properties of a LatticeSeries read
-from its terms (its support among them), the references for its powers and
-for the support-plus-halo window, and a fresh CLI answer memo for every test."""
+points near the highest weight, the Fraction reference of the weight text,
+properties of a LatticeSeries read from its terms (its support among them),
+the references for its powers and for the support-plus-halo window, and a
+fresh CLI answer memo for every test."""
 
 from fractions import Fraction
 
@@ -37,6 +38,15 @@ def dominant_weights(span: int = 12):
     return weights(span).map(
         lambda w: Weight(max(abs(w.d1), abs(w.d2)), min(abs(w.d1), abs(w.d2)))
     )
+
+
+def near_top(mod, p, k, c, e):
+    """The lattice point of deficit k below p*omega at free coordinate c; e = 1
+    takes the vector point one step up the other coset (same deficit)."""
+    if mod == "vector":
+        d1 = 2 * p - 2 * k - e
+        return Weight(d1, 2 * c + d1 % 2)
+    return Weight(c, 2 * p - 2 * k - c)
 
 
 def weyl_elements():

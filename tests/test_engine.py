@@ -22,7 +22,7 @@ from b2tensor import (
 from b2tensor import engine
 from b2tensor.engine import NegativeMultiplicityError, band_values, iterate_single_step
 from b2tensor.lattice import deficit, reflect_to_chamber
-from conftest import dominant_weights, mass, small_powers, weights
+from conftest import dominant_weights, mass, near_top, small_powers, weights
 
 
 def as_weight_dict(pairs):
@@ -62,7 +62,7 @@ def test_tensor_power_weight_mass():
 
 @pytest.mark.parametrize("mod,dim", [("vector", 5), ("spinor", 4)])
 def test_dimension_sums(mod, dim):
-    for p in range(8):
+    for p in [*range(8), 100]:  # 100: the largest power decompose serves
         terms = decomposition(mod, p).multiplicities
         assert sum(m * dim_irrep(w) for w, m in terms) == dim**p
 
@@ -121,6 +121,31 @@ def test_single_step_conserves_dimension(mu):
         assert sum(m * dim_irrep(nu) for nu, m in parts.items()) == d * dim_irrep(mu)
 
 
+E1, E2 = Weight(2, 0), Weight(0, 2)
+
+
+def test_vector_products_on_the_half_line():
+    # mu = (d1/2, 1/2), d1 >= 3: mu - e2 + rho = (d1/2 + 3/2, 0) lies on a
+    # wall, so of the five interior summands mu - e2 drops out
+    for d1 in range(3, 42, 2):
+        mu = Weight(d1, 1)
+        want = sorted([mu - E1, mu, mu + E1, mu + E2])
+        assert list(tensor_with_vector(mu)) == want, mu
+        assert single_step_decompose(mu, "vector") == {w: 1 for w in want}, mu
+
+
+def test_vector_products_use_no_decomposition(monkeypatch):
+    # the case table answers every dominant mu without the general rule
+    mus = [Weight(d1, d2) for d1 in range(42) for d2 in range(d1 % 2, d1 + 1, 2)]
+    want = [sorted(single_step_decompose(mu, "vector")) for mu in mus]
+
+    def no_decomposition(*args):
+        raise AssertionError("tensor_with_vector decomposed")
+
+    monkeypatch.setattr(engine, "single_step_decompose", no_decomposition)
+    assert [list(tensor_with_vector(mu)) for mu in mus] == want
+
+
 def test_spinor_edge_product():
     parts = tensor_with_vector(Weight.make(Fraction(1, 2), Fraction(1, 2)))
     assert sorted(dim_irrep(w) for w in parts) == [4, 16]
@@ -166,22 +191,13 @@ def test_band_records_equal_the_full_records_on_the_band(mod, p_max, depth):
         }, (mod, p, depth)
 
 
-def _near_top(mod, p, k, c, e):
-    """The lattice point of deficit k below p*omega at free coordinate c; e = 1
-    takes the vector point one step up the other coset (same deficit)."""
-    if mod == "vector":
-        d1 = 2 * p - 2 * k - e
-        return Weight(d1, 2 * c + d1 % 2)
-    return Weight(c, 2 * p - 2 * k - c)
-
-
 _READ = st.tuples(st.integers(0, 40), st.integers(-2, 8), st.integers(-46, 46), st.integers(0, 1))
 
 
 @given(st.sampled_from(("vector", "spinor")), st.lists(_READ, max_size=12))
 @settings(max_examples=80, deadline=None)
 def test_band_values_equal_m_extended(mod, reads):
-    reads = [(p, _near_top(mod, p, k, c, e)) for p, k, c, e in reads]
+    reads = [(p, near_top(mod, p, k, c, e)) for p, k, c, e in reads]
     assert all(deficit(mod, p, *w) <= 8 for p, w in reads)
     assert band_values(mod, reads) == [m_extended(mod, p, w) for p, w in reads]
 
@@ -189,9 +205,9 @@ def test_band_values_equal_m_extended(mod, reads):
 def test_band_values_on_walls_and_off_the_chamber():
     for mod in ("vector", "spinor"):
         assert band_values(mod, []) == []
-        for p in (0, 1, 6, 40):
+        for p in (0, 1, 6, 40, 100):
             reads = [
-                (p, _near_top(mod, p, k, c, e))
+                (p, near_top(mod, p, k, c, e))
                 for k in range(-1, 4)
                 for c in range(-2 * p - 6, 2 * p + 7)
                 for e in (0, 1)

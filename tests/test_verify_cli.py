@@ -237,31 +237,24 @@ def test_verify_timings_go_to_stderr_only(capsys):
         assert float(seconds) >= 0 and unit == "s" and int(points) > 0 and label == "points"
 
 
-def _assert_verify_all_matches_reference(capsys, pmax):
-    # tests/data/verify_all_pmax<N>.json is the committed output of this command;
+def _gate_pmax(path: Path) -> int:
+    return int(path.stem.removeprefix("verify_all_pmax"))
+
+
+# tests/data/verify_all_pmax<N>.json is the committed output of verify --suite all
+# --format json --pmax N; every such file is a gate, so one added later is run too
+VERIFY_GATES = sorted((Path(__file__).parent / "data").glob("verify_all_pmax*.json"), key=_gate_pmax)
+
+
+@pytest.mark.parametrize("gate", VERIFY_GATES, ids=lambda path: path.name)
+def test_verify_all_output_is_byte_identical_to_reference(capsys, gate):
     # any change to a route, a closed form or the formatting shows up here
-    want = (Path(__file__).parent / "data" / f"verify_all_pmax{pmax}.json").read_bytes()
+    pmax = _gate_pmax(gate)
     code, out, _ = run_cli(
         capsys, "verify", "--suite", "all", "--format", "json", "--pmax", str(pmax)
     )
     assert code == 0
-    assert out.encode("utf-8") == want
-
-
-def test_verify_all_output_is_byte_identical_to_reference(capsys):
-    _assert_verify_all_matches_reference(capsys, 10)
-
-
-def test_verify_all_pmax14_output_is_byte_identical_to_reference(capsys):
-    _assert_verify_all_matches_reference(capsys, 14)
-
-
-def test_verify_all_pmax4_output_is_byte_identical_to_reference(capsys):
-    _assert_verify_all_matches_reference(capsys, 4)
-
-
-def test_verify_all_pmax18_output_is_byte_identical_to_reference(capsys):
-    _assert_verify_all_matches_reference(capsys, 18)
+    assert out.encode("utf-8") == gate.read_bytes()
 
 
 @pytest.mark.parametrize("command,extra", [

@@ -154,3 +154,20 @@ def test_run_suite_point_counts():
         22, 30, 176, 183, 357, 322, 39, 113, 1500, 4324,
         3716, 662, 63, 4856, 10, 36, 82, 45, 88, 19,
     ]
+
+
+@pytest.mark.parametrize("suite", ["all", *verify.SUITES])
+def test_run_suite_refuses_a_pmax_below_the_fit_window(suite):
+    with pytest.raises(ValueError, match="pmax"):
+        run_suite(suite, cf.PMAX_MIN - 1)
+
+
+def test_pmax_floor_is_the_first_pmax_whose_fit_window_certifies():
+    # verify's fits sample p = 6..pmax+4; at the floor that window certifies a
+    # constant, one pmax lower it holds too few samples to certify anything
+    constant = {p: 7 for p in range(6, cf.PMAX_MIN + 8)}
+    fit, _ = cf.fit_window(constant, cf.PMAX_MIN + 4)
+    assert fit.coefficients() == (7,)
+    with pytest.raises(ValueError):
+        cf.fit_window(constant, cf.PMAX_MIN + 3)
+    assert run_suite("all", cf.PMAX_MIN).ok
