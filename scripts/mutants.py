@@ -1,0 +1,142 @@
+"""Mutation gate: every mutant below must make the tier-1 tests fail.
+
+Each mutant is (file under src/b2tensor, exact old text, new text, what it
+breaks). The old text must occur exactly once in the file. For each mutant
+the script copies src/, tests/, benchmark/ (which tests run) and
+pyproject.toml into a temporary directory, applies the one replacement there and runs tier-1 with -x, so a
+killed mutant stops at its first failing test, which is printed. An
+unmutated copy runs first and must pass. The repository itself is never
+written.
+
+    python scripts/mutants.py
+
+Exit status 0 when every mutant is killed, 1 when the unmutated copy fails,
+an old text is not found once, or a mutant survives. A surviving mutant is a
+missing test: add the test, and keep the mutant.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+MUTANTS = [
+    # one place for each decision: the Weyl orbit, the points below p*omega,
+    # the power floor and the fit certificate's sample count
+    (
+        "series.py",
+        "        out[-a - s1, b - s2] = u\n",
+        "        out[-a - s1, b - s2] = v\n",
+        "_unfold gives a det -1 image the unsigned value",
+    ),
+    (
+        "series.py",
+        "-1, RHO.d1, RHO.d2)",
+        "-1, 0, 0)",
+        "singular_element without the -rho shift",
+    ),
+    (
+        "cli.py",
+        '"fan": ("power", 1, 40)',
+        '"fan": ("power", 0, 40)',
+        "the fan floor back at 0",
+    ),
+    (
+        "fans.py",
+        "for nu in reversed(band(module, p, None)):",
+        "for nu in reversed(band(module, p - 1, None)):",
+        "the fan solve sweeps the points below (p-1)*omega",
+    ),
+    (
+        "verify.py",
+        "window - cf.ZERO_SLACK - s)",
+        "window - cf.ZERO_SLACK - s + 1)",
+        "the t cap of the polynomial fits one higher",
+    ),
+    # one path per job
+    (
+        "closed_forms.py",
+        "PMAX_MIN = ZERO_SLACK + 2",
+        "PMAX_MIN = ZERO_SLACK + 1",
+        "the pmax floor one below the first fit window",
+    ),
+    (
+        "engine.py",
+        "    if mu.d1 > mu.d2 >= 1:\n",
+        "    if mu.d1 > mu.d2 >= 2:\n",
+        "the vector-product line mu2 = 1/2 falls to the mu = 0 case",
+    ),
+    (
+        "engine.py",
+        "return sorted(w for w in cand if is_dominant(w))",
+        "return sorted(cand)",
+        "vector-product case weights kept when not dominant",
+    ),
+    (
+        "lattice.py",
+        "return dominated(l1, l2, y_max=depth)",
+        "return dominated(l1, l2, y_max=0 if depth is None else depth)",
+        "the spinor band reads depth None as 0",
+    ),
+    (
+        "fans.py",
+        "val = pi(p, *nu)",
+        "val = pi(p - 1, *nu)",
+        "the fan solve reads Pi at p - 1",
+    ),
+]
+
+TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]
+
+
+def run_tier1(where: Path) -> tuple:
+    """(passed, first failure line) of tier-1 in the copy at where."""
+    env = {**os.environ, "PYTHONPATH": str(where / "src")}
+    done = subprocess.run(TIER1, cwd=where, env=env, capture_output=True, text=True)
+    # a failing test is named on stdout; a failure to import conftest only on stderr
+    failed = [ln for ln in done.stdout.splitlines() if ln.startswith(("FAILED", "ERROR"))]
+    last = [ln for ln in (done.stdout + done.stderr).splitlines() if ln.strip()][-1:]
+    return done.returncode == 0, (failed or last or [""])[0][:120]
+
+
+def copy_of_repo(into: Path) -> Path:
+    for part in ("src", "tests", "benchmark"):
+        shutil.copytree(ROOT / part, into / part, ignore=shutil.ignore_patterns("__pycache__"))
+    shutil.copy(ROOT / "pyproject.toml", into / "pyproject.toml")
+    return into
+
+
+def main() -> int:
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        passed, first = run_tier1(copy_of_repo(Path(tmp) / "clean"))
+    if not passed:
+        print(f"the unmutated copy fails tier-1: {first}")
+        return 1
+    survivors = 0
+    for i, (name, old, new, what) in enumerate(MUTANTS, 1):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = copy_of_repo(Path(tmp)) / "src" / "b2tensor" / name
+            text = path.read_text(encoding="utf-8")
+            if text.count(old) != 1:
+                print(f"{i:2} STALE    {name}: old text found {text.count(old)} times ({what})")
+                survivors += 1
+                continue
+            path.write_text(text.replace(old, new), encoding="utf-8")
+            passed, first = run_tier1(Path(tmp))
+        status = "SURVIVED" if passed else "killed  "
+        survivors += passed
+        print(f"{i:2} {status} {name}: {what}" + ("" if passed else f"\n     by {first}"))
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} killed in {time.perf_counter() - start:.0f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

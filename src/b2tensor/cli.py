@@ -27,7 +27,7 @@ from .fans import (
     singular_power_direct,
     singular_power_projected,
 )
-from .lattice import Weight, is_dominant
+from .lattice import FUNDAMENTAL, Weight, is_dominant
 from .series import series_json_obj
 from .verify import SUITES, run_suite
 
@@ -51,19 +51,21 @@ def _positive_int(text: str) -> int:
     return n
 
 
-# The one size option of each command, with its lowest and highest value.
+# The one size option of each command, with its lowest and highest value;
+# main refuses a value outside them, and no handler checks the size again.
 # Cost grows steeply with p, as the coefficients of the p-th power grow
 # exponentially; at the highest values one cold answer took at most about
 # 2 s on a 2-core Linux VM with Python 3.11 (closed-form --kind spinor
 # --diff-printed at 30 1.8 s, verify at 22 1.4 s, every other command 0.7 s
 # or less; fit at 150 0.1 s, as its recursion runs only on the band of the
-# weights it reads). fit and verify start at closed_forms.PMAX_MIN, the first fit window.
+# weights it reads). fan and closed-form start at 1, as the fan of p factors
+# is R^(p-1), and fit and verify at closed_forms.PMAX_MIN, the first fit window.
 LIMITS = {
     "decompose": ("power", 0, 100),
     "multiplicity": ("power", 0, 100),
-    "fan": ("power", 0, 40),
+    "fan": ("power", 1, 40),
     "singular": ("power", 0, 40),
-    "closed-form": ("power", 0, 30),
+    "closed-form": ("power", 1, 30),
     "fit": ("pmax", cfm.PMAX_MIN, 150),
     "verify": ("pmax", cfm.PMAX_MIN, 22),
     "diagram": ("pmax", 0, 60),
@@ -98,13 +100,13 @@ def _build_parsers() -> tuple:
         )
 
     p = sub.add_parser("decompose", help="decompose the p-th tensor power into irreducibles")
-    p.add_argument("--module", choices=("vector", "spinor"), required=True)
+    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
     add_size(p, "decompose")
     p.add_argument("--cache", metavar="DIR", default=None)
     add_format(p)
 
     p = sub.add_parser("multiplicity", help="multiplicity of one weight in the p-th power")
-    p.add_argument("--module", choices=("vector", "spinor"), required=True)
+    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
     add_size(p, "multiplicity")
     p.add_argument("--weight", type=_weight_arg, required=True, metavar="V1,V2")
     p.add_argument(
@@ -119,7 +121,7 @@ def _build_parsers() -> tuple:
     add_format(p)
 
     p = sub.add_parser("singular", help="singular element of the p-th power")
-    p.add_argument("--module", choices=("vector", "spinor"), required=True)
+    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
     add_size(p, "singular")
     p.add_argument(
         "--projected",
@@ -130,7 +132,7 @@ def _build_parsers() -> tuple:
     add_format(p)
 
     p = sub.add_parser("closed-form", help="closed-form coefficients and printed-formula diffs")
-    p.add_argument("--kind", choices=("fan", "vector", "spinor"), required=True)
+    p.add_argument("--kind", choices=tuple(CLOSED_FORMS), required=True)
     add_size(p, "closed-form")
     one = p.add_mutually_exclusive_group()
     one.add_argument("--weight", type=_weight_arg, default=None, metavar="V1,V2")
@@ -158,7 +160,7 @@ def _build_parsers() -> tuple:
     add_format(p)
 
     p = sub.add_parser("diagram", help="growth diagram of tensor powers as DOT")
-    p.add_argument("--module", choices=("vector", "spinor"), required=True)
+    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
     add_size(p, "diagram")
 
     return top, sub.choices
@@ -256,8 +258,6 @@ def _cmd_multiplicity(args) -> Answer:
 
 
 def _cmd_fan(args) -> Answer:
-    if args.power < 1:
-        return Answer(2, err="fan needs --power >= 1\n")
     payload = fan_with_zero(args.power).to_json_obj()
     return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 
@@ -279,8 +279,6 @@ def _diff_pretty(_, rows) -> str:
 
 
 def _cmd_closed_form(args) -> Answer:
-    if args.power < 1:
-        return Answer(2, err="closed-form needs --power >= 1\n")
     if args.diff_printed:
         report = diff_report(args.kind, args.power)
         return Answer(0, _render(args.format, report, ("point", "printed", "direct"), _diff_pretty))

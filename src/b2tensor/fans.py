@@ -32,7 +32,7 @@ from operator import mul
 from typing import Callable, NamedTuple
 
 from .engine import MultiplicityFunction, m_extended, tensor_power_weights
-from .lattice import FUNDAMENTAL, RHO, Weight, dominated, power_highest_weight, reflect_to_chamber
+from .lattice import FUNDAMENTAL, RHO, Weight, band, power_highest_weight, reflect_to_chamber
 from .series import ChamberChain, LatticeSeries, denominator_product, singular_element
 
 
@@ -460,7 +460,7 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
     pi = _PROJECTED[module].at
 
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
-    for nu in reversed(dominated(l1, l2)):
+    for nu in reversed(band(module, p, None)):
         n1, n2 = nu[0] + r1, nu[1] + r2
         # Shifts ascend in g1, so the loop may stop at the first one with
         # nu[0] + g1 > l1: the chamber representative of (n1 + g1, n2 + g2)

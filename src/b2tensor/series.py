@@ -2,7 +2,8 @@
 
 These are elements of the group ring Z[P]: formal sums of exponentials of
 lattice points. Characters, signed orbit sums and fans are all stored this
-way. Multiplication is convolution; everything is exact.
+way; _unfold builds each from its values on the closed Weyl chamber, and is
+the one writer of Weyl orbits. Multiplication is convolution; all is exact.
 
 Inside a LatticeSeries the terms live in a dict keyed by plain (d1, d2)
 tuples of doubled coordinates, so the convolution adds integer pairs and
@@ -220,14 +221,11 @@ def singular_element(lam: Weight) -> LatticeSeries:
     """Signed orbit sum e^(w(lam+rho)-rho) weighted by det(w), 8 terms."""
     if not is_dominant(lam):
         raise ValueError(f"{lam} is not dominant")
-    shifted = lam + RHO
-    terms = {}
-    for w in WEYL_GROUP:
-        terms[w.apply(shifted) - RHO] = w.det
-    if len(terms) != 8:
+    orbit = _unfold({(lam.d1 + RHO.d1, lam.d2 + RHO.d2): 1}, -1, RHO.d1, RHO.d2)
+    if len(orbit) != 8:
         # lam+rho is regular, so its orbit is free
-        raise RuntimeError(f"orbit of {lam}+rho has {len(terms)} points, expected 8")
-    return LatticeSeries(terms)
+        raise RuntimeError(f"orbit of {lam}+rho has {len(orbit)} points, expected 8")
+    return orbit
 
 
 def denominator_product() -> LatticeSeries:
@@ -255,6 +253,26 @@ def _chamber_read(chamber, flip: int, d1: int, d2: int) -> int:
     if d1 < d2:
         d1, d2, sign = d2, d1, sign * flip
     return sign * chamber.get((d1, d2), 0)
+
+
+def _unfold(chamber, flip: int, s1: int, s2: int) -> LatticeSeries:
+    """The W-symmetric function with these chamber values, moved by -(s1, s2).
+
+    Key (a, b) gives its eight images w(a, b), the value times flip where
+    det(w) = -1, as in _chamber_read. The values are nonzero, and an
+    anti-invariant chamber (flip -1) holds no wall point."""
+    out = {}
+    for (a, b), v in chamber.items():
+        u = flip * v
+        out[a - s1, b - s2] = v
+        out[-a - s1, -b - s2] = v
+        out[-b - s1, a - s2] = v
+        out[b - s1, -a - s2] = v
+        out[-a - s1, b - s2] = u
+        out[a - s1, -b - s2] = u
+        out[b - s1, a - s2] = u
+        out[-b - s1, -a - s2] = u
+    return LatticeSeries._from_tuples(out)
 
 
 class ChamberChain:
@@ -350,21 +368,7 @@ class ChamberChain:
     def unfold(self, n: int) -> LatticeSeries:
         """F^n as a full series, a new one per call."""
         s = n if self._signed else 0
-        s1, s2 = s * RHO.d1, s * RHO.d2
-        flip = self._flip(n)
-        out = {}
-        for (a, b), v in self.chamber(n).items():
-            # the eight images w(a, b), the value times det(w) when anti-invariant
-            u = flip * v
-            out[a - s1, b - s2] = v
-            out[-a - s1, -b - s2] = v
-            out[-b - s1, a - s2] = v
-            out[b - s1, -a - s2] = v
-            out[-a - s1, b - s2] = u
-            out[a - s1, -b - s2] = u
-            out[b - s1, a - s2] = u
-            out[-b - s1, -a - s2] = u
-        return LatticeSeries._from_tuples(out)
+        return _unfold(self.chamber(n), self._flip(n), s * RHO.d1, s * RHO.d2)
 
 
 # Height of a doubled point for the Freudenthal walk: f(d1, d2) = 3*d1 + d2
@@ -421,8 +425,4 @@ def weight_multiplicities(lam: Weight) -> LatticeSeries:
         if val:
             mult[m1, m2] = val
 
-    full = {}
-    for mu, n in mult.items():
-        for g in WEYL_GROUP:
-            full[g.act(*mu)] = n
-    return LatticeSeries._from_tuples(full)
+    return _unfold(mult, 1, 0, 0)

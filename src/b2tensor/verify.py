@@ -45,7 +45,7 @@ from .fans import (
     singular_power_direct,
     singular_power_projected,
 )
-from .lattice import Weight, dim_irrep
+from .lattice import FUNDAMENTAL, Weight, dim_irrep
 from .series import denominator_product, is_product, singular_element, weight_multiplicities
 
 PASS = "pass"
@@ -115,7 +115,7 @@ def check_four_routes(pmax: int) -> CheckResult:
     repeated single-step products must produce identical decompositions."""
     name = "four-routes-agree"
     n = 0
-    for mod in ("vector", "spinor"):
+    for mod in FUNDAMENTAL:
         recs = recur_multiplicity(mod, pmax)
         for p in range(pmax + 1):
             a = decomposition(mod, p)
@@ -331,7 +331,7 @@ def check_diff_reports(pmax: int) -> CheckResult:
     reports = {}
     for p in range(1, 5):
         row = []
-        for kind in ("fan", "vector", "spinor"):
+        for kind in CLOSED_FORMS:
             rows = reports[kind, p] = diff_report(kind, p)
             if not rows:
                 return _fail(name, f"{kind} p={p}: empty report")
@@ -375,7 +375,7 @@ def check_fan_identity(pmax: int) -> CheckResult:
     n = 0
     for p in range(1, bound + 1):
         fan = fan_power_direct(p)  # unfolded once for both modules
-        for mod in ("vector", "spinor"):
+        for mod in FUNDAMENTAL:
             pi = singular_power_projected(mod, p)
             if not is_product(pi, fan, singular_power_direct(mod, p)):
                 return _fail(name, f"module={mod} p={p}")
@@ -481,15 +481,15 @@ def check_polynomial_fits(pmax: int) -> CheckResult:
     window of recurrence samples certifies a polynomial whose predictions
     beyond the window again match the recurrence.
 
-    The family (s,t) has degree s+t-1, and certifying a degree-d polynomial
-    on the window 6..pmax+4 takes d+3 samples, so t is capped accordingly."""
+    The family (s,t) has degree d = s+t-1, and a degree-d fit on the window
+    6..pmax+4 takes d + 1 + ZERO_SLACK samples, so t is capped accordingly."""
     name = "diagonal-polynomial-fits"
     hi = pmax + 4
     window = hi - 5  # samples in 6..hi
     reads = {
         (s, t): {p: cf.diagonal_weight(s, t, p) for p in range(6, hi + 4)}
         for s in (1, 2, 3)
-        for t in range(min(4, window - 3 - (s - 1)) + 1)
+        for t in range(min(4, window - cf.ZERO_SLACK - s) + 1)
     }
     flat = [(p, w) for weights in reads.values() for p, w in weights.items()]
     m = dict(zip(flat, band_values("vector", flat)))  # one recursion for every family

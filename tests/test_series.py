@@ -389,6 +389,14 @@ def test_singular_element_rejects_non_dominant():
         singular_element(Weight.make(0, 1))
 
 
+def test_singular_element_is_the_signed_orbit_of_lam_plus_rho():
+    for d1 in range(25):
+        for d2 in range(d1 % 2, d1 + 1, 2):
+            lam = Weight(d1, d2)
+            orbit = {w.apply(lam + RHO) - RHO: w.det for w in WEYL_GROUP}
+            assert singular_element(lam) == LatticeSeries(orbit), lam
+
+
 def test_vector_spinor_characters():
     vec = weight_multiplicities(OMEGA1)
     assert mass(vec) == 5

@@ -16,6 +16,7 @@ from b2tensor import cli
 from b2tensor.cli import LIMITS, _diagonal_values, _parsers, build_parser, main
 from conftest import text_by_fractions
 from b2tensor.diagram import to_dot
+from b2tensor.fans import CLOSED_FORMS, ClosedForm
 from b2tensor.series import ChamberChain
 from b2tensor.verify import SUITES, run_suite
 
@@ -286,10 +287,13 @@ def test_cli_every_command_has_one_limit():
 
 @pytest.mark.parametrize("command", sorted(c for c, limit in LIMITS.items() if limit[0] == "power"))
 def test_cli_power_limits_are_stated_and_above_the_benchmark(capsys, command):
-    _, _, high = LIMITS[command]
+    _, low, high = LIMITS[command]
     with pytest.raises(SystemExit):
         main([command, "--help"])
-    assert f"at most {high}" in capsys.readouterr().out
+    text = capsys.readouterr().out
+    assert f"at most {high}" in text
+    if low:
+        assert f"at least {low} and at most" in text
     assert high >= 12  # the largest p of the query-mix benchmark
 
 
@@ -325,23 +329,41 @@ def test_cli_pmax_limits_are_stated_and_cover_current_use(capsys, command, in_us
         assert f"at least {low} and at most" in text
 
 
-@pytest.mark.parametrize("command,extra,first_step", [
-    ("verify", ["--suite", "all"], "run_suite"),
-    ("fit", ["--s", "2", "--t", "1"], "_diagonal_values"),
-])
-def test_cli_pmax_lower_limit_fails_before_computing(capsys, monkeypatch, command, extra, first_step):
-    # below pmax 4 the fit window has too few samples: verify reported spurious
-    # failures and fit an internal message
-    def nothing_computed(*_):
-        raise AssertionError(f"{first_step} was called")
+# each command whose floor is above 0, that floor, and its query without the size
+# option: below pmax 4 the fit window has too few samples (verify reported
+# spurious failures and fit an internal message), and the fan of p factors is
+# R^(p-1), so fan and closed-form start at 1
+FLOORS = [
+    ("verify", 4, ["--suite", "all"]),
+    ("fit", 4, ["--s", "2", "--t", "1"]),
+    ("fan", 1, []),
+    *(
+        ("closed-form", 1, ["--kind", kind, *weight])
+        for kind in CLOSED_FORMS
+        for weight in ([], ["--weight", "0,0"])
+    ),
+]
 
-    monkeypatch.setattr(cli, first_step, nothing_computed)
-    _, low, _ = LIMITS[command]
-    assert low == 4
-    for pmax in range(low):
-        code, out, err = run_cli(capsys, command, *extra, "--pmax", str(pmax))
+
+def test_cli_lower_limit_cases_cover_every_floor():
+    assert {command for command, (_, low, _) in LIMITS.items() if low} == {c for c, _, _ in FLOORS}
+
+
+@pytest.mark.parametrize("command,floor,extra", FLOORS, ids=[" ".join([c, *x]) for c, _, x in FLOORS])
+def test_cli_lower_limit_fails_before_computing(capsys, monkeypatch, command, floor, extra):
+    def nothing_computed(*_):
+        raise AssertionError("a computation was started")
+
+    for step in ("run_suite", "_diagonal_values", "fan_with_zero", "diff_report", "closed_form_window"):
+        monkeypatch.setattr(cli, step, nothing_computed)
+    for kind in CLOSED_FORMS:
+        monkeypatch.setitem(CLOSED_FORMS, kind, ClosedForm(*[nothing_computed] * 3))
+    option, low, _ = LIMITS[command]
+    assert low == floor
+    for value in range(low):
+        code, out, err = run_cli(capsys, command, *extra, f"--{option}", str(value))
         assert code == 1 and out == ""
-        assert err == f"error: --pmax {pmax} is below the limit {low} of {command}\n"
+        assert err == f"error: --{option} {value} is below the limit {low} of {command}\n"
 
 
 def test_cli_pmax_lower_limit_is_the_first_that_works(capsys):
