@@ -91,6 +91,25 @@ MUTANTS = [
         "val = pi(p - 1, *nu)",
         "the fan solve reads Pi at p - 1",
     ),
+    # the cache reads the payload's bytes as stored; integer weights skip Fraction
+    (
+        "cache.py",
+        "data = body[len(_HEAD) : end]",
+        "data = body[len(_HEAD) : end - 1]",
+        "the cached payload slice one character short",
+    ),
+    (
+        "cache.py",
+        "if _sha256(data) != body[end + len(_MID) : -len(_END)]:",
+        "if False:",
+        "the cache digest comparison skipped",
+    ),
+    (
+        "lattice.py",
+        "d1, d2 = 2 * int(v1), 2 * int(v2)",
+        "d1, d2 = int(v1), int(v2)",
+        "Weight.parse reads an integer coordinate undoubled",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]

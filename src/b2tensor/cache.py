@@ -1,8 +1,18 @@
 """Checksummed JSON cache for computed payloads.
 
-Files carry {"schema": 1, "sha256": <hex>, "payload": ...}; a wrong schema
-or digest invalidates the file and the value is recomputed. Serialization is
-canonical (sorted keys, fixed separators) so reruns are byte-identical.
+A file is the canonical JSON (sorted keys, fixed separators, ASCII) of
+{"payload": ..., "schema": SCHEMA, "sha256": <hex>} and a newline, so
+reruns are byte-identical, and the digest is that of the payload's
+canonical text. The keys sort in that order, so a file is the fixed head
+'{"payload":', the payload text, and a fixed-length tail that holds the
+schema and the digest. load reads the file once, checks the head and the
+tail, hashes the payload's bytes as they stand and parses only them; any
+other file, a wrong schema or digest included, is a miss, and the value is
+recomputed. A hit returns the payload with its text, which the CLI prints
+as its JSON answer without serializing the payload again.
+
+SCHEMA versions the payloads: a change to what a command stores must bump
+it, which turns every older file into a miss (tests pin a few digests to it).
 """
 
 from __future__ import annotations
@@ -13,21 +23,28 @@ from pathlib import Path
 
 SCHEMA = 1
 
+_ENCODER = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+_HEAD = b'{"payload":'
+_MID = b',"schema":%d,"sha256":"' % SCHEMA
+_END = b'"}\n'
+_TAIL = len(_MID) + 64 + len(_END)  # a sha256 is 64 hex digits
+
 
 def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
+    return _ENCODER.encode(obj)
 
 
-def payload_digest(payload) -> str:
+def _sha256(data: bytes) -> bytes:
     import hashlib  # loads OpenSSL (about 4 ms and 3.6 MB), which only a load or store needs
 
-    return hashlib.sha256(canonical_json(payload).encode("utf-8")).hexdigest()
+    return hashlib.sha256(data).hexdigest().encode("ascii")
 
 
-def store(cache_dir, key: str, payload) -> Path:
+def store(cache_dir, key: str, payload, text: str | None = None) -> Path:
     """Write <key>.json atomically and return its path.
 
-    The body goes to a temporary file in the same directory, which then
+    text is canonical_json(payload), when the caller has it already. The
+    body goes to a temporary file in the same directory, which then
     replaces <key>.json in one os.replace: a concurrent load sees the old
     file or the new one, never a partial one, and of two writers the last
     replace wins whole. The temporary name is unique to the writer (process
@@ -35,13 +52,13 @@ def store(cache_dir, key: str, payload) -> Path:
     """
     path = Path(cache_dir) / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    body = {"schema": SCHEMA, "sha256": payload_digest(payload), "payload": payload}
-    text = canonical_json(body) + "\n"
+    data = (canonical_json(payload) if text is None else text).encode("ascii")
+    body = b"".join((_HEAD, data, _MID, _sha256(data), _END))
     tmp = path.with_name(f".{key}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
-    f = open(tmp, "x", encoding="utf-8")
+    f = open(tmp, "xb")
     try:
         with f:
-            f.write(text)
+            f.write(body)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -50,29 +67,39 @@ def store(cache_dir, key: str, payload) -> Path:
 
 
 def load(cache_dir, key: str):
-    """The cached payload, or None when absent, unreadable or corrupt."""
-    path = Path(cache_dir) / f"{key}.json"
-    if not path.is_file():
+    """(payload, its canonical text) from <key>.json, or None when absent,
+    unreadable, corrupt or not as store writes it."""
+    try:
+        body = (Path(cache_dir) / f"{key}.json").read_bytes()
+    except OSError:
+        return None
+    end = len(body) - _TAIL  # where the tail starts
+    if end <= len(_HEAD) or not body.startswith(_HEAD):
+        return None
+    if not body.startswith(_MID, end) or not body.endswith(_END):
+        return None
+    data = body[len(_HEAD) : end]
+    if _sha256(data) != body[end + len(_MID) : -len(_END)]:
         return None
     try:
-        body = json.loads(path.read_text(encoding="utf-8"))
-    except (OSError, ValueError, RecursionError):  # ValueError covers JSON and UTF-8 decode errors
+        text = data.decode("ascii")
+        return json.loads(text), text
+    except (ValueError, RecursionError):  # ValueError covers JSON and decode errors
         return None
-    if not isinstance(body, dict) or body.get("schema") != SCHEMA:
-        return None
-    payload = body.get("payload")
-    if body.get("sha256") != payload_digest(payload):
-        return None
-    return payload
 
 
 def cached(cache_dir, key: str, compute):
-    """compute() with a pass-through JSON cache; cache_dir=None disables it."""
+    """(payload, its canonical text) of compute(), through the JSON cache.
+
+    cache_dir=None disables the cache; the text is then None, as nothing
+    serialized the payload.
+    """
     if cache_dir is None:
-        return compute()
+        return compute(), None
     hit = load(cache_dir, key)
     if hit is not None:
         return hit
     payload = compute()
-    store(cache_dir, key, payload)
-    return payload
+    text = canonical_json(payload)
+    store(cache_dir, key, payload, text)
+    return payload, text

@@ -170,9 +170,11 @@ def _build_parsers() -> tuple:
 # of stdout and of stderr, which main prints. Every answer but a fit or a
 # diagram is one JSON object rendered by _render; its CSV columns are the
 # keys its rows are read at. A series or decomposition is rendered from its
-# payload, the text that cached() stores: canonical, sorted by point, every
+# payload, the object that cached() stores: canonical, sorted by point, every
 # coefficient a decimal string. The formats only rearrange those strings, so
-# a cache hit is printed as stored, with nothing parsed back.
+# nothing is parsed back. With --cache, cached() also returns the payload's
+# canonical text, which a hit read from the file and a miss serialized once
+# to store; the JSON answer is that text, not a second serialization.
 
 
 class Answer(NamedTuple):
@@ -183,12 +185,13 @@ class Answer(NamedTuple):
     err: str = ""
 
 
-def _render(fmt: str, obj, keys: tuple, pretty, entries=None, quoted: int = 0) -> str:
+def _render(fmt: str, obj, keys: tuple, pretty, entries=None, quoted=0, canonical=None) -> str:
     """The text of obj in fmt.
 
     The rows of the answer are its entries, obj itself or entries(obj), each
-    a dict read at keys. json renders obj; csv renders the keys and then
-    the rows, the cell at index quoted in double quotes; pretty is
+    a dict read at keys. json renders obj, or prints canonical, the
+    canonical JSON of obj when the caller has it; csv renders the keys and
+    then the rows, the cell at index quoted in double quotes; pretty is
     pretty(obj, rows). The rows are read in every format, so they check the
     shape of obj. A payload read from the cache has passed its digest check,
     which tells a changed file from the one written but not a well-formed
@@ -198,7 +201,7 @@ def _render(fmt: str, obj, keys: tuple, pretty, entries=None, quoted: int = 0) -
     try:
         rows = list(map(itemgetter(*keys), obj if entries is None else entries(obj)))
         if fmt == "json":
-            text = canonical_json(obj) + "\n"
+            text = (canonical_json(obj) if canonical is None else canonical) + "\n"
         elif fmt == "csv":
             line = ",".join('"{}"' if i == quoted else "{}" for i in range(len(keys))) + "\n"
             text = ",".join(keys) + "\n" + "".join(starmap(line.format, rows))
@@ -237,13 +240,14 @@ def _point(args, label: str, key: str, value: int) -> str:
 
 
 def _cmd_decompose(args) -> Answer:
-    payload = cached(
+    payload, canonical = cached(
         args.cache,
         f"decompose-{args.module}-{args.power}",
         lambda: decomposition(args.module, args.power).to_json_obj(),
     )
     keys = ("weight", "mult", "dim")
-    return Answer(0, _render(args.format, payload, keys, _decomposition_pretty, entries=_terms))
+    text = _render(args.format, payload, keys, _decomposition_pretty, _terms, canonical=canonical)
+    return Answer(0, text)
 
 
 def _cmd_multiplicity(args) -> Answer:
@@ -265,12 +269,12 @@ def _cmd_fan(args) -> Answer:
 def _cmd_singular(args) -> Answer:
     which = "projected" if args.projected else "direct"
     fn = singular_power_projected if args.projected else singular_power_direct
-    payload = cached(
+    payload, canonical = cached(
         args.cache,
         f"singular-{which}-{args.module}-{args.power}",
         lambda: fn(args.module, args.power).to_json_obj(),
     )
-    return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
+    return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty, canonical=canonical))
 
 
 def _diff_pretty(_, rows) -> str:

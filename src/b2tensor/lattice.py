@@ -58,10 +58,18 @@ class Weight(NamedTuple("_WeightFields", [("d1", int), ("d2", int)])):
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
+        """The weight 'v1,v2'. Integer coordinates are read with int(), the
+        rest (halves, and texts int() rejects) with Fraction through make;
+        int() takes no text that Fraction reads as another value."""
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight must be 'v1,v2', got {text!r}")
-        return cls.make(parts[0].strip(), parts[1].strip())
+        v1, v2 = parts[0].strip(), parts[1].strip()
+        try:
+            d1, d2 = 2 * int(v1), 2 * int(v2)
+        except ValueError:
+            return cls.make(v1, v2)
+        return cls(d1, d2)
 
     def text(self) -> str:
         return point_text(self.d1, self.d2)

@@ -1,8 +1,8 @@
 """Shared strategies (weights on the doubled lattice, dominant weights, powers),
-points near the highest weight, the Fraction reference of the weight text,
-properties of a LatticeSeries read from its terms (its support among them),
-the references for its powers and for the support-plus-halo window, and a
-fresh CLI answer memo for every test."""
+points near the highest weight, the Fraction references of the weight text and
+of its parse, properties of a LatticeSeries read from its terms (its support
+among them), the references for its powers and for the support-plus-halo
+window, and a fresh CLI answer memo for every test."""
 
 from fractions import Fraction
 
@@ -82,6 +82,18 @@ def halo_weights(series):
 def text_by_fractions(w: Weight) -> str:
     """Weight.text through Fraction: the reference for its doubled-integer path."""
     return f"{Fraction(w.d1, 2)},{Fraction(w.d2, 2)}"
+
+
+def parse_by_fractions(text: str) -> Weight:
+    """Weight.parse with every coordinate read by Fraction: the reference for its int() path."""
+    parts = text.split(",")
+    if len(parts) != 2:
+        raise ValueError(f"weight must be 'v1,v2', got {text!r}")
+    v1, v2 = parts[0].strip(), parts[1].strip()
+    d1, d2 = Fraction(v1) * 2, Fraction(v2) * 2
+    if d1.denominator != 1 or d2.denominator != 1:
+        raise ValueError(f"({v1},{v2}) is not a half-integer point")
+    return Weight(int(d1), int(d2))
 
 
 def repeated_product(base, n: int):

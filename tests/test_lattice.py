@@ -34,7 +34,7 @@ from b2tensor.lattice import (
     power_highest_weight,
 )
 from b2tensor.verify import CheckResult, VerificationReport
-from conftest import dominant_weights, text_by_fractions, weights, weyl_elements
+from conftest import dominant_weights, parse_by_fractions, text_by_fractions, weights, weyl_elements
 
 
 @given(st.integers(-50, 50), st.integers(-50, 50))
@@ -138,6 +138,31 @@ def test_parse_inverts_text_on_large_points(a, b, half):
     got = Weight.parse(w.text())
     assert got == w
     assert type(got.d1) is int and type(got.d2) is int
+
+
+# coordinate texts: some that int() reads, some only Fraction reads, and some
+# neither does; six characters at most keep an exponent such as 9e9999 cheap
+_DIGITS = "0123456789\u0663\uff11"  # \u0663 and \uff11 are the digits 3 and 1
+_COORDS = st.text(_DIGITS + "+-_ /.e", max_size=6) | st.tuples(
+    st.sampled_from(("", " ", "+", "-", " -")),
+    st.text(_DIGITS, min_size=1, max_size=4),
+    st.sampled_from(("", "_0", "/2", "/-2", "/0", "1/2", ".5", " ")),
+).map("".join)
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except (ValueError, ZeroDivisionError) as exc:
+        return type(exc), str(exc)
+
+
+@given(st.one_of(st.tuples(_COORDS, _COORDS), st.lists(_COORDS, max_size=3)).map(",".join))
+@settings(max_examples=300)
+def test_parse_matches_the_fraction_reference(text):
+    # the same Weight, or the same exception type and message
+    got, want = _parsed(Weight.parse, text), _parsed(parse_by_fractions, text)
+    assert (type(got), got) == (type(want), want)
 
 
 def test_constants():

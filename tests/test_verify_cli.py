@@ -1,5 +1,6 @@
 """Verification suites, CLI surface, cache, diagram export."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -7,11 +8,13 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recur_multiplicity
 from b2tensor import LatticeSeries, decomposition, dim_irrep, singular_power_direct, singular_power_projected
 from b2tensor import cache
-from b2tensor.cache import cached, canonical_json, load, payload_digest, store
+from b2tensor.cache import cached, canonical_json, load, store
 from b2tensor import cli
 from b2tensor.cli import LIMITS, _diagonal_values, _parsers, build_parser, main
 from conftest import text_by_fractions
@@ -395,10 +398,15 @@ def test_diagram_respects_bounds():
     assert "p0_0_0" in dot and "p1_2_0" in dot and "p2_" not in dot
 
 
+def _hit(payload):
+    """What load and cached return for payload: it and its canonical text."""
+    return payload, canonical_json(payload)
+
+
 def test_cache_round_trip(tmp_path):
     payload = {"a": [1, 2, 3], "b": "x"}
     store(tmp_path, "k", payload)
-    assert load(tmp_path, "k") == payload
+    assert load(tmp_path, "k") == _hit(payload)
 
 
 def test_cache_rejects_corruption(tmp_path):
@@ -413,21 +421,21 @@ def test_cache_rejects_corruption(tmp_path):
         calls.append(1)
         return {"v": 3}
 
-    assert cached(tmp_path, "k", compute) == {"v": 3}
+    assert cached(tmp_path, "k", compute) == _hit({"v": 3})
     assert calls == [1]
-    assert load(tmp_path, "k") == {"v": 3}
+    assert load(tmp_path, "k") == _hit({"v": 3})
 
 
 def test_cache_schema_gate(tmp_path):
+    # the file as stored but for its schema: a SCHEMA bump makes every older file a miss
     path = store(tmp_path, "k", 7)
-    body = json.loads(path.read_text())
-    body["schema"] = 99
-    path.write_text(json.dumps(body))
+    path.write_bytes(path.read_bytes().replace(b'"schema":1,', b'"schema":99,'))
     assert load(tmp_path, "k") is None
 
 
-def test_payload_digest_is_canonical():
-    assert payload_digest({"b": 1, "a": 2}) == payload_digest({"a": 2, "b": 1})
+def test_cache_file_is_canonical(tmp_path):
+    first = store(tmp_path, "k", {"b": 1, "a": 2}).read_bytes()
+    assert store(tmp_path, "k", {"a": 2, "b": 1}).read_bytes() == first
 
 
 def test_cli_decompose_with_cache(tmp_path, capsys):
@@ -457,7 +465,7 @@ def test_cache_store_leaves_no_temporary_files(tmp_path):
     store(tmp_path, "k", {"v": 1})
     store(tmp_path, "k", {"v": 2})
     assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
-    assert load(tmp_path, "k") == {"v": 2}
+    assert load(tmp_path, "k") == _hit({"v": 2})
 
 
 class _FailingFile:
@@ -487,7 +495,7 @@ def test_cache_store_failing_mid_write_leaves_no_partial_file(tmp_path, monkeypa
     with pytest.raises(OSError):
         store(tmp_path, "k", {"v": 2, "pad": "x" * 10000})
     assert sorted(p.name for p in tmp_path.iterdir()) == before
-    assert load(tmp_path, "k") == existing
+    assert load(tmp_path, "k") == (None if existing is None else _hit(existing))
 
 
 def test_cache_store_failing_replace_leaves_no_temporary_file(tmp_path, monkeypatch):
@@ -498,6 +506,90 @@ def test_cache_store_failing_replace_leaves_no_temporary_file(tmp_path, monkeypa
     with pytest.raises(OSError):
         store(tmp_path, "k", {"v": 1})
     assert list(tmp_path.iterdir()) == []
+
+
+_JSON_LEAVES = st.none() | st.booleans() | st.integers(-(10**60), 10**60) | st.text()
+_JSON_VALUES = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@given(st.recursive(_JSON_LEAVES | st.floats(), lambda inner: _JSON_VALUES | inner))
+@settings(max_examples=200)
+def test_canonical_json_is_sorted_compact_json_dumps(value):
+    assert canonical_json(value) == json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+# a payload and the bytes store writes for it under SCHEMA 1
+_PAYLOAD = {"terms": [{"weight": "1/2,1/2", "mult": "3"}], "power": 3, "note": "\u00e9"}
+_STORED = (
+    b'{"payload":{"note":"\\u00e9","power":3,"terms":[{"mult":"3","weight":"1/2,1/2"}]},'
+    b'"schema":1,"sha256":"d3a739bca72f74b6037f782959ece47e9b3086a80664a7430fbb7773adb2456d"}\n'
+)
+
+
+def _schema_1_file(payload) -> bytes:
+    """A cache file as SCHEMA 1 first wrote it: the canonical JSON of the whole body."""
+    digest = hashlib.sha256(json.dumps(payload, sort_keys=True, separators=(",", ":")).encode())
+    body = {"schema": 1, "sha256": digest.hexdigest(), "payload": payload}
+    return (json.dumps(body, sort_keys=True, separators=(",", ":")) + "\n").encode()
+
+
+def test_cache_store_writes_the_schema_1_bytes(tmp_path):
+    assert store(tmp_path, "k", _PAYLOAD).read_bytes() == _STORED == _schema_1_file(_PAYLOAD)
+
+
+@given(_JSON_VALUES)
+@settings(max_examples=100, suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_cache_loads_files_written_as_schema_1_first_wrote_them(tmp_path, payload):
+    (tmp_path / "k.json").write_bytes(_schema_1_file(payload))
+    assert load(tmp_path, "k") == _hit(payload)
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        lambda b: b[:-1],
+        lambda b: b + b"\n",
+        lambda b: b + b" ",
+        lambda b: b[:-67] + b[-67:-3].upper() + b[-3:],
+    ],
+    ids=["truncated", "trailing-newline", "trailing-space", "upper-case-digest"],
+)
+def test_cache_file_not_as_store_writes_it_is_a_miss(tmp_path, change):
+    path = store(tmp_path, "k", _PAYLOAD)
+    assert change(_STORED) != _STORED
+    path.write_bytes(change(_STORED))
+    assert load(tmp_path, "k") is None
+
+
+# the sha256 of the payload each of these queries stores under cache.SCHEMA
+_SCHEMA_PINS = {
+    "decompose-vector-3": "4ba26e8469519736903becdcf352c203f64d9889941881934d37e26103ffb1c0",
+    "decompose-spinor-3": "5464f15e70c051d0bc3f239eccd1b36335a995b2e6307126bd3d05a114bc2d38",
+    "singular-direct-vector-2": "f1a6935be36949527bbd98c2051a681429b0739f8d806561990a981b1200ff7c",
+    "singular-projected-vector-2": "d0cdb6af4f799e4b8458c17c242ad958fc8aed1473d87d34df75b25df54f4147",
+}
+
+
+def test_cache_schema_pins_the_stored_payloads(tmp_path, capsys):
+    queries = [
+        ["decompose", "--module", "vector", "--power", "3"],
+        ["decompose", "--module", "spinor", "--power", "3"],
+        ["singular", "--module", "vector", "--power", "2"],
+        ["singular", "--module", "vector", "--power", "2", "--projected"],
+    ]
+    for argv in queries:
+        assert run_cli(capsys, *argv, "--cache", str(tmp_path))[0] == 0
+    digests = {
+        key: json.loads((tmp_path / f"{key}.json").read_text())["sha256"] for key in _SCHEMA_PINS
+    }
+    assert (cache.SCHEMA, digests) == (1, _SCHEMA_PINS), (
+        "a stored payload changed: bump cache.SCHEMA, so that every file written "
+        "before is a miss, and pin the new SCHEMA and digests here"
+    )
 
 
 # --- printed output: payloads as stored, against the route that parsed them back
@@ -570,7 +662,36 @@ def test_cli_recomputes_a_cache_file_with_a_stale_digest(tmp_path, capsys, kind)
     body["payload"] = json.loads(_command(kind, "vector", 2, "json")[2])  # digest now stale
     path.write_text(json.dumps(body))
     assert run_cli(capsys, *argv) == (0, want, "")
-    assert load(tmp_path, key) == json.loads(want)  # rewritten with a good digest
+    assert load(tmp_path, key) == (json.loads(want), want[:-1])  # rewritten with a good digest
+
+
+def test_cli_rewrites_a_cache_file_another_serializer_wrote(tmp_path, capsys):
+    argv, key, want = _command("decompose", "vector", 3, "json")
+    argv += ["--power", "3", "--format", "json", "--cache", str(tmp_path)]
+    assert run_cli(capsys, *argv) == (0, want, "")
+    path = tmp_path / f"{key}.json"
+    stored = path.read_bytes()
+    path.write_text(json.dumps(json.loads(stored)))  # same payload and a valid digest
+    assert load(tmp_path, key) is None
+    assert run_cli(capsys, *argv) == (0, want, "")
+    assert path.read_bytes() == stored
+
+
+@pytest.mark.parametrize("kind", ["decompose", "singular-projected"])
+def test_cli_json_answer_is_the_payload_text_of_the_file(tmp_path, capsys, monkeypatch, kind):
+    # a miss serializes the payload once, to store it; a hit prints the file's payload slice
+    argv, key, want = _command(kind, "spinor", 4, "json")
+    argv += ["--power", "4", "--format", "json", "--cache", str(tmp_path)]
+    serialized = []
+    for module in (cache, cli):
+        real = module.canonical_json
+        monkeypatch.setattr(module, "canonical_json", lambda obj, r=real: serialized.append(1) or r(obj))
+    assert run_cli(capsys, *argv) == (0, want, "")
+    assert serialized == [1]
+    body = (tmp_path / f"{key}.json").read_bytes()
+    stored = body[len(b'{"payload":') : body.rindex(b',"schema":')].decode()
+    assert run_cli(capsys, *argv) == (0, stored + "\n", "")
+    assert serialized == [1]
 
 
 @pytest.mark.parametrize("body", [b"\xff\xfe not utf-8", b"[" * 200_000], ids=["bytes", "deep"])
@@ -582,7 +703,7 @@ def test_cli_recomputes_an_undecodable_cache_file(tmp_path, capsys, kind, body):
     (tmp_path / f"{key}.json").write_bytes(body)
     assert load(tmp_path, key) is None
     assert run_cli(capsys, *argv) == (0, want, "")
-    assert load(tmp_path, key) == json.loads(want)  # rewritten with a good digest
+    assert load(tmp_path, key) == (json.loads(want), want[:-1])  # rewritten with a good digest
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
