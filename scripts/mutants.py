@@ -110,6 +110,12 @@ MUTANTS = [
         "d1, d2 = int(v1), int(v2)",
         "Weight.parse reads an integer coordinate undoubled",
     ),
+    (
+        "lattice.py",
+        'if "_" not in text:',
+        "if True:",
+        "Weight.parse reads underscores with int() on every Python",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]

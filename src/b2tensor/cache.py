@@ -40,11 +40,11 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).hexdigest().encode("ascii")
 
 
-def store(cache_dir, key: str, payload, text: str | None = None) -> Path:
-    """Write <key>.json atomically and return its path.
+def store(cache_dir, key: str, text: str) -> Path:
+    """Write <key>.json, holding text (a payload's canonical_json), atomically
+    and return its path.
 
-    text is canonical_json(payload), when the caller has it already. The
-    body goes to a temporary file in the same directory, which then
+    The body goes to a temporary file in the same directory, which then
     replaces <key>.json in one os.replace: a concurrent load sees the old
     file or the new one, never a partial one, and of two writers the last
     replace wins whole. The temporary name is unique to the writer (process
@@ -52,7 +52,7 @@ def store(cache_dir, key: str, payload, text: str | None = None) -> Path:
     """
     path = Path(cache_dir) / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
-    data = (canonical_json(payload) if text is None else text).encode("ascii")
+    data = text.encode("ascii")
     body = b"".join((_HEAD, data, _MID, _sha256(data), _END))
     tmp = path.with_name(f".{key}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
@@ -101,5 +101,5 @@ def cached(cache_dir, key: str, compute):
         return hit
     payload = compute()
     text = canonical_json(payload)
-    store(cache_dir, key, payload, text)
+    store(cache_dir, key, text)
     return payload, text

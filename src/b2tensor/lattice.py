@@ -59,17 +59,24 @@ class Weight(NamedTuple("_WeightFields", [("d1", int), ("d2", int)])):
     @classmethod
     def parse(cls, text: str) -> "Weight":
         """The weight 'v1,v2'. Integer coordinates are read with int(), the
-        rest (halves, and texts int() rejects) with Fraction through make;
-        int() takes no text that Fraction reads as another value."""
+        rest (halves, and texts int() rejects) with Fraction through make.
+
+        On a text without '_', int() takes no text that Fraction reads as
+        another value or rejects, on every Python from 3.10; Fraction reads
+        underscores only from 3.11, so a text with '_' goes to make, which
+        gives each version's own Fraction answer."""
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight must be 'v1,v2', got {text!r}")
         v1, v2 = parts[0].strip(), parts[1].strip()
-        try:
-            d1, d2 = 2 * int(v1), 2 * int(v2)
-        except ValueError:
-            return cls.make(v1, v2)
-        return cls(d1, d2)
+        if "_" not in text:
+            try:
+                d1, d2 = 2 * int(v1), 2 * int(v2)
+            except ValueError:
+                pass
+            else:
+                return cls(d1, d2)
+        return cls.make(v1, v2)
 
     def text(self) -> str:
         return point_text(self.d1, self.d2)

@@ -21,6 +21,7 @@ from b2tensor import (
     is_dominant,
     to_dominant_regular,
 )
+from b2tensor import lattice
 from b2tensor.closed_forms import NewtonFit
 from b2tensor.engine import decomposition, recur_multiplicity
 from b2tensor.lattice import (
@@ -163,6 +164,25 @@ def test_parse_matches_the_fraction_reference(text):
     # the same Weight, or the same exception type and message
     got, want = _parsed(Weight.parse, text), _parsed(parse_by_fractions, text)
     assert (type(got), got) == (type(want), want)
+
+
+class _FractionWithoutUnderscores(Fraction):
+    """Fraction as Python 3.10 reads a string: with no underscores."""
+
+    def __new__(cls, numerator=0, denominator=None):
+        if isinstance(numerator, str) and "_" in numerator:
+            raise ValueError(f"Invalid literal for Fraction: {numerator!r}")
+        return super().__new__(cls, numerator, denominator)
+
+
+@pytest.mark.parametrize("text", ["1_0,0", "2,1_0", "-1_1, 3"])
+def test_parse_reads_underscores_as_fraction_does(monkeypatch, text):
+    # int() reads '1_0' on every Python, Fraction only from 3.11: parse must
+    # answer as the running Fraction does, so no version accepts more than before
+    assert Weight.parse(text) == parse_by_fractions(text)
+    monkeypatch.setattr(lattice, "Fraction", _FractionWithoutUnderscores)
+    with pytest.raises(ValueError, match="Invalid literal for Fraction"):
+        Weight.parse(text)
 
 
 def test_constants():

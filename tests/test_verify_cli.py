@@ -403,17 +403,24 @@ def _hit(payload):
     return payload, canonical_json(payload)
 
 
+def _well_formed(data: bytes, digest_of: bytes | None = None) -> bytes:
+    """A cache file as store lays it out, holding the payload bytes data and
+    the sha256 of digest_of (default data)."""
+    digest = hashlib.sha256(data if digest_of is None else digest_of).hexdigest().encode()
+    return b'{"payload":' + data + b',"schema":1,"sha256":"' + digest + b'"}\n'
+
+
 def test_cache_round_trip(tmp_path):
     payload = {"a": [1, 2, 3], "b": "x"}
-    store(tmp_path, "k", payload)
+    store(tmp_path, "k", canonical_json(payload))
     assert load(tmp_path, "k") == _hit(payload)
 
 
 def test_cache_rejects_corruption(tmp_path):
-    path = store(tmp_path, "k", {"v": 1})
-    body = json.loads(path.read_text())
-    body["payload"] = {"v": 2}  # digest now stale
-    path.write_text(json.dumps(body))
+    path = store(tmp_path, "k", canonical_json({"v": 1}))
+    assert path.read_bytes() == _well_formed(b'{"v":1}')
+    path.write_bytes(path.read_bytes().replace(b'{"v":1}', b'{"v":2}'))  # digest now stale
+    assert path.read_bytes() == _well_formed(b'{"v":2}', digest_of=b'{"v":1}')
     assert load(tmp_path, "k") is None
     calls = []
 
@@ -428,14 +435,15 @@ def test_cache_rejects_corruption(tmp_path):
 
 def test_cache_schema_gate(tmp_path):
     # the file as stored but for its schema: a SCHEMA bump makes every older file a miss
-    path = store(tmp_path, "k", 7)
+    path = store(tmp_path, "k", canonical_json(7))
     path.write_bytes(path.read_bytes().replace(b'"schema":1,', b'"schema":99,'))
     assert load(tmp_path, "k") is None
 
 
 def test_cache_file_is_canonical(tmp_path):
-    first = store(tmp_path, "k", {"b": 1, "a": 2}).read_bytes()
-    assert store(tmp_path, "k", {"a": 2, "b": 1}).read_bytes() == first
+    cached(tmp_path, "k1", lambda: {"b": 1, "a": 2})
+    cached(tmp_path, "k2", lambda: {"a": 2, "b": 1})
+    assert (tmp_path / "k1.json").read_bytes() == (tmp_path / "k2.json").read_bytes()
 
 
 def test_cli_decompose_with_cache(tmp_path, capsys):
@@ -462,8 +470,8 @@ def test_cli_unusable_cache_path_is_an_error(tmp_path, command):
 
 
 def test_cache_store_leaves_no_temporary_files(tmp_path):
-    store(tmp_path, "k", {"v": 1})
-    store(tmp_path, "k", {"v": 2})
+    store(tmp_path, "k", canonical_json({"v": 1}))
+    store(tmp_path, "k", canonical_json({"v": 2}))
     assert [p.name for p in tmp_path.iterdir()] == ["k.json"]
     assert load(tmp_path, "k") == _hit({"v": 2})
 
@@ -489,11 +497,11 @@ class _FailingFile:
 @pytest.mark.parametrize("existing", [None, {"v": 1}])
 def test_cache_store_failing_mid_write_leaves_no_partial_file(tmp_path, monkeypatch, existing):
     if existing is not None:
-        store(tmp_path, "k", existing)
+        store(tmp_path, "k", canonical_json(existing))
     before = sorted(p.name for p in tmp_path.iterdir())
     monkeypatch.setattr(cache, "open", lambda *a, **kw: _FailingFile(open(*a, **kw)), raising=False)
     with pytest.raises(OSError):
-        store(tmp_path, "k", {"v": 2, "pad": "x" * 10000})
+        store(tmp_path, "k", canonical_json({"v": 2, "pad": "x" * 10000}))
     assert sorted(p.name for p in tmp_path.iterdir()) == before
     assert load(tmp_path, "k") == (None if existing is None else _hit(existing))
 
@@ -504,7 +512,7 @@ def test_cache_store_failing_replace_leaves_no_temporary_file(tmp_path, monkeypa
 
     monkeypatch.setattr(cache.os, "replace", fail)
     with pytest.raises(OSError):
-        store(tmp_path, "k", {"v": 1})
+        store(tmp_path, "k", canonical_json({"v": 1}))
     assert list(tmp_path.iterdir()) == []
 
 
@@ -538,7 +546,7 @@ def _schema_1_file(payload) -> bytes:
 
 
 def test_cache_store_writes_the_schema_1_bytes(tmp_path):
-    assert store(tmp_path, "k", _PAYLOAD).read_bytes() == _STORED == _schema_1_file(_PAYLOAD)
+    assert store(tmp_path, "k", canonical_json(_PAYLOAD)).read_bytes() == _STORED == _schema_1_file(_PAYLOAD)
 
 
 @given(_JSON_VALUES)
@@ -559,7 +567,7 @@ def test_cache_loads_files_written_as_schema_1_first_wrote_them(tmp_path, payloa
     ids=["truncated", "trailing-newline", "trailing-space", "upper-case-digest"],
 )
 def test_cache_file_not_as_store_writes_it_is_a_miss(tmp_path, change):
-    path = store(tmp_path, "k", _PAYLOAD)
+    path = store(tmp_path, "k", canonical_json(_PAYLOAD))
     assert change(_STORED) != _STORED
     path.write_bytes(change(_STORED))
     assert load(tmp_path, "k") is None
@@ -657,10 +665,12 @@ def test_cli_prints_payloads_as_the_parsed_route_did(tmp_path, capsys, kind, mod
 def test_cli_recomputes_a_cache_file_with_a_stale_digest(tmp_path, capsys, kind):
     argv, key, want = _command(kind, "vector", 3, "json")
     argv += ["--power", "3", "--format", "json", "--cache", str(tmp_path)]
-    path = store(tmp_path, key, json.loads(want))
-    body = json.loads(path.read_text())
-    body["payload"] = json.loads(_command(kind, "vector", 2, "json")[2])  # digest now stale
-    path.write_text(json.dumps(body))
+    path = store(tmp_path, key, want[:-1])
+    assert path.read_bytes() == _well_formed(want[:-1].encode())
+    other = _command(kind, "vector", 2, "json")[2][:-1]  # the payload at p = 2
+    path.write_bytes(path.read_bytes().replace(want[:-1].encode(), other.encode()))  # digest now stale
+    assert path.read_bytes() == _well_formed(other.encode(), digest_of=want[:-1].encode())
+    assert load(tmp_path, key) is None
     assert run_cli(capsys, *argv) == (0, want, "")
     assert load(tmp_path, key) == (json.loads(want), want[:-1])  # rewritten with a good digest
 
@@ -694,13 +704,14 @@ def test_cli_json_answer_is_the_payload_text_of_the_file(tmp_path, capsys, monke
     assert serialized == [1]
 
 
-@pytest.mark.parametrize("body", [b"\xff\xfe not utf-8", b"[" * 200_000], ids=["bytes", "deep"])
+@pytest.mark.parametrize("data", [b'"\xff\xfe not ascii"', b"[" * 200_000], ids=["bytes", "deep"])
 @pytest.mark.parametrize("kind", ["decompose", "singular-direct"])
-def test_cli_recomputes_an_undecodable_cache_file(tmp_path, capsys, kind, body):
-    # neither a UTF-8 error nor a nesting too deep to parse may fail the query
+def test_cli_recomputes_an_undecodable_cache_file(tmp_path, capsys, kind, data):
+    # a file as store lays it out, with a valid digest, whose payload cannot be
+    # decoded or nests too deep to parse: neither may fail the query
     argv, key, want = _command(kind, "vector", 2, "json")
     argv += ["--power", "2", "--format", "json", "--cache", str(tmp_path)]
-    (tmp_path / f"{key}.json").write_bytes(body)
+    (tmp_path / f"{key}.json").write_bytes(_well_formed(data))
     assert load(tmp_path, key) is None
     assert run_cli(capsys, *argv) == (0, want, "")
     assert load(tmp_path, key) == (json.loads(want), want[:-1])  # rewritten with a good digest
@@ -718,7 +729,7 @@ def test_cli_recomputes_an_undecodable_cache_file(tmp_path, capsys, kind, body):
 ])
 def test_cli_malformed_cache_payload_is_an_error(tmp_path, capsys, fmt, argv, key, payload):
     # the digest is valid, so only rendering can tell; it prints nothing then
-    store(tmp_path, key, payload)
+    store(tmp_path, key, canonical_json(payload))
     code, out, err = run_cli(capsys, *argv, "--power", "3", "--format", fmt, "--cache", str(tmp_path))
     assert (code, out) == (1, "")
     assert err.startswith("error: malformed payload")
