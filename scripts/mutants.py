@@ -116,6 +116,49 @@ MUTANTS = [
         "if True:",
         "Weight.parse reads underscores with int() on every Python",
     ),
+    (
+        "lattice.py",
+        'if "e" in text or "E" in text:',
+        "if False:",
+        "Weight.parse hands a coordinate with an exponent to Fraction",
+    ),
+    # the closed-form window carries its values; three proofs of the fast paths
+    (
+        "series.py",
+        "codes[ma + b] = codes[pa - b] = codes[pb + a] = codes[mb - a] = flip * v",
+        "codes[ma + b] = codes[pa - b] = codes[pb + a] = codes[mb - a] = v",
+        "ChamberChain.window gives a det -1 image the unsigned value",
+    ),
+    (
+        "fans.py",
+        "[-v for v in reversed(values)]",
+        "[v for v in reversed(values)]",
+        "the fan window's values not negated",
+    ),
+    (
+        "fans.py",
+        "[(-d1, -d2) for d1, d2 in reversed(points)]",
+        "[(-d1, -d2) for d1, d2 in points]",
+        "the fan window's points not reversed",
+    ),
+    (
+        "fans.py",
+        "return range(lo, hi + 1)",
+        "return range(lo, hi)",
+        "_nonzero_range one short at its top",
+    ),
+    (
+        "series.py",
+        "for _ in range(height // step):",
+        "for _ in range(height // step - 1):",
+        "the Freudenthal walk stops one step short",
+    ),
+    (
+        "closed_forms.py",
+        "b = b * (n - k + 1) // k",
+        "b = b * (n - k) // k",
+        "NewtonFit's binomial update one factor low",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]

@@ -21,7 +21,8 @@ The closed-form evaluators here compute coefficients of R^(p-1) (fan) and of
 Pi (singular powers). Each exists in two variants: a verbatim transcription
 of the published index formula, and a validated evaluator that matches the
 direct convolution exactly. CLOSED_FORMS holds both as batch evaluators, one
-entry per kind; diff_report exposes their disagreements.
+entry per kind; closed_form_window reads the direct values they are checked
+against off the chamber chains, and diff_report exposes their disagreements.
 """
 
 from __future__ import annotations
@@ -335,31 +336,27 @@ def _tb_quarter(j: int, quad_i: int) -> int:
 
 
 class ClosedForm(NamedTuple):
-    """One closed-form kind: the series it reproduces and its two readings.
+    """The two readings of one closed-form kind; closed_form_window gives its truth.
 
     validated and printed take (p, points) with points a list of doubled
     (d1, d2) pairs and give one integer per point; validated gives 0 off
-    the coset its truth series lives on.
+    the coset its truth lives on.
     """
 
-    truth: Callable[[int], LatticeSeries]
     validated: Callable[[int, list], list]
     printed: Callable[[int, list], list]
 
 
 CLOSED_FORMS = {
     "fan": ClosedForm(
-        fan_with_zero,
         partial(_fan_many, tb=_tb_lax),
         partial(_fan_many, tb=_tb_strict),
     ),
     "vector": ClosedForm(
-        partial(singular_power_projected, "vector"),
         partial(_vector_many, tb=_tb_lax),
         partial(_vector_many, tb=_tb_strict),
     ),
     "spinor": ClosedForm(
-        partial(singular_power_projected, "spinor"),
         _spinor_many,
         _spinor_printed_many,
     ),
@@ -378,57 +375,24 @@ def diff_report(kind: str, p: int) -> list:
         raise ValueError(f"unknown diff kind {kind!r}") from None
     points, direct = closed_form_window(kind, p)
     return [
-        {"point": Weight(*pt).text(), "printed": str(printed), "direct": str(direct.get(pt, 0))}
-        for pt, printed in zip(points, form.printed(p, points))
-        if printed != direct.get(pt, 0)
+        {"point": Weight(*pt).text(), "printed": str(printed), "direct": str(want)}
+        for pt, want, printed in zip(points, direct, form.printed(p, points))
+        if printed != want
     ]
 
 
-# the halo of closed_form_window, doubled: one step of 2 in each coordinate
-_HALO = tuple((h1, h2) for h1 in (-2, 0, 2) for h2 in (-2, 0, 2))
-
-
 def closed_form_window(kind: str, p: int) -> tuple:
-    """(points, truth terms) of kind at p; the points are the truth's support plus a halo of 2.
+    """(points, values): the truth of kind at p on its support plus a halo of 2.
 
-    The points are built from the chamber keys of the truth's chain, the
-    truth terms from its unfolded series.
+    Points ascend; values are Pi = (Psi^omega)^p for 'vector' and 'spinor'
+    and gamma_p(x) = -R^(p-1)(-x) for 'fan', 0 on the halo.
     """
-    truth = CLOSED_FORMS[kind].truth(p)
-    # The truth is x -> G^n(x + s) for its chain's G^n, which is W-symmetric
-    # (Pi: n = p, s = p*rho; the fan, -R^(p-1)(-x) = -G^(p-1)((p-1)*rho - x):
-    # n = p - 1 and, negated, s = -(p-1)*rho), so its support is W.C - s, C
-    # the chamber keys of G^n. The kernel K = {-2, 0, 2}^2 is W-invariant, so
-    # the window support + K is W.C + K - s, the W-orbit of its part in the
-    # closed chamber, shifted. That part is (C + K) in the chamber: for a
-    # chamber point z = w c + k, fold(z) = z and fold(w c) = c, the fold (abs,
-    # sort) is 1-Lipschitz in the max norm, so |z - c| <= 2 in each
-    # coordinate, and z - c is even, as both coordinates of c share a parity;
-    # so z - c is in K. The sorted points are those of the unfolded halo.
-    if kind == "fan":
-        n = _fan_power(p)
-        keys, s1, s2 = _FAN.chamber(n), -n * RHO.d1, -n * RHO.d2
-    else:
-        keys, s1, s2 = _PROJECTED[kind].chamber(p), p * RHO.d1, p * RHO.d2
-    near = set()
-    for h1, h2 in _HALO:
-        for a, b in keys:
-            a, b = a + h1, b + h2
-            if a >= b >= 0:
-                near.add((a, b))
-    # The eight images w(a, b) - s of each point, each coded as the integer
-    # (d1 + off) * base + d2 + off: every coordinate lies in [-off, off] and
-    # base = 2*off + 1, so the codes sort as the points do.
-    off = max(near)[0] + max(abs(s1), abs(s2))
-    base = 2 * off + 1
-    u1, u2 = off - s1, off - s2
-    codes = set()
-    for a, b in near:
-        pa, ma = (u1 + a) * base + u2, (u1 - a) * base + u2
-        pb, mb = (u1 + b) * base + u2, (u1 - b) * base + u2
-        codes.update((pa + b, pa - b, ma + b, ma - b, pb + a, pb - a, mb + a, mb - a))
-    points = [(q - off, r - off) for q, r in (divmod(k, base) for k in sorted(codes))]
-    return points, truth.by_tuple()
+    if kind != "fan":
+        return _PROJECTED[kind].window(p)
+    # the window of R^(p-1), negated: the halo is symmetric, and negation
+    # reverses the order of the points
+    points, values = _FAN.window(_fan_power(p))
+    return [(-d1, -d2) for d1, d2 in reversed(points)], [-v for v in reversed(values)]
 
 
 # ---------------------------------------------------------------------------

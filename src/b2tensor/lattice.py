@@ -64,11 +64,14 @@ class Weight(NamedTuple("_WeightFields", [("d1", int), ("d2", int)])):
         On a text without '_', int() takes no text that Fraction reads as
         another value or rejects, on every Python from 3.10; Fraction reads
         underscores only from 3.11, so a text with '_' goes to make, which
-        gives each version's own Fraction answer."""
+        gives each version's own Fraction answer. An exponent is refused
+        first, as Fraction would build the whole power of ten."""
         parts = text.split(",")
         if len(parts) != 2:
             raise ValueError(f"weight must be 'v1,v2', got {text!r}")
         v1, v2 = parts[0].strip(), parts[1].strip()
+        if "e" in text or "E" in text:
+            raise ValueError(f"weight {text!r} has an exponent; write it without e or E")
         if "_" not in text:
             try:
                 d1, d2 = 2 * int(v1), 2 * int(v2)

@@ -2,8 +2,9 @@
 
 These are elements of the group ring Z[P]: formal sums of exponentials of
 lattice points. Characters, signed orbit sums and fans are all stored this
-way; _unfold builds each from its values on the closed Weyl chamber, and is
-the one writer of Weyl orbits. Multiplication is convolution; all is exact.
+way. Weyl orbits of closed-chamber values have two writers: _unfold builds a
+series, and ChamberChain.window a support-plus-halo window, which must sort
+its points. Multiplication is convolution; all is exact.
 
 Inside a LatticeSeries the terms live in a dict keyed by plain (d1, d2)
 tuples of doubled coordinates, so the convolution adds integer pairs and
@@ -302,7 +303,7 @@ class ChamberChain:
     Powers are filled bottom-up by a loop from the highest one held, so a
     large power takes no recursion, and the chain keeps every power it has
     built for as long as it lives. Only unfold builds a full series, and it
-    keeps none.
+    keeps none; window reads a power without building one.
     """
 
     __slots__ = ("_terms", "_signed", "_chambers")
@@ -369,6 +370,37 @@ class ChamberChain:
         """F^n as a full series, a new one per call."""
         s = n if self._signed else 0
         return _unfold(self.chamber(n), self._flip(n), s * RHO.d1, s * RHO.d2)
+
+    def window(self, n: int) -> tuple:
+        """(points, values): F^n on its support plus a halo of 2; points ascend, 0 on the halo."""
+        chamber, flip = self.chamber(n), self._flip(n)
+        s1, s2 = (n * RHO.d1, n * RHO.d2) if self._signed else (0, 0)
+        # F^n(x) = G^n(x + s) with G^n W-symmetric, so supp F^n = W.C - s, C
+        # the chamber keys, and supp + K = W.(C + K) - s for the W-invariant
+        # K = {-2, 0, 2}^2. Its chamber part is (C + K) in the chamber: for a
+        # chamber point z = w c + k, the fold (abs, sort) fixes z, sends w c to
+        # c and is 1-Lipschitz in the max norm, so |z - c| <= 2 per coordinate,
+        # and z - c is even, as c's coordinates share a parity; so z - c is in K.
+        near = {
+            (a + h1, b + h2) for h1 in (-2, 0, 2) for h2 in (-2, 0, 2) for a, b in chamber
+            if a + h1 >= b + h2 >= 0
+        }
+        # Each image w(a, b) - s is coded as (d1 + off) * base + d2 + off, with
+        # every coordinate in [-off, off] and base = 2*off + 1, so codes sort as
+        # points do; it takes v, or flip * v where det(w) = -1, as in _unfold.
+        off = max(near)[0] + max(s1, s2)
+        base = 2 * off + 1
+        u1, u2 = off - s1, off - s2
+        codes = {}
+        for a, b in near:
+            v = chamber.get((a, b), 0)
+            pa, ma = (u1 + a) * base + u2, (u1 - a) * base + u2
+            pb, mb = (u1 + b) * base + u2, (u1 - b) * base + u2
+            codes[pa + b] = codes[ma - b] = codes[mb + a] = codes[pb - a] = v
+            codes[ma + b] = codes[pa - b] = codes[pb + a] = codes[mb - a] = flip * v
+        keys = sorted(codes)
+        points = [(q - off, r - off) for q, r in (divmod(k, base) for k in keys)]
+        return points, [codes[k] for k in keys]
 
 
 # Height of a doubled point for the Freudenthal walk: f(d1, d2) = 3*d1 + d2

@@ -298,8 +298,8 @@ def _closed_form_sweep(kind: str, name: str, truth_name: str, pmax: int) -> Chec
     n = 0
     for p in range(1, bound + 1):
         points, want = closed_form_window(kind, p)
-        for pt, got in zip(points, form.validated(p, points)):
-            if got != want.get(pt, 0):
+        for pt, got, value in zip(points, form.validated(p, points), want):
+            if got != value:
                 return _fail(name, f"p={p} point={Weight(*pt).text()}")
         n += len(points)
     return CheckResult(name, PASS, f"{n} points equal {truth_name} for p <= {bound}", n)
@@ -383,8 +383,8 @@ def check_fan_identity(pmax: int) -> CheckResult:
     fan = fan_with_zero(3).by_tuple()
     phi = singular_power_direct("vector", 3).by_tuple()
     window, source = closed_form_window("vector", 3)  # Pi_vector and its window
-    for d1, d2 in window:
-        total = source.get((d1, d2), 0) + sum(
+    for (d1, d2), value in zip(window, source):
+        total = value + sum(
             c * phi.get((d1 + g1, d2 + g2), 0) for (g1, g2), c in fan.items()
         )
         if total != 0:

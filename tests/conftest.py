@@ -60,8 +60,8 @@ def small_powers(top: int = 6):
 def _support_halo(series: LatticeSeries, step: int = 2) -> list:
     """Sorted doubled points within one step (both coordinates) of the support.
 
-    The reference for fans.closed_form_window, which builds the same points
-    from the chamber of the truth's chain.
+    The reference for ChamberChain.window, which builds the same points
+    from the chamber keys of its chain.
     """
     keys = series.by_tuple().keys()
     d1s = [d1 for d1, _ in keys]
@@ -85,11 +85,15 @@ def text_by_fractions(w: Weight) -> str:
 
 
 def parse_by_fractions(text: str) -> Weight:
-    """Weight.parse with every coordinate read by Fraction: the reference for its int() path."""
+    """Weight.parse with every coordinate read by Fraction: the reference for its int() path.
+
+    A coordinate with an exponent is refused, as Weight.parse refuses it."""
     parts = text.split(",")
     if len(parts) != 2:
         raise ValueError(f"weight must be 'v1,v2', got {text!r}")
     v1, v2 = parts[0].strip(), parts[1].strip()
+    if "e" in text or "E" in text:
+        raise ValueError(f"weight {text!r} has an exponent; write it without e or E")
     d1, d2 = Fraction(v1) * 2, Fraction(v2) * 2
     if d1.denominator != 1 or d2.denominator != 1:
         raise ValueError(f"({v1},{v2}) is not a half-integer point")

@@ -73,9 +73,10 @@ _NEAR = st.tuples(st.integers(0, 10**6), _HALO, _HALO, st.sampled_from(WEYL_GROU
 @settings(max_examples=6, deadline=None)
 def test_chamber_reads_equal_the_validated_closed_forms(kind, near):
     # The truth of the fan is gamma(x) = -R^(p-1)(-x), that of the other kinds
-    # Pi(x), each read here by ChamberChain.at. As in closed_form_window, the
-    # window is the images w(c + h) - shift * rho of the keys c of the chain's
-    # chamber, h in {-2, 0, 2}^2, so each drawn point is a window point.
+    # Pi(x), each read here by ChamberChain.at. As in ChamberChain.window,
+    # the window is the images w(c + h) - shift * rho of the keys c of the
+    # chain's chamber, h in {-2, 0, 2}^2, so each drawn point is a window
+    # point.
     if kind == "fan":
         chain, n, sign, shift = _FAN, P_FAN - 1, -1, 1 - P_FAN
     else:

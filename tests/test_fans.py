@@ -333,6 +333,14 @@ def printed_at(kind):
     return lambda p, w: CLOSED_FORMS[kind].printed(p, [(w.d1, w.d2)])[0]
 
 
+# the convolution each closed-form kind reproduces, unfolded
+TRUTH = {
+    "fan": fan_with_zero,
+    "vector": lambda p: singular_power_projected("vector", p),
+    "spinor": lambda p: singular_power_projected("spinor", p),
+}
+
+
 POINTWISE = {
     "fan": (
         lambda p, w: fan_closed_form(p, w.d1 // 2, w.d2 // 2) if w.d1 % 2 == w.d2 % 2 == 0 else 0,
@@ -358,7 +366,7 @@ def test_batch_closed_forms_equal_pointwise(kind, p, points):
     at = [Weight(*pt) for pt in pairs]
     got = form.validated(p, pairs)
     assert got == [validated(p, w) for w in at]
-    truth = form.truth(p).by_tuple()  # the convolution, far beyond the halo of verify
+    truth = TRUTH[kind](p).by_tuple()  # the convolution, far beyond the halo of verify
     assert got == [truth.get(pt, 0) for pt in pairs]
     if kind != "spinor" or p <= 5:  # the verbatim spinor triple loop is slow
         assert form.printed(p, pairs) == [printed(p, w) for w in at]
@@ -369,9 +377,10 @@ def test_batch_closed_forms_cover_the_support():
     for kind, form in CLOSED_FORMS.items():
         validated, _ = POINTWISE[kind]
         for p in (3, 6):
-            pairs = sorted(form.truth(p).by_tuple())
+            truth = TRUTH[kind](p).by_tuple()
+            pairs = sorted(truth)
             assert form.validated(p, pairs) == [validated(p, Weight(*pt)) for pt in pairs]
-            assert form.validated(p, pairs) == [form.truth(p).by_tuple()[pt] for pt in pairs]
+            assert form.validated(p, pairs) == [truth[pt] for pt in pairs]
 
 
 @pytest.mark.parametrize("module", ["vector", "spinor"])
@@ -557,9 +566,11 @@ def test_support_halo_equals_nested_loops(step):
 @pytest.mark.parametrize("kind", ["fan", "vector", "spinor"])
 def test_folded_window_equals_the_unfolded_halo(kind):
     # built from the chamber keys of the truth's chain: a wall point missed by
-    # the chamber filter, or a fan window shifted the wrong way, shows here
+    # the chamber filter, a fan window shifted the wrong way, or an image
+    # given the wrong sign, shows here
     for p in range(1, 15):
-        truth = CLOSED_FORMS[kind].truth(p)
-        points, terms = fans.closed_form_window(kind, p)
+        truth = TRUTH[kind](p)
+        points, values = fans.closed_form_window(kind, p)
         assert points == nested_support_halo(truth), (kind, p)
-        assert terms == truth.by_tuple()
+        terms = truth.by_tuple()
+        assert values == [terms.get(pt, 0) for pt in points], (kind, p)

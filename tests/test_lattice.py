@@ -141,8 +141,8 @@ def test_parse_inverts_text_on_large_points(a, b, half):
     assert type(got.d1) is int and type(got.d2) is int
 
 
-# coordinate texts: some that int() reads, some only Fraction reads, and some
-# neither does; six characters at most keep an exponent such as 9e9999 cheap
+# coordinate texts: some that int() reads, some only Fraction reads, some
+# neither does, and some with an exponent, which both parses refuse
 _DIGITS = "0123456789\u0663\uff11"  # \u0663 and \uff11 are the digits 3 and 1
 _COORDS = st.text(_DIGITS + "+-_ /.e", max_size=6) | st.tuples(
     st.sampled_from(("", " ", "+", "-", " -")),
@@ -164,6 +164,16 @@ def test_parse_matches_the_fraction_reference(text):
     # the same Weight, or the same exception type and message
     got, want = _parsed(Weight.parse, text), _parsed(parse_by_fractions, text)
     assert (type(got), got) == (type(want), want)
+
+
+@pytest.mark.parametrize("text", ["9e999999,0", "0, 1E5", "5e-1,5e-1", "1/2e1,0"])
+def test_parse_refuses_an_exponent_before_fraction_reads_it(monkeypatch, text):
+    def no_fraction(*_):
+        raise AssertionError("Fraction read a coordinate with an exponent")
+
+    monkeypatch.setattr(lattice, "Fraction", no_fraction)
+    with pytest.raises(ValueError, match="has an exponent"):
+        Weight.parse(text)
 
 
 class _FractionWithoutUnderscores(Fraction):

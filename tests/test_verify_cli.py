@@ -99,6 +99,8 @@ def usage_error(capsys, *argv) -> str:
     ("1/3,0", "(1/3,0) is not a half-integer point"),
     ("1/2,0", "(1,0)/2 is off the weight lattice"),
     ("1/0,0", "1/0,0 has a zero denominator"),
+    # refused before it is read, so no 100 000-digit integer is built
+    ("9e99999,0", "weight '9e99999,0' has an exponent; write it without e or E"),
 ])
 def test_cli_bad_weight_names_the_problem(capsys, text, reason):
     err = usage_error(capsys, "multiplicity", "--module", "vector", "--power", "2", "--weight", text)
@@ -360,7 +362,7 @@ def test_cli_lower_limit_fails_before_computing(capsys, monkeypatch, command, fl
     for step in ("run_suite", "_diagonal_values", "fan_with_zero", "diff_report", "closed_form_window"):
         monkeypatch.setattr(cli, step, nothing_computed)
     for kind in CLOSED_FORMS:
-        monkeypatch.setitem(CLOSED_FORMS, kind, ClosedForm(*[nothing_computed] * 3))
+        monkeypatch.setitem(CLOSED_FORMS, kind, ClosedForm(*[nothing_computed] * 2))
     option, low, _ = LIMITS[command]
     assert low == floor
     for value in range(low):
