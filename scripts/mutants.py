@@ -106,8 +106,8 @@ MUTANTS = [
     ),
     (
         "lattice.py",
-        "d1, d2 = 2 * int(v1), 2 * int(v2)",
-        "d1, d2 = int(v1), int(v2)",
+        "if _HALF.fullmatch(v) else 2 * int(v)",
+        "if _HALF.fullmatch(v) else int(v)",
         "Weight.parse reads an integer coordinate undoubled",
     ),
     (
@@ -158,6 +158,49 @@ MUTANTS = [
         "b = b * (n - k + 1) // k",
         "b = b * (n - k) // k",
         "NewtonFit's binomial update one factor low",
+    ),
+    # plain command lines are read without argparse; halves skip Fraction
+    (
+        "cli.py",
+        "if action.choices is not None and value not in action.choices:",
+        "if False:",
+        "_read takes a value outside the option's choices",
+    ),
+    (
+        "cli.py",
+        'if text.startswith("-"):',
+        'if text == "-":',
+        "_read takes a separate value with a leading '-'",
+    ),
+    (
+        "cli.py",
+        "if not values.keys() >= spec.required or len(spec.exclusive & values.keys()) > 1:",
+        "if not values.keys() >= spec.required:",
+        "_read takes both exclusive options",
+    ),
+    (
+        "cli.py",
+        "if not values.keys() >= spec.required or len(spec.exclusive & values.keys()) > 1:",
+        "if len(spec.exclusive & values.keys()) > 1:",
+        "_read takes a line without a required option",
+    ),
+    (
+        "cli.py",
+        'if action is None or action.nargs == 0 or text == "--":',
+        "if action is None or action.nargs == 0:",
+        "_read takes an '=' text of '--', which argparse drops",
+    ),
+    (
+        "cli.py",
+        'if action is None or action.nargs == 0 or text == "--":',
+        'if action is None or text == "--":',
+        "_read takes an '=' text on a flag",
+    ),
+    (
+        "lattice.py",
+        "return int(v[:-2]) if _HALF.fullmatch(v)",
+        "return 2 * int(v[:-2]) if _HALF.fullmatch(v)",
+        "Weight.parse reads the half n/2 as 2*n",
     ),
 ]
 

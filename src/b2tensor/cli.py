@@ -77,21 +77,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _build_parsers() -> tuple:
-    """The top-level parser and the map from each command to its own parser."""
+    """The top-level parser, the map from each command to its own parser, the
+    map from each command to the Actions add_argument returned for it, in the
+    order added, and the map from a command to its mutually exclusive Actions."""
     top = argparse.ArgumentParser(
         prog="b2tensor",
         description="Exact decomposition of tensor powers of the so(5) vector and spinor modules",
     )
     sub = top.add_subparsers(dest="command", required=True)
+    options, exclusive = {}, {}
 
-    def add_format(p):
-        p.add_argument("--format", choices=("json", "csv", "pretty"), default="pretty")
+    def command(name, summary):
+        """The command's parser and the function that adds one option to it."""
+        parser = sub.add_parser(name, help=summary)
+        kept = options[name] = []
 
-    def add_size(p, command, default=None):
-        option, low, high = LIMITS[command]
+        def add(*names, container=parser, **kwargs):
+            kept.append(container.add_argument(*names, **kwargs))
+            return kept[-1]
+
+        return parser, add
+
+    def add_format(add):
+        add("--format", choices=("json", "csv", "pretty"), default="pretty")
+
+    def add_size(add, name, default=None):
+        option, low, high = LIMITS[name]
         what = "the tensor power p" if option == "power" else "the largest power"
         least = f"at least {low} and " if low else ""
-        p.add_argument(
+        add(
             f"--{option}",
             type=_positive_int,
             required=default is None,
@@ -99,71 +113,74 @@ def _build_parsers() -> tuple:
             help=f"{what}, {least}at most {high}",
         )
 
-    p = sub.add_parser("decompose", help="decompose the p-th tensor power into irreducibles")
-    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(p, "decompose")
-    p.add_argument("--cache", metavar="DIR", default=None)
-    add_format(p)
+    _, add = command("decompose", "decompose the p-th tensor power into irreducibles")
+    add("--module", choices=tuple(FUNDAMENTAL), required=True)
+    add_size(add, "decompose")
+    add("--cache", metavar="DIR", default=None)
+    add_format(add)
 
-    p = sub.add_parser("multiplicity", help="multiplicity of one weight in the p-th power")
-    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(p, "multiplicity")
-    p.add_argument("--weight", type=_weight_arg, required=True, metavar="V1,V2")
-    p.add_argument(
+    _, add = command("multiplicity", "multiplicity of one weight in the p-th power")
+    add("--module", choices=tuple(FUNDAMENTAL), required=True)
+    add_size(add, "multiplicity")
+    add("--weight", type=_weight_arg, required=True, metavar="V1,V2")
+    add(
         "--extended",
         action="store_true",
         help="evaluate the antisymmetric extension at non-dominant weights",
     )
-    add_format(p)
+    add_format(add)
 
-    p = sub.add_parser("fan", help="fan coefficients of the p-fold diagonal injection")
-    add_size(p, "fan")
-    add_format(p)
+    _, add = command("fan", "fan coefficients of the p-fold diagonal injection")
+    add_size(add, "fan")
+    add_format(add)
 
-    p = sub.add_parser("singular", help="singular element of the p-th power")
-    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(p, "singular")
-    p.add_argument(
+    _, add = command("singular", "singular element of the p-th power")
+    add("--module", choices=tuple(FUNDAMENTAL), required=True)
+    add_size(add, "singular")
+    add(
         "--projected",
         action="store_true",
         help="the p-th power of the one-factor singular element instead of ch^p * R",
     )
-    p.add_argument("--cache", metavar="DIR", default=None)
-    add_format(p)
+    add("--cache", metavar="DIR", default=None)
+    add_format(add)
 
-    p = sub.add_parser("closed-form", help="closed-form coefficients and printed-formula diffs")
-    p.add_argument("--kind", choices=tuple(CLOSED_FORMS), required=True)
-    add_size(p, "closed-form")
+    p, add = command("closed-form", "closed-form coefficients and printed-formula diffs")
+    add("--kind", choices=tuple(CLOSED_FORMS), required=True)
+    add_size(add, "closed-form")
     one = p.add_mutually_exclusive_group()
-    one.add_argument("--weight", type=_weight_arg, default=None, metavar="V1,V2")
-    one.add_argument(
-        "--diff-printed",
-        action="store_true",
-        help="emit points where the verbatim published formula disagrees",
+    exclusive["closed-form"] = (
+        add("--weight", container=one, type=_weight_arg, default=None, metavar="V1,V2"),
+        add(
+            "--diff-printed",
+            container=one,
+            action="store_true",
+            help="emit points where the verbatim published formula disagrees",
+        ),
     )
-    add_format(p)
+    add_format(add)
 
-    p = sub.add_parser("fit", help="fit a polynomial in p along a diagonal family")
-    p.add_argument("--s", type=int, required=True, metavar="S", help="family index 1..6")
-    p.add_argument("--t", type=_positive_int, required=True, metavar="T")
-    add_size(p, "fit", default=10)
-    add_format(p)
+    _, add = command("fit", "fit a polynomial in p along a diagonal family")
+    add("--s", type=int, required=True, metavar="S", help="family index 1..6")
+    add("--t", type=_positive_int, required=True, metavar="T")
+    add_size(add, "fit", default=10)
+    add_format(add)
 
-    p = sub.add_parser("verify", help="run a verification suite")
-    p.add_argument("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    add_size(p, "verify", default=10)
-    p.add_argument(
+    _, add = command("verify", "run a verification suite")
+    add("--suite", choices=tuple(SUITES) + ("all",), default="all")
+    add_size(add, "verify", default=10)
+    add(
         "--timings",
         action="store_true",
         help="write each check's name, seconds and point count to stderr",
     )
-    add_format(p)
+    add_format(add)
 
-    p = sub.add_parser("diagram", help="growth diagram of tensor powers as DOT")
-    p.add_argument("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(p, "diagram")
+    _, add = command("diagram", "growth diagram of tensor powers as DOT")
+    add("--module", choices=tuple(FUNDAMENTAL), required=True)
+    add_size(add, "diagram")
 
-    return top, sub.choices
+    return top, sub.choices, options, exclusive
 
 
 # Rendering. A handler returns its Answer: the exit code and the whole text
@@ -370,21 +387,108 @@ _DISPATCH = {
 }
 
 
+class _Options(NamedTuple):
+    """What _read knows of one command's options, taken from their Actions."""
+
+    actions: dict  # each option string of an Action with nargs None or 0 -> the Action
+    defaults: dict  # dest -> default, in the order the options were added
+    required: frozenset  # the dests of the required options
+    exclusive: frozenset  # the dests of the mutually exclusive options
+
+
 @lru_cache(maxsize=1)
 def _parsers() -> tuple:
-    # parsing leaves the parsers unchanged, so one instance serves every call
-    return _build_parsers()
+    """The top-level parser, each command's parser and each command's _Options.
+
+    Parsing leaves the parsers unchanged, so one instance serves every call.
+    """
+    top, commands, options, exclusive = _build_parsers()
+    table = {
+        name: _Options(
+            {s: a for a in actions if a.nargs in (None, 0) for s in a.option_strings},
+            {a.dest: a.default for a in actions},
+            frozenset(a.dest for a in actions if a.required),
+            frozenset(a.dest for a in exclusive.get(name, ())),
+        )
+        for name, actions in options.items()
+    }
+    return top, commands, table
+
+
+# Why _read gives argparse's Namespace: argparse classifies each token that
+# starts with '-' as an option and every other token as an argument. On a
+# plain command line each option is an exact option string, or one before
+# '=', and a value token never starts with '-', so each option takes the
+# one argument that follows it, or its '=' text, as argparse's nargs None
+# takes it. argparse then calls the option's type on that text and checks
+# its choices on the result, in the order the options come, as _read does;
+# it turns the exceptions _read catches into usage errors and lets any other
+# one through, as _read does. It stores the const of an option with nargs 0,
+# checks the required options and the exclusive group, and keeps the
+# defaults of the options not given. Two more rules of argparse are kept
+# apart: it drops an argument '--' as the end of the options, so an '=' text
+# of '--' is left to it, and it passes a str default through the option's
+# type, which no option here needs, as every str default belongs to an
+# option with no type.
+def _read(argv: list) -> argparse.Namespace | None:
+    """The Namespace argparse gives for argv when it is a plain command line, else None.
+
+    A plain command line is a command and then options of it: each token is
+    an exact long option of that command, no option is given twice, and an
+    option that takes a value takes the text after '=' in its token or else
+    the next token, which does not start with '-'. Every value passes its
+    option's type and choices, every required option is given and at most
+    one of the exclusive options. Any other argv is left to argparse, so
+    every help text, usage error and exit code is its own.
+    """
+    spec = _parsers()[2].get(argv[0]) if argv else None
+    if spec is None:
+        return None
+    values = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        action = spec.actions.get(token)
+        if action is None:
+            option, _, text = token.partition("=")
+            action = spec.actions.get(option)
+            if action is None or action.nargs == 0 or text == "--":
+                return None
+        elif action.nargs == 0:
+            text = None
+        else:
+            text = next(tokens, "-")  # a missing value is refused as a leading '-'
+            if text.startswith("-"):
+                return None
+        if action.dest in values:
+            return None
+        if text is None:
+            value = action.const
+        else:
+            try:
+                value = text if action.type is None else action.type(text)
+            except (argparse.ArgumentTypeError, TypeError, ValueError):
+                return None
+            if action.choices is not None and value not in action.choices:
+                return None
+        values[action.dest] = value
+    if not values.keys() >= spec.required or len(spec.exclusive & values.keys()) > 1:
+        return None
+    return argparse.Namespace(**{**spec.defaults, **values, "command": argv[0]})
 
 
 def _parse(argv: list) -> argparse.Namespace:
     """Parse argv with its command's own parser, as the top-level parser would.
 
-    The top-level parser hands everything after the command to that parser
-    and reports what it leaves over; going there directly skips the
-    top-level pass. No arguments, an unknown command and the top-level
+    A plain command line is read by _read. Any other goes to the command's
+    parser: the top-level parser hands everything after the command to that
+    parser and reports what it leaves over, so going there directly skips
+    the top-level pass. No arguments, an unknown command and the top-level
     --help still go through the top-level parser.
     """
-    top, commands = _parsers()
+    args = _read(argv)
+    if args is not None:
+        return args
+    top, commands, _ = _parsers()
     parser = commands.get(argv[0]) if argv else None
     if parser is None:
         return top.parse_args(argv)
@@ -409,14 +513,20 @@ def _parse(argv: list) -> argparse.Namespace:
 # benchmark/run.py; python -m b2tensor answers one query and never hits.
 # Whether a miss is stored is decided from the parsed query, so an
 # abbreviation such as --cach bypasses as the full option does. Three kinds of
-# query bypass the memo:
+# query bypass the memo, and each pays for its parse: _read takes 2-4 us on a
+# plain command line (every token an exact option of the command, given once,
+# each value after '=' or in the next token, which does not start with '-'),
+# where argparse took 13-21 us; any other command line still goes to argparse.
 # - verify, as a self-check must recompute and --timings reports live numbers;
-# - any query with --cache, whose load, digest check and store stay as they are;
+# - any query with --cache, whose load, digest check and store stay as they
+#   are: 25 us a query in query-mix (45 us through argparse);
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
 #   a single number and its keys are every lattice point. Kept, they filled
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
 #   by 7 MB; charging each entry 700 characters for its key still let up to
 #   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
+#   Bypassing, multiplicity takes 12 us and closed-form --weight 19 us
+#   (29-35 and 39 us through argparse).
 MEMO_CHARS = 1 << 20
 
 

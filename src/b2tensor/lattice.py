@@ -11,6 +11,7 @@ first transposes (optionally), then applies the signs.
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -20,6 +21,16 @@ def _coord_str(d: int) -> str:
     if d % 2 == 0:
         return str(d // 2)
     return f"{d}/2"
+
+
+# a sign and ASCII digits over 2: on every Python, Fraction reads it as
+# int(the text before '/') / 2, so its doubled value is that int
+_HALF = re.compile(r"[-+]?[0-9]+/2")
+
+
+def _doubled(v: str) -> int:
+    """Twice the coordinate text v, a half n/2 or what int() reads; ValueError otherwise."""
+    return int(v[:-2]) if _HALF.fullmatch(v) else 2 * int(v)
 
 
 def point_text(d1: int, d2: int) -> str:
@@ -58,8 +69,9 @@ class Weight(NamedTuple("_WeightFields", [("d1", int), ("d2", int)])):
 
     @classmethod
     def parse(cls, text: str) -> "Weight":
-        """The weight 'v1,v2'. Integer coordinates are read with int(), the
-        rest (halves, and texts int() rejects) with Fraction through make.
+        """The weight 'v1,v2'. A half n/2 is read as its doubled value n and
+        an integer with int(); the rest (texts int() rejects) goes to
+        Fraction through make.
 
         On a text without '_', int() takes no text that Fraction reads as
         another value or rejects, on every Python from 3.10; Fraction reads
@@ -74,7 +86,7 @@ class Weight(NamedTuple("_WeightFields", [("d1", int), ("d2", int)])):
             raise ValueError(f"weight {text!r} has an exponent; write it without e or E")
         if "_" not in text:
             try:
-                d1, d2 = 2 * int(v1), 2 * int(v2)
+                d1, d2 = _doubled(v1), _doubled(v2)
             except ValueError:
                 pass
             else:

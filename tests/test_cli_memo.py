@@ -1,8 +1,10 @@
-"""The warm CLI: dispatch on the command's own parser, and the memo of answer
-texts that repeated queries are printed from."""
+"""The warm CLI: the reader of plain command lines, dispatch on the command's
+own parser, and the memo of answer texts that repeated queries are printed from."""
 
 import contextlib
+import importlib.util
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -10,9 +12,11 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from b2tensor import cli
-from b2tensor.cli import MEMO_CHARS, Answer, _parse, _TextMemo, build_parser, main
+from b2tensor.cli import MEMO_CHARS, Answer, _parse, _read, _TextMemo, build_parser, main
 from test_cli_golden import golden_argvs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -43,6 +47,103 @@ def test_dispatch_parses_as_the_top_level_parser(monkeypatch):
     top = build_parser()
     for argv in golden_argvs():
         assert parsed(_parse, argv) == parsed(top.parse_args, argv), argv
+
+
+def read_as_argparse(argv) -> bool:
+    """Whether _read reads argv; when it does, its command's parser must take
+    argv without an error or extras and give the same Namespace."""
+    got = _read(argv)
+    if got is None:
+        return False
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            want, extras = cli._parsers()[1][argv[0]].parse_known_args(argv[1:])
+        except SystemExit:
+            pytest.fail(f"_read took {argv}, argparse refuses it: {err.getvalue()}")
+    assert extras == [], argv
+    assert vars(got) == {**vars(want), "command": argv[0]}, argv
+    return True
+
+
+# the values an argv is built from: texts the types read, texts that fail, are
+# empty, start with '-' or are '--', and the choices of each option
+_TYPED = ("0", "3", "12", "007", " 4", "1,0", "1/2,1/2", "3/2, -1/2")
+_BAD_VALUES = ("", "tensor", "x", "1,0,0", "1e3,0", "1/0,0", "-1", "-1,0", "-x", "-", "--", "--power")
+_PIECES = ("exact",) * 12 + ("equals",) * 4 + ("abbreviation", "bare", "help", "stray")
+
+
+@st.composite
+def command_lines(draw):
+    """An argv of one command: its required options and a few more, now and
+    then one of them twice, each given exact or as an abbreviation, with '='
+    or not, a value or none, and now and then -h, --help or a stray value,
+    in any order."""
+    command = draw(st.sampled_from(sorted(cli._parsers()[2])))
+    actions = cli._parsers()[2][command].actions
+
+    def value(option):
+        action = actions[option]
+        good = action.choices or (_TYPED if action.type else ("DIR", "a b", "0"))
+        return draw(st.sampled_from(tuple(good) if draw(st.integers(0, 7)) else _BAD_VALUES))
+
+    def piece(option):
+        kind, flag = draw(st.sampled_from(_PIECES)), actions[option].nargs == 0
+        if kind == "equals":
+            return [f"{option}={value(option)}"]
+        if kind == "help":
+            return [draw(st.sampled_from(("-h", "--help")))]
+        if kind == "stray":
+            return [value(option)]
+        given = option[: draw(st.integers(2, len(option) - 1))] if kind == "abbreviation" else option
+        return [given] if flag or kind == "bare" else [given, value(option)]
+
+    options = sorted(actions)
+    required = [o for o in options if actions[o].required]
+    more = draw(st.lists(st.sampled_from(options), max_size=4, unique=True))
+    twice = draw(st.lists(st.sampled_from(options), max_size=1))
+    given = list(dict.fromkeys(required + more)) + twice
+    pieces = draw(st.permutations([piece(o) for o in given]))
+    return [command, *itertools.chain.from_iterable(pieces)]
+
+
+@given(command_lines())
+@example(["decompose", "--module", "tensor", "--power", "3"])
+@example(["decompose", "--module", "vector", "--power", "3", "--cache", "-x"])
+@example(["decompose", "--module", "vector", "--power", "3", "--cache=--"])
+@example(["decompose", "--power", "3"])
+@example(["multiplicity", "--module", "vector", "--power", "3", "--weight", "1,0", "--extended="])
+@example(["closed-form", "--kind", "fan", "--power", "3", "--weight", "1,0", "--diff-printed"])
+@settings(max_examples=600, deadline=None)
+def test_reader_reads_only_what_argparse_reads_the_same(argv):
+    read_as_argparse(argv)
+
+
+def test_reader_reads_golden_argvs_as_argparse():
+    argvs = [cli._attach_weight_values(argv) for argv in golden_argvs()]
+    read = [argv for argv in argvs if read_as_argparse(argv)]
+    # every golden argv of a help text or a usage error goes to argparse
+    assert 0 < len(read) < len(argvs)
+    assert not any("--help" in argv or "-h" in argv for argv in read)
+
+
+def load_benchmark_run(monkeypatch):
+    """benchmark/run.py as a module; it imports reference.py from its own directory."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmark"))
+    spec = importlib.util.spec_from_file_location("benchmark_run", ROOT / "benchmark" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, module)  # its dataclasses look it up
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_query_mix_traffic_is_read_without_argparse(monkeypatch):
+    # the query-mix workload times the reader: none of its argvs may fall back
+    bench = load_benchmark_run(monkeypatch)
+    argvs = [argv for seed in (1, 2, 3) for r in range(50) for argv, _ in bench.query_round(seed, r)]
+    assert len(argvs) == 3 * 50 * (7 * bench.PER_KIND + len(bench.KNOWN_FAULT))
+    unread = [argv for argv in argvs if _read(cli._attach_weight_values(argv)) is None]
+    assert unread == []
 
 
 def test_memo_bound_is_a_mebibyte_of_characters():

@@ -166,6 +166,30 @@ def test_parse_matches_the_fraction_reference(text):
     assert (type(got), got) == (type(want), want)
 
 
+# halves as people write them: a sign, leading zeros, spaces around the parts
+# and the '/', a denominator 02, and digits int() reads but [0-9] does not match
+_SPACES = st.sampled_from(("", " ", "  "))
+_HALVES = st.tuples(
+    _SPACES,
+    st.sampled_from(("", "+", "-")),
+    st.sampled_from(("", "0", "00")),
+    st.text(_DIGITS, min_size=1, max_size=4),
+    _SPACES,
+    st.just("/"),
+    _SPACES,
+    st.sampled_from(("2", "02", "4")),
+    _SPACES,
+).map("".join)
+
+
+@given(_HALVES | st.integers(-99, 99).map(str), _HALVES)
+@settings(max_examples=300)
+def test_parse_reads_halves_as_make_does(v1, v2):
+    text = f"{v1},{v2}"
+    got, want = _parsed(Weight.parse, text), _parsed(lambda _: Weight.make(v1.strip(), v2.strip()), text)
+    assert (type(got), got) == (type(want), want)
+
+
 @pytest.mark.parametrize("text", ["9e999999,0", "0, 1E5", "5e-1,5e-1", "1/2e1,0"])
 def test_parse_refuses_an_exponent_before_fraction_reads_it(monkeypatch, text):
     def no_fraction(*_):
