@@ -202,6 +202,31 @@ MUTANTS = [
         "return 2 * int(v[:-2]) if _HALF.fullmatch(v)",
         "Weight.parse reads the half n/2 as 2*n",
     ),
+    # closed-form point answers keep their factor tables under a bound
+    (
+        "fans.py",
+        "_POINT_TABLES.value(evaluate, (kind, reading, p), p, point)",
+        "_POINT_TABLES.value(evaluate, (kind, p), p, point)",
+        "the factor tables keyed without the reading",
+    ),
+    (
+        "fans.py",
+        "_POINT_TABLES.value(evaluate, (kind, reading, p), p, point)",
+        "_POINT_TABLES.value(evaluate, (kind, reading), p, point)",
+        "the factor tables keyed without p",
+    ),
+    (
+        "fans.py",
+        "while self.charged > self.bound:",
+        "while False:",
+        "the factor tables never evicted",
+    ),
+    (
+        "fans.py",
+        "self.tables.move_to_end(key)",
+        "pass",
+        "the factor tables evicted first in, not least recently used",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]

@@ -17,6 +17,7 @@ it, which turns every older file into a miss (tests pin a few digests to it).
 
 from __future__ import annotations
 
+import io
 import json
 import os
 from pathlib import Path
@@ -70,7 +71,8 @@ def load(cache_dir, key: str):
     """(payload, its canonical text) from <key>.json, or None when absent,
     unreadable, corrupt or not as store writes it."""
     try:
-        body = (Path(cache_dir) / f"{key}.json").read_bytes()
+        with io.open(os.path.join(cache_dir, key + ".json"), "rb") as f:
+            body = f.read()
     except OSError:
         return None
     end = len(body) - _TAIL  # where the tail starts

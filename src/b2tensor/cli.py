@@ -21,6 +21,7 @@ from .diagram import to_dot
 from .engine import band_values, decomposition, m_extended
 from .fans import (
     CLOSED_FORMS,
+    closed_form_point,
     closed_form_window,
     diff_report,
     fan_with_zero,
@@ -49,6 +50,12 @@ def _positive_int(text: str) -> int:
     if n < 0:
         raise argparse.ArgumentTypeError(f"{n} is negative")
     return n
+
+
+def _directory(text: str) -> str:
+    if not text:  # an empty name would put the cache files in the working directory
+        raise argparse.ArgumentTypeError("the directory name is empty")
+    return text
 
 
 # The one size option of each command, with its lowest and highest value;
@@ -116,7 +123,7 @@ def _build_parsers() -> tuple:
     _, add = command("decompose", "decompose the p-th tensor power into irreducibles")
     add("--module", choices=tuple(FUNDAMENTAL), required=True)
     add_size(add, "decompose")
-    add("--cache", metavar="DIR", default=None)
+    add("--cache", type=_directory, metavar="DIR", default=None)
     add_format(add)
 
     _, add = command("multiplicity", "multiplicity of one weight in the p-th power")
@@ -142,7 +149,7 @@ def _build_parsers() -> tuple:
         action="store_true",
         help="the p-th power of the one-factor singular element instead of ch^p * R",
     )
-    add("--cache", metavar="DIR", default=None)
+    add("--cache", type=_directory, metavar="DIR", default=None)
     add_format(add)
 
     p, add = command("closed-form", "closed-form coefficients and printed-formula diffs")
@@ -303,12 +310,11 @@ def _cmd_closed_form(args) -> Answer:
     if args.diff_printed:
         report = diff_report(args.kind, args.power)
         return Answer(0, _render(args.format, report, ("point", "printed", "direct"), _diff_pretty))
-    form = CLOSED_FORMS[args.kind]
     if args.weight is not None:
-        value = form.validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
+        value = closed_form_point(args.kind, args.power, (args.weight.d1, args.weight.d2))
         return Answer(0, _point(args, "kind", "coeff", value))
     points, _ = closed_form_window(args.kind, args.power)
-    payload = series_json_obj(zip(points, form.validated(args.power, points)))
+    payload = series_json_obj(zip(points, CLOSED_FORMS[args.kind].validated(args.power, points)))
     return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty))
 
 
@@ -488,13 +494,18 @@ def _parse(argv: list) -> argparse.Namespace:
     args = _read(argv)
     if args is not None:
         return args
-    top, commands, _ = _parsers()
+    top, commands, table = _parsers()
     parser = commands.get(argv[0]) if argv else None
     if parser is None:
         return top.parse_args(argv)
     args, extras = parser.parse_known_args(argv[1:])
     if extras:
         top.error(f"unrecognized arguments: {' '.join(extras)}")
+    # argparse drops an '=' text of '--' as the end of the options and stores
+    # [] for the option, without calling its type
+    for action in table[argv[0]].actions.values():
+        if getattr(args, action.dest) == []:
+            parser.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
     args.command = argv[0]
     return args
 
@@ -519,14 +530,15 @@ def _parse(argv: list) -> argparse.Namespace:
 # where argparse took 13-21 us; any other command line still goes to argparse.
 # - verify, as a self-check must recompute and --timings reports live numbers;
 # - any query with --cache, whose load, digest check and store stay as they
-#   are: 25 us a query in query-mix (45 us through argparse);
+#   are: 23 us a query in query-mix (33 us when load read through pathlib);
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
 #   a single number and its keys are every lattice point. Kept, they filled
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
 #   by 7 MB; charging each entry 700 characters for its key still let up to
 #   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
-#   Bypassing, multiplicity takes 12 us and closed-form --weight 19 us
-#   (29-35 and 39 us through argparse).
+#   Bypassing, multiplicity takes 12-13 us and closed-form --weight 14 us
+#   (22 us when each answer built its factor vectors again; fans keeps them
+#   in bounded tables instead).
 MEMO_CHARS = 1 << 20
 
 

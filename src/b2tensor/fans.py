@@ -23,10 +23,14 @@ of the published index formula, and a validated evaluator that matches the
 direct convolution exactly. CLOSED_FORMS holds both as batch evaluators, one
 entry per kind; closed_form_window reads the direct values they are checked
 against off the chamber chains, and diff_report exposes their disagreements.
+closed_form_point answers one point of a factored reading from the factor
+vectors its earlier calls built, kept in tables of at most FACTOR_CHARGE
+vectors and ints; a batch builds its own and keeps nothing.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from functools import partial
 from math import comb
 from operator import mul
@@ -91,18 +95,22 @@ def _nonzero_range(first: int, last: int, offset: int, step: int, width: int) ->
 # Each validated closed form is a sum over k of a product of a factor that
 # depends on k and the first coordinate only and one that depends on k and
 # the second coordinate only (the sign splits the same way). So for a fixed
-# p every coordinate value gets one vector over k, built once per batch, and
-# each point is one dot product of its two vectors. This only reorders the
-# published sums; they share no code with the convolutions they are checked
-# against.
+# p every coordinate value gets one vector over k, and each point is one dot
+# product of its two vectors. A batch builds each vector once and drops its
+# tables when it returns; closed_form_point keeps the tables of its (kind,
+# reading, p) across calls, under the bound FACTOR_CHARGE. This only reorders
+# the published sums; they share no code with the convolutions they are
+# checked against.
 
 
-def _factored(pairs, first, second) -> list:
+def _factored(pairs, first, second, kept=None) -> list:
     """[first(x) . second(y) for (x, y) in pairs], each vector built once.
 
     A pair of None (a point off the coset) gives 0, as does a zero vector.
+    kept, when given, is the pair of tables (x -> first(x), y -> second(y))
+    to read and fill; by default both are new and dropped on return.
     """
-    firsts, seconds = {}, {}
+    firsts, seconds = ({}, {}) if kept is None else kept
     out = []
     for pair in pairs:
         if pair is None:
@@ -126,7 +134,7 @@ def _halved(points) -> list:
     return [None if (d1 | d2) & 1 else (d1 >> 1, d2 >> 1) for d1, d2 in points]
 
 
-def _fan_many(p: int, points, tb) -> list:
+def _fan_many(p: int, points, tb, kept=None) -> list:
     # the fan closed form at doubled points (2a, 2b), 0 off the even coset:
     # gamma_p(a,b) = (-1)^(a+b) sum_k (-1)^k tb(p-1,k-1) M_k(a) L_k(b), with the
     # m-sum M_k(a) depending on (k, a) only and the l-sum L_k(b) on (k, b) only
@@ -152,7 +160,7 @@ def _fan_many(p: int, points, tb) -> list:
             out.append(-total if (k + b) % 2 else total)
         return out
 
-    return _factored(_halved(points), first, second)
+    return _factored(_halved(points), first, second, kept)
 
 
 def fan_closed_form(p: int, a: int, b: int) -> int:
@@ -199,7 +207,7 @@ def projected_at(module: str, p: int, mu: Weight) -> int:
     return _PROJECTED[module].at(p, mu.d1, mu.d2)
 
 
-def _vector_many(p: int, points, tb) -> list:
+def _vector_many(p: int, points, tb, kept=None) -> list:
     # the vector closed form at doubled points (2c, 2d), 0 off the even coset:
     # Pi_vector(c,d) = (-1)^c sum_k (-1)^(k+p+1+d) tb(p,k-1) M_k(c) L_k(d): the
     # printed sign exponent k-d-c+p-4(l+m)+7 has the parity of k+d+c+p+1
@@ -225,7 +233,7 @@ def _vector_many(p: int, points, tb) -> list:
             out.append(-total if (k + p + 1 + d) % 2 else total)
         return out
 
-    return _factored(_halved(points), first, second)
+    return _factored(_halved(points), first, second, kept)
 
 
 def vector_singular_closed(p: int, weight: Weight) -> int:
@@ -233,7 +241,7 @@ def vector_singular_closed(p: int, weight: Weight) -> int:
     return _vector_many(p, [(weight.d1, weight.d2)], _tb_lax)[0]
 
 
-def _spinor_many(p: int, points) -> list:
+def _spinor_many(p: int, points, kept=None) -> list:
     # the spinor closed form at doubled points (d1, d2), 0 off the p-th spinor coset:
     # Pi_spinor = sum_k (-1)^k C(p,k) A_k(d1) B_k(d2), where the (i, j) block
     # A_k depends on (k, d1) only and the (n, m) block B_k on (k, d2) only
@@ -269,7 +277,7 @@ def _spinor_many(p: int, points) -> list:
 
     r = p % 2
     pairs = [pt if pt[0] % 2 == r and pt[1] % 2 == r else None for pt in points]
-    return _factored(pairs, first, second)
+    return _factored(pairs, first, second, kept)
 
 
 def spinor_singular_closed(p: int, weight: Weight) -> int:
@@ -361,6 +369,66 @@ CLOSED_FORMS = {
         _spinor_printed_many,
     ),
 }
+
+
+# The tables of closed_form_point, one pair of dicts per (kind, reading, p).
+# The reading is part of the key: the fan and vector printed forms run the
+# same first and second with _tb_strict, so the two readings must never share
+# a vector. A vector is charged p + 2, itself and at most p + 1 ints (an
+# all-zero vector, kept as (), is charged the same), and while the tables are
+# charged more than FACTOR_CHARGE the least recently used table is dropped.
+# query-mix (seed 1, 300 rounds, 4 500 closed-form --weight queries) filled 36
+# tables with 1 803 vectors and 15 082 ints, charged 18 145. The worst case is
+# at the LIMITS top, where the ints are largest: every reading at p = 30 down
+# to 23, each on its whole support diagonal, ran past the bound, and the
+# tables never held more than 0.8 MB (tracemalloc peak, Python 3.11); a vector
+# of zeros charged p + 2 holds less.
+FACTOR_CHARGE = 1 << 15
+
+
+class _FactorTables:
+    """Factor tables by key, least recently used first, charged at most `bound` in all."""
+
+    def __init__(self, bound: int):
+        self.bound = bound
+        self.tables = OrderedDict()  # key -> (firsts, seconds, charge per vector)
+        self.charged = 0
+
+    def value(self, evaluate, key, p: int, point) -> int:
+        """evaluate(p, [point]) at its one point, reading and filling key's tables."""
+        table = self.tables.get(key)
+        if table is None:
+            table = self.tables[key] = ({}, {}, p + 2)
+        else:
+            self.tables.move_to_end(key)
+        firsts, seconds, unit = table
+        held = len(firsts) + len(seconds)
+        value = evaluate(p, [point], kept=(firsts, seconds))[0]
+        self.charged += (len(firsts) + len(seconds) - held) * unit
+        while self.charged > self.bound:
+            firsts, seconds, unit = self.tables.popitem(last=False)[1]
+            self.charged -= (len(firsts) + len(seconds)) * unit
+        return value
+
+    def clear(self) -> None:
+        self.tables.clear()
+        self.charged = 0
+
+
+_POINT_TABLES = _FactorTables(FACTOR_CHARGE)
+
+
+def closed_form_point(kind: str, p: int, point, reading: str = "validated") -> int:
+    """The closed form of kind in reading ('validated' or 'printed') at one
+    doubled point, from factor vectors kept across calls.
+
+    Every factored reading is kept: both of 'fan' and 'vector' and the
+    validated 'spinor'; the printed spinor sum is not factored.
+    """
+    if (kind, reading) == ("spinor", "printed"):
+        raise ValueError("the printed spinor sum has no factor tables")
+    evaluate = getattr(CLOSED_FORMS[kind], reading)
+    return _POINT_TABLES.value(evaluate, (kind, reading, p), p, point)
 
 
 def diff_report(kind: str, p: int) -> list:

@@ -471,6 +471,42 @@ def test_cli_unusable_cache_path_is_an_error(tmp_path, command):
     assert "Traceback" not in child.stderr
 
 
+@pytest.mark.parametrize("command", ["decompose", "singular"])
+@pytest.mark.parametrize(
+    "cache,message",
+    [
+        (["--cache=--"], "argument --cache: expected one argument"),
+        (["--cache="], "argument --cache: the directory name is empty"),
+        (["--cache", ""], "argument --cache: the directory name is empty"),
+    ],
+)
+def test_cli_cache_without_a_directory_is_a_usage_error(tmp_path, monkeypatch, capsys, command, cache, message):
+    # argparse stores [] for an '=' text of '--', and an empty name would
+    # write the cache file into the working directory
+    monkeypatch.chdir(tmp_path)
+    code, out, err = run_cli(capsys, command, "--module", "vector", "--power", "2", *cache)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["decompose", "--module", "vector", "--power=--"],
+        ["decompose", "--module=--", "--power", "2"],
+        ["multiplicity", "--module", "vector", "--power", "2", "--weight", "0,0", "--format=--"],
+        ["closed-form", "--kind", "fan", "--power", "2", "--weight=--"],
+        ["fit", "--s=--", "--t", "0"],
+    ],
+)
+def test_cli_option_given_an_equals_dashdash_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    option = next(a for a in argv if a.endswith("=--"))[:-3]
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: argument {option}: expected one argument\n")
+
+
 def test_cache_store_leaves_no_temporary_files(tmp_path):
     store(tmp_path, "k", canonical_json({"v": 1}))
     store(tmp_path, "k", canonical_json({"v": 2}))
