@@ -227,6 +227,19 @@ MUTANTS = [
         "pass",
         "the factor tables evicted first in, not least recently used",
     ),
+    # verify runs CHILD_CHECKS in a forked child and merges by index
+    (
+        "verify.py",
+        "for _, ok, value in sorted(entries, key=lambda entry: entry[0]):",
+        "for _, ok, value in entries:",
+        "the child's results appended in arrival order, not placed by index",
+    ),
+    (
+        "verify.py",
+        "        if ok:\n",
+        "        if True:\n",
+        "the child's error tag ignored",
+    ),
 ]
 
 TIER1 = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"]

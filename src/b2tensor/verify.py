@@ -16,6 +16,10 @@ sweep bound below is written for pmax at or above it.
 
 from __future__ import annotations
 
+import gc
+import marshal
+import os
+import sys
 import time
 from fractions import Fraction
 from functools import partial
@@ -595,7 +599,97 @@ SUITES = {
 }
 
 
+# The checks that fill the fan and singular chains: run_suite runs them in one
+# forked child while the caller runs the rest. Membership is by function, so a
+# check rebound from outside (as the benchmark's tracer rebinds every check in
+# SUITES) runs in the caller.
+CHILD_CHECKS = frozenset(SUITES["closed-forms"] + [check_fan_identity, check_singular_contribution])
+
+
+def _run(indexed, pmax: int) -> list:
+    """(index, True, timed result) for each (index, check) in turn; a check that
+    raises ends the list with (index, False, its exception)."""
+    out = []
+    for i, fn in indexed:
+        start = time.perf_counter()
+        try:
+            result = fn(pmax)
+        except Exception as exc:
+            out.append((i, False, exc))
+            break
+        out.append((i, True, result._replace(seconds=time.perf_counter() - start)))
+    return out
+
+
+def _may_fork() -> bool:
+    # a child forked beside other threads may inherit locks they hold, and the
+    # split pays only when the two processes can run on two CPUs
+    threading = sys.modules.get("threading")
+    return (
+        hasattr(os, "fork")
+        and hasattr(os, "sched_getaffinity")
+        and len(os.sched_getaffinity(0)) > 1
+        and (threading is None or threading.active_count() == 1)
+    )
+
+
+def _serve(write: int, indexed: list, pmax: int) -> None:
+    """The forked child: run the checks, write their entries to the pipe and
+    exit. It never returns into the caller and never flushes the stdio buffers
+    it inherited."""
+    try:
+        sent = [
+            (i, ok, tuple(value) if ok else (type(value).__module__, type(value).__name__, value.args))
+            for i, ok, value in _run(indexed, pmax)
+        ]
+        with open(write, "wb") as pipe:
+            pipe.write(marshal.dumps(sent))
+    finally:
+        os._exit(0)
+
+
+def _run_split(checks: list, pmax: int) -> list:
+    """The entries of _run for every check: CHILD_CHECKS in a forked child, the
+    rest here at the same time."""
+    mine = [(i, fn) for i, fn in enumerate(checks) if fn not in CHILD_CHECKS]
+    theirs = [(i, fn) for i, fn in enumerate(checks) if fn in CHILD_CHECKS]
+    read, write = os.pipe()
+    with open(read, "rb") as pipe:
+        gc.freeze()  # the child's collector then skips the caller's objects, so their pages stay shared
+        try:
+            pid = os.fork()
+            if pid == 0:
+                _serve(write, theirs, pmax)
+        finally:
+            gc.unfreeze()
+            os.close(write)
+        try:
+            entries = _run(mine, pmax)
+            data = pipe.read()
+        finally:
+            _, status = os.waitpid(pid, 0)
+    if not data:
+        code = os.waitstatus_to_exitcode(status)
+        raise RuntimeError(f"the verify child process exited with status {code} and sent no results")
+    for i, ok, value in marshal.loads(data):
+        if ok:
+            value = CheckResult(*value)
+        else:  # the exception's module, class name and arguments
+            module, name, args = value
+            value = getattr(sys.modules[module], name)(*args)
+        entries.append((i, ok, value))
+    return entries
+
+
 def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
+    """Run the checks of suite (or of every suite, for "all") in SUITES order.
+
+    When the checks include CHILD_CHECKS and others, and the process may run on
+    more than one CPU, the two sets run at the same time in two processes; the
+    report is the same either way, and an exception is that of the first check
+    in SUITES order that raised. Each result's seconds is its check's wall time
+    in its own process.
+    """
     if pmax < cf.PMAX_MIN:
         raise ValueError(f"pmax {pmax} is below {cf.PMAX_MIN}, the first pmax with a fit window")
     if suite == "all":
@@ -604,9 +698,11 @@ def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
         checks = SUITES[suite]
     else:
         raise KeyError(f"unknown suite {suite!r}")
+    split = 0 < sum(fn in CHILD_CHECKS for fn in checks) < len(checks) and _may_fork()
+    entries = _run_split(checks, pmax) if split else _run(enumerate(checks), pmax)
     results = []
-    for fn in checks:
-        start = time.perf_counter()
-        result = fn(pmax)
-        results.append(result._replace(seconds=time.perf_counter() - start))
+    for _, ok, value in sorted(entries, key=lambda entry: entry[0]):
+        if not ok:
+            raise value
+        results.append(value)
     return VerificationReport(suite, pmax, results)

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 from b2tensor import decomposition
+from b2tensor.verify import run_suite
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,6 +53,15 @@ def test_tracer_runs_the_cli(tmp_path, mode):
     assert want <= names
     assert not [n for n in names if n.startswith("verify.check_")]  # every check span renamed
     assert set(got["lru"]) == {"engine.tensor_power_weights"}
+
+
+def test_traced_verify_keeps_every_check_in_the_traced_process(tmp_path):
+    # the tracer rebinds every check, so none is in verify.CHILD_CHECKS and no
+    # span is lost to a forked child
+    names = {span[0] for span in trace(tmp_path, "spans")["spans"]}
+    checks = {f"verify.{c.name}" for c in run_suite("all", 4).checks}
+    assert len(checks) == 20
+    assert checks | {"fans.fan_recursion_solve", "fans.singular_power_projected"} <= names
 
 
 @pytest.mark.parametrize("module", ["vector", "spinor"])
