@@ -202,30 +202,57 @@ MUTANTS = [
         "return 2 * int(v[:-2]) if _HALF.fullmatch(v)",
         "Weight.parse reads the half n/2 as 2*n",
     ),
-    # closed-form point answers keep their factor tables under a bound
+    # closed-form point answers keep their factor tables, and the CLI its
+    # answer texts, in one BoundedLRU each
     (
         "fans.py",
-        "_POINT_TABLES.value(evaluate, (kind, reading, p), p, point)",
-        "_POINT_TABLES.value(evaluate, (kind, p), p, point)",
-        "the factor tables keyed without the reading",
-    ),
-    (
-        "fans.py",
-        "_POINT_TABLES.value(evaluate, (kind, reading, p), p, point)",
-        "_POINT_TABLES.value(evaluate, (kind, reading), p, point)",
+        "    key = (kind, p)\n",
+        "    key = (kind, 1)\n",
         "the factor tables keyed without p",
     ),
     (
-        "fans.py",
+        "cache.py",
         "while self.charged > self.bound:",
         "while False:",
-        "the factor tables never evicted",
+        "BoundedLRU never evicts",
     ),
     (
-        "fans.py",
-        "self.tables.move_to_end(key)",
+        "cache.py",
+        "self.entries.move_to_end(key)",
         "pass",
-        "the factor tables evicted first in, not least recently used",
+        "BoundedLRU evicts first in, not least recently used",
+    ),
+    (
+        "cache.py",
+        "        if cost > self.bound:\n            return\n",
+        "",
+        "BoundedLRU keeps an entry charged above the bound, which evicts the rest",
+    ),
+    # proof mutants: the fan-solve cut-off, the power the alternating sum
+    # reads, the vector band's depth and the folded window's chamber filter
+    (
+        "fans.py",
+        "if g1 > last:",
+        "if g1 >= last:",
+        "the fan solve stops at the first shift with g1 = last",
+    ),
+    (
+        "engine.py",
+        "return _alternating_sum(chain.chamber(p).get, mu.d1, mu.d2)",
+        "return _alternating_sum(chain.chamber(p - 1).get, mu.d1, mu.d2)",
+        "m_extended reads ch^(p-1)",
+    ),
+    (
+        "lattice.py",
+        "max(l1 % 2, l1 - 2 * x_max)",
+        "max(l1 % 2, l1 - 2 * x_max + 2)",
+        "dominated's x_max bound one short",
+    ),
+    (
+        "series.py",
+        "if a + h1 >= b + h2 >= 0",
+        "if a + h1 > b + h2 >= 0",
+        "ChamberChain.window drops the halo points on the chamber's diagonal wall",
     ),
     # verify runs CHILD_CHECKS in a forked child and merges by index
     (

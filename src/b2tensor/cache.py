@@ -11,6 +11,9 @@ other file, a wrong schema or digest included, is a miss, and the value is
 recomputed. A hit returns the payload with its text, which the CLI prints
 as its JSON answer without serializing the payload again.
 
+BoundedLRU is the in-process store of a long-lived process: the CLI's memo
+of answer texts and the factor tables of fans.closed_form_point.
+
 SCHEMA versions the payloads: a change to what a command stores must bump
 it, which turns every older file into a miss (tests pin a few digests to it).
 """
@@ -20,6 +23,7 @@ from __future__ import annotations
 import io
 import json
 import os
+from collections import OrderedDict
 from pathlib import Path
 
 SCHEMA = 1
@@ -105,3 +109,46 @@ def cached(cache_dir, key: str, compute):
     text = canonical_json(payload)
     store(cache_dir, key, text)
     return payload, text
+
+
+class BoundedLRU:
+    """Values by key, least recently used first, charged at most `bound` in all.
+
+    charge(key, value) is what an entry costs. put refuses an entry charged
+    more than the bound, and that entry evicts nothing; get counts as a use.
+    A value just got or put that then grows in place is charged its growth
+    through add; as the most recently used entry it is evicted last, and
+    only when it alone is charged more than the bound.
+    """
+
+    def __init__(self, bound: int, charge):
+        self.bound = bound
+        self.charge = charge
+        self.entries = OrderedDict()
+        self.charged = 0
+
+    def get(self, key):
+        """The value under key, or None; a value found becomes the most recently used."""
+        value = self.entries.get(key)
+        if value is not None:
+            self.entries.move_to_end(key)
+        return value
+
+    def put(self, key, value) -> None:
+        """Keep value under key, which is not held, as the most recently used."""
+        cost = self.charge(key, value)
+        if cost > self.bound:
+            return
+        self.entries[key] = value
+        self.add(cost)
+
+    def add(self, cost: int) -> None:
+        """Charge cost more, then evict the least recently used entries until
+        the total is within the bound."""
+        self.charged += cost
+        while self.charged > self.bound:
+            self.charged -= self.charge(*self.entries.popitem(last=False))
+
+    def clear(self) -> None:
+        self.entries.clear()
+        self.charged = 0

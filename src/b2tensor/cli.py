@@ -9,14 +9,13 @@ from __future__ import annotations
 import argparse
 import re
 import sys
-from collections import OrderedDict
 from functools import lru_cache
 from itertools import starmap
 from operator import itemgetter
 from typing import NamedTuple
 
 from . import closed_forms as cfm
-from .cache import cached, canonical_json
+from .cache import BoundedLRU, cached, canonical_json
 from .diagram import to_dot
 from .engine import band_values, decomposition, m_extended
 from .fans import (
@@ -511,8 +510,8 @@ def _parse(argv: list) -> argparse.Namespace:
 
 
 # Repeated queries are answered with the text printed the first time, from
-# one LRU keyed by the command line as given and looked up before parsing, so
-# a hit costs a tuple, a dict lookup and the write. The parse is
+# one BoundedLRU keyed by the command line as given and looked up before
+# parsing, so a hit costs a tuple, a dict lookup and the write. The parse is
 # deterministic, so a stored command line always means the same query; another
 # spelling of it (--power=3, another option order) is stored on its own. Keys
 # come from outside (--power 3, 03, 003 ... are distinct and of any length),
@@ -526,19 +525,18 @@ def _parse(argv: list) -> argparse.Namespace:
 # abbreviation such as --cach bypasses as the full option does. Three kinds of
 # query bypass the memo, and each pays for its parse: _read takes 2-4 us on a
 # plain command line (every token an exact option of the command, given once,
-# each value after '=' or in the next token, which does not start with '-'),
-# where argparse took 13-21 us; any other command line still goes to argparse.
+# each value after '=' or in the next token, which does not start with '-');
+# any other command line goes to argparse, which takes 13-21 us.
 # - verify, as a self-check must recompute and --timings reports live numbers;
 # - any query with --cache, whose load, digest check and store stay as they
-#   are: 23 us a query in query-mix (33 us when load read through pathlib);
+#   are: 23 us a query in query-mix;
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
 #   a single number and its keys are every lattice point. Kept, they filled
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
 #   by 7 MB; charging each entry 700 characters for its key still let up to
 #   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
-#   Bypassing, multiplicity takes 12-13 us and closed-form --weight 14 us
-#   (22 us when each answer built its factor vectors again; fans keeps them
-#   in bounded tables instead).
+#   Bypassing, multiplicity takes 12-13 us and closed-form --weight 14 us,
+#   as fans keeps the factor vectors of closed_form_point in bounded tables.
 MEMO_CHARS = 1 << 20
 
 
@@ -548,43 +546,7 @@ def _memoizable(args) -> bool:
     return not bypass and getattr(args, "weight", None) is None
 
 
-def _charge(key: tuple, text: str) -> int:
-    return len(text) + sum(map(len, key))
-
-
-class _TextMemo:
-    """Texts by key, least recently used first, at most `bound` characters in all.
-
-    A key is a tuple of strings; an entry is charged its text and its key.
-    """
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.texts = OrderedDict()
-        self.chars = 0
-
-    def get(self, key):
-        text = self.texts.get(key)
-        if text is not None:
-            self.texts.move_to_end(key)
-        return text
-
-    def put(self, key: tuple, text: str) -> None:
-        """Keep text under key, which is not in the memo: main puts only after a miss."""
-        charge = _charge(key, text)
-        if charge > self.bound:
-            return
-        self.texts[key] = text
-        self.chars += charge
-        while self.chars > self.bound:
-            self.chars -= _charge(*self.texts.popitem(last=False))
-
-    def clear(self) -> None:
-        self.texts.clear()
-        self.chars = 0
-
-
-_ANSWERS = _TextMemo(MEMO_CHARS)
+_ANSWERS = BoundedLRU(MEMO_CHARS, lambda key, text: len(text) + sum(map(len, key)))
 
 
 _NEGATIVE_VALUE = re.compile(r"-\.?\d")  # the leading minus of every number Fraction reads

@@ -23,19 +23,19 @@ of the published index formula, and a validated evaluator that matches the
 direct convolution exactly. CLOSED_FORMS holds both as batch evaluators, one
 entry per kind; closed_form_window reads the direct values they are checked
 against off the chamber chains, and diff_report exposes their disagreements.
-closed_form_point answers one point of a factored reading from the factor
+closed_form_point answers one point of a validated form from the factor
 vectors its earlier calls built, kept in tables of at most FACTOR_CHARGE
 vectors and ints; a batch builds its own and keeps nothing.
 """
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from functools import partial
 from math import comb
 from operator import mul
 from typing import Callable, NamedTuple
 
+from .cache import BoundedLRU
 from .engine import MultiplicityFunction, m_extended, tensor_power_weights
 from .lattice import FUNDAMENTAL, RHO, Weight, band, power_highest_weight, reflect_to_chamber
 from .series import ChamberChain, LatticeSeries, denominator_product, singular_element
@@ -97,10 +97,10 @@ def _nonzero_range(first: int, last: int, offset: int, step: int, width: int) ->
 # the second coordinate only (the sign splits the same way). So for a fixed
 # p every coordinate value gets one vector over k, and each point is one dot
 # product of its two vectors. A batch builds each vector once and drops its
-# tables when it returns; closed_form_point keeps the tables of its (kind,
-# reading, p) across calls, under the bound FACTOR_CHARGE. This only reorders
-# the published sums; they share no code with the convolutions they are
-# checked against.
+# tables when it returns; closed_form_point keeps the tables of its (kind, p)
+# across calls, under the bound FACTOR_CHARGE. This only reorders the
+# published sums; they share no code with the convolutions they are checked
+# against.
 
 
 def _factored(pairs, first, second, kept=None) -> list:
@@ -371,64 +371,39 @@ CLOSED_FORMS = {
 }
 
 
-# The tables of closed_form_point, one pair of dicts per (kind, reading, p).
-# The reading is part of the key: the fan and vector printed forms run the
-# same first and second with _tb_strict, so the two readings must never share
-# a vector. A vector is charged p + 2, itself and at most p + 1 ints (an
+# The tables of closed_form_point, one pair of dicts per (kind, p), in one
+# BoundedLRU. A vector is charged p + 2, itself and at most p + 1 ints (an
 # all-zero vector, kept as (), is charged the same), and while the tables are
 # charged more than FACTOR_CHARGE the least recently used table is dropped.
 # query-mix (seed 1, 300 rounds, 4 500 closed-form --weight queries) filled 36
 # tables with 1 803 vectors and 15 082 ints, charged 18 145. The worst case is
-# at the LIMITS top, where the ints are largest: every reading at p = 30 down
-# to 23, each on its whole support diagonal, ran past the bound, and the
-# tables never held more than 0.8 MB (tracemalloc peak, Python 3.11); a vector
-# of zeros charged p + 2 holds less.
+# at the LIMITS top, where the ints are largest: every kind at p = 30 down
+# to 23, on each window point with |d1| = |d2|, ran past the bound; the
+# tables then held 0.8 MB, 0.96 MB at the peak (tracemalloc, Python 3.11); a
+# vector of zeros charged p + 2 holds less.
 FACTOR_CHARGE = 1 << 15
 
 
-class _FactorTables:
-    """Factor tables by key, least recently used first, charged at most `bound` in all."""
-
-    def __init__(self, bound: int):
-        self.bound = bound
-        self.tables = OrderedDict()  # key -> (firsts, seconds, charge per vector)
-        self.charged = 0
-
-    def value(self, evaluate, key, p: int, point) -> int:
-        """evaluate(p, [point]) at its one point, reading and filling key's tables."""
-        table = self.tables.get(key)
-        if table is None:
-            table = self.tables[key] = ({}, {}, p + 2)
-        else:
-            self.tables.move_to_end(key)
-        firsts, seconds, unit = table
-        held = len(firsts) + len(seconds)
-        value = evaluate(p, [point], kept=(firsts, seconds))[0]
-        self.charged += (len(firsts) + len(seconds) - held) * unit
-        while self.charged > self.bound:
-            firsts, seconds, unit = self.tables.popitem(last=False)[1]
-            self.charged -= (len(firsts) + len(seconds)) * unit
-        return value
-
-    def clear(self) -> None:
-        self.tables.clear()
-        self.charged = 0
+def _table_charge(key, tables) -> int:
+    (_, p), (firsts, seconds) = key, tables
+    return (len(firsts) + len(seconds)) * (p + 2)
 
 
-_POINT_TABLES = _FactorTables(FACTOR_CHARGE)
+_POINT_TABLES = BoundedLRU(FACTOR_CHARGE, _table_charge)
 
 
-def closed_form_point(kind: str, p: int, point, reading: str = "validated") -> int:
-    """The closed form of kind in reading ('validated' or 'printed') at one
-    doubled point, from factor vectors kept across calls.
-
-    Every factored reading is kept: both of 'fan' and 'vector' and the
-    validated 'spinor'; the printed spinor sum is not factored.
-    """
-    if (kind, reading) == ("spinor", "printed"):
-        raise ValueError("the printed spinor sum has no factor tables")
-    evaluate = getattr(CLOSED_FORMS[kind], reading)
-    return _POINT_TABLES.value(evaluate, (kind, reading, p), p, point)
+def closed_form_point(kind: str, p: int, point) -> int:
+    """The validated closed form of kind at one doubled point, from factor
+    vectors kept across calls."""
+    key = (kind, p)
+    tables = _POINT_TABLES.get(key)
+    if tables is None:
+        tables = ({}, {})
+        _POINT_TABLES.put(key, tables)
+    held = _table_charge(key, tables)
+    value = CLOSED_FORMS[kind].validated(p, [point], kept=tables)[0]
+    _POINT_TABLES.add(_table_charge(key, tables) - held)
+    return value
 
 
 def diff_report(kind: str, p: int) -> list:

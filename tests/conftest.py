@@ -2,21 +2,24 @@
 points near the highest weight, the Fraction references of the weight text and
 of its parse, properties of a LatticeSeries read from its terms (its support
 among them), the references for its powers and for the support-plus-halo
-window, and a fresh CLI answer memo for every test."""
+window, and a fresh CLI answer memo and closed-form factor tables for every
+test."""
 
 from fractions import Fraction
 
 import pytest
 from hypothesis import strategies as st
 
-from b2tensor import WEYL_GROUP, LatticeSeries, Weight, cli
+from b2tensor import WEYL_GROUP, LatticeSeries, Weight, cli, fans
 
 
 @pytest.fixture(autouse=True)
-def fresh_answer_memo():
-    """Empty the CLI's memo of answer texts, so a test that monkeypatches the
-    engine never gets text an earlier test computed."""
+def fresh_long_lived_stores():
+    """Empty the CLI's memo of answer texts and the factor tables of
+    closed_form_point, so a test that monkeypatches the engine never gets text
+    an earlier test computed, and no test reads tables another one filled."""
     cli._ANSWERS.clear()
+    fans._POINT_TABLES.clear()
 
 
 def weights(span: int = 12):

@@ -16,7 +16,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from b2tensor import cli
-from b2tensor.cli import MEMO_CHARS, Answer, _parse, _read, _TextMemo, build_parser, main
+from b2tensor.cache import BoundedLRU
+from b2tensor.cli import MEMO_CHARS, Answer, _parse, _read, build_parser, main
 from test_cli_golden import golden_argvs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -151,35 +152,55 @@ def test_memo_bound_is_a_mebibyte_of_characters():
     assert cli._ANSWERS.bound == MEMO_CHARS
 
 
+def text_memo(bound):
+    """An empty memo of answer texts, charged as the CLI's, under bound."""
+    return BoundedLRU(bound, cli._ANSWERS.charge)
+
+
 def held(memo):
     """The characters the memo's entries are charged: each text and its key."""
-    return sum(len(text) + sum(map(len, key)) for key, text in memo.texts.items())
+    return sum(len(text) + sum(map(len, key)) for key, text in memo.entries.items())
 
 
 def test_memo_holds_at_most_its_bound_after_the_largest_answers():
     # the sizes of the largest answers: fan --power 40 and decompose vector
     # --power 100 in json, and one answer longer than the bound
-    memo = _TextMemo(MEMO_CHARS)
+    memo = text_memo(MEMO_CHARS)
     for key, size in ((("fan",), 550_000), (("decompose",), 230_000), (("singular",), 400_000)):
         memo.put(key, "x" * size)
-        assert memo.chars == held(memo) <= MEMO_CHARS
-    assert list(memo.texts) == [("decompose",), ("singular",)]  # the least recent one went
+        assert memo.charged == held(memo) <= MEMO_CHARS
+    assert list(memo.entries) == [("decompose",), ("singular",)]  # the least recent one went
     memo.put(("huge",), "x" * (MEMO_CHARS + 1))
-    assert ("huge",) not in memo.texts and list(memo.texts) == [("decompose",), ("singular",)]
+    assert ("huge",) not in memo.entries and list(memo.entries) == [("decompose",), ("singular",)]
     assert memo.get(("decompose",)) is not None
     memo.put(("fan",), "x" * 550_000)
-    assert list(memo.texts) == [("decompose",), ("fan",)]  # a read counts as a use
-    assert memo.chars == held(memo) == 780_000 + len("decompose") + len("fan")
+    assert list(memo.entries) == [("decompose",), ("fan",)]  # a read counts as a use
+    assert memo.charged == held(memo) == 780_000 + len("decompose") + len("fan")
 
 
 def test_memo_charges_each_entry_its_key():
-    memo = _TextMemo(100)
+    memo = text_memo(100)
     memo.put(("fan", "--power", "2"), "x" * 50)
-    assert memo.chars == 50 + 3 + 7 + 1
+    assert memo.charged == 50 + 3 + 7 + 1
     memo.put(("k" * 40,), "y" * 61)  # the text fits the bound, text and key do not
-    assert list(memo.texts) == [("fan", "--power", "2")] and memo.chars == 61
+    assert list(memo.entries) == [("fan", "--power", "2")] and memo.charged == 61
     memo.put(("k" * 30,), "y" * 10)  # 61 + 40 is over the bound: the first entry goes
-    assert list(memo.texts) == [("k" * 30,)] and memo.chars == 40 == held(memo)
+    assert list(memo.entries) == [("k" * 30,)] and memo.charged == 40 == held(memo)
+
+
+def test_an_entry_grown_through_add_is_evicted_last():
+    # each value is a list charged its length; add charges the growth of the
+    # entry just read, which is then the most recently used
+    lru = BoundedLRU(10, lambda key, value: len(value))
+    for key in "abc":
+        lru.put(key, [0] * 3)
+    grown = lru.get("a")
+    grown += [0] * 5
+    lru.add(5)  # 14 > 10: b and then c go, and a, though the largest, stays
+    assert list(lru.entries) == ["a"] and lru.charged == 8
+    grown += [0] * 3
+    lru.add(3)  # a alone is charged more than the bound: it goes too
+    assert not lru.entries and lru.charged == 0
 
 
 def test_long_spellings_of_one_query_keep_the_memo_bounded():
@@ -190,9 +211,9 @@ def test_long_spellings_of_one_query_keep_the_memo_bounded():
     assert sum(map(len, argvs[0])) > 3000 and want[0] == 0
     for argv in argvs:
         assert run(argv) == want
-        assert cli._ANSWERS.chars == held(cli._ANSWERS) <= MEMO_CHARS
-    assert 0 < len(cli._ANSWERS.texts) < len(argvs)  # the bound evicted the oldest
-    assert tuple(argvs[-1]) in cli._ANSWERS.texts and tuple(argvs[0]) not in cli._ANSWERS.texts
+        assert cli._ANSWERS.charged == held(cli._ANSWERS) <= MEMO_CHARS
+    assert 0 < len(cli._ANSWERS.entries) < len(argvs)  # the bound evicted the oldest
+    assert tuple(argvs[-1]) in cli._ANSWERS.entries and tuple(argvs[0]) not in cli._ANSWERS.entries
 
 
 def test_cli_memo_evicts_the_least_recent_answer(monkeypatch):
@@ -200,17 +221,17 @@ def test_cli_memo_evicts_the_least_recent_answer(monkeypatch):
     second = ["fan", "--power", "2", "--format", "json"]
     texts = [run(argv)[1] for argv in (first, second)]
     charges = [len(text) + sum(map(len, argv)) for argv, text in zip((first, second), texts)]
-    memo = _TextMemo(max(charges))
+    memo = text_memo(max(charges))
     monkeypatch.setattr(cli, "_ANSWERS", memo)
     for argv, text, charge in zip((first, second), texts, charges):
         assert run(argv) == (0, text, "")
-        assert list(memo.texts.values()) == [text] and memo.chars == charge
+        assert list(memo.entries.values()) == [text] and memo.charged == charge
 
 
 def test_repeated_query_is_answered_before_parsing(monkeypatch):
     argv = ["singular", "--module", "vector", "--power", "2", "--format", "json"]
     want = run(argv)
-    assert want[0] == 0 and list(cli._ANSWERS.texts) == [tuple(argv)]
+    assert want[0] == 0 and list(cli._ANSWERS.entries) == [tuple(argv)]
 
     def fail(*_):
         raise AssertionError("parsed again")
@@ -222,7 +243,7 @@ def test_repeated_query_is_answered_before_parsing(monkeypatch):
 def test_repeated_query_prints_the_stored_text(monkeypatch):
     argv = ["decompose", "--module", "spinor", "--power", "3", "--format", "csv"]
     want = run(argv)
-    assert want[0] == 0 and len(cli._ANSWERS.texts) == 1
+    assert want[0] == 0 and len(cli._ANSWERS.entries) == 1
 
     def fail(*_):
         raise RuntimeError("recomputed")
@@ -242,8 +263,8 @@ def test_other_spellings_of_a_query_print_the_same_text():
         ["decompose", "--module=spinor", "--power=03", "--format=csv"],
         ["decompose", "--mod", "spinor", "--pow", "3", "--form", "csv"],
     ):
-        assert run(argv) == first and tuple(argv) in cli._ANSWERS.texts
-    assert len(cli._ANSWERS.texts) == 4
+        assert run(argv) == first and tuple(argv) in cli._ANSWERS.entries
+    assert len(cli._ANSWERS.entries) == 4
 
 
 @pytest.mark.parametrize(
@@ -265,13 +286,13 @@ def test_failed_answers_are_not_stored(argv):
     code, out, err = run(argv)
     assert code != 0 or (out.startswith("usage:") and not err)
     assert run(argv) == (code, out, err)  # recomputed, with the same code and stderr
-    assert not cli._ANSWERS.texts
+    assert not cli._ANSWERS.entries
 
 
 def test_answers_that_write_stderr_are_not_stored(monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "fan", lambda args: Answer(0, "text\n", "note\n"))
     assert run(["fan", "--power", "2"]) == (0, "text\n", "note\n")
-    assert not cli._ANSWERS.texts
+    assert not cli._ANSWERS.entries
 
 
 def test_answers_that_exit_nonzero_are_not_stored(monkeypatch):
@@ -279,7 +300,7 @@ def test_answers_that_exit_nonzero_are_not_stored(monkeypatch):
     monkeypatch.setitem(cli._DISPATCH, "fan", lambda args: Answer(1, "text\n"))
     for _ in range(2):
         assert run(["fan", "--power", "2"]) == (1, "text\n", "")
-    assert not cli._ANSWERS.texts
+    assert not cli._ANSWERS.entries
 
 
 @pytest.mark.parametrize(
@@ -296,7 +317,7 @@ def test_answers_that_exit_nonzero_are_not_stored(monkeypatch):
 def test_answers_at_one_weight_bypass_the_memo(argv):
     first = run(argv)
     assert first[0] == 0 and run(argv) == first
-    assert not cli._ANSWERS.texts
+    assert not cli._ANSWERS.entries
 
 
 def test_verify_bypasses_the_memo(monkeypatch):
@@ -306,7 +327,7 @@ def test_verify_bypasses_the_memo(monkeypatch):
     argv = ["verify", "--suite", "dimension-identity", "--pmax", "4", "--timings"]
     first, second = run(argv), run(argv)
     assert first[:2] == second[:2] and first[0] == 0 and first[2]
-    assert len(calls) == 2 and not cli._ANSWERS.texts
+    assert len(calls) == 2 and not cli._ANSWERS.entries
 
 
 @pytest.mark.parametrize("option", ["--cache", "--cach", "--ca"])
@@ -317,16 +338,16 @@ def test_cache_queries_bypass_the_memo_in_any_spelling(option, tmp_path, monkeyp
     argv = ["singular", "--module", "spinor", "--power", "2", option, str(tmp_path)]
     first = run(argv)
     assert first[0] == 0 and run(argv) == first
-    assert loads == ["singular-direct-spinor-2"] * 2 and not cli._ANSWERS.texts
+    assert loads == ["singular-direct-spinor-2"] * 2 and not cli._ANSWERS.entries
 
 
 def test_cache_query_after_a_memo_answer_still_writes_its_file(tmp_path):
     argv = ["decompose", "--module", "vector", "--power", "4", "--format", "json"]
     plain = run(argv)
-    assert run(argv) == plain and len(cli._ANSWERS.texts) == 1
+    assert run(argv) == plain and len(cli._ANSWERS.entries) == 1
     assert run(argv + ["--cache", str(tmp_path)]) == plain
     assert (tmp_path / "decompose-vector-4.json").is_file()
-    assert len(cli._ANSWERS.texts) == 1  # the --cache query is not stored
+    assert len(cli._ANSWERS.entries) == 1  # the --cache query is not stored
 
 
 def fresh_python(script):

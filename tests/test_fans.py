@@ -383,24 +383,19 @@ def test_batch_closed_forms_cover_the_support():
             assert form.validated(p, pairs) == [truth[pt] for pt in pairs]
 
 
-# the readings closed_form_point keeps tables for
-POINT_READINGS = ("validated", "printed")
-POINT_KINDS = {"fan": POINT_READINGS, "vector": POINT_READINGS, "spinor": ("validated",)}
-
-
-def fresh(kind, reading, p, point):
-    # the batch evaluator on one point: its tables are new and dropped
-    return getattr(CLOSED_FORMS[kind], reading)(p, [point])[0]
+def fresh(kind, p, point):
+    # the validated batch evaluator on one point: its tables are new and dropped
+    return CLOSED_FORMS[kind].validated(p, [point])[0]
 
 
 @st.composite
 def point_queries(draw):
-    """A shuffled list of (kind, reading, p, doubled point) for one or two
-    kinds and one to three powers, whose points take their coordinates from a
-    few values, so that readings, powers and coordinates repeat: values on and
-    near the supports, which lie in |d| <= 8p, and far off them, of both
+    """A shuffled list of (kind, p, doubled point) for one or two kinds and
+    one to three powers, whose points take their coordinates from a few
+    values, so that kinds, powers and coordinates repeat: values on and near
+    the supports, which lie in |d| <= 8p, and far off them, of both
     parities."""
-    kinds = draw(st.lists(st.sampled_from(sorted(POINT_KINDS)), min_size=1, max_size=2, unique=True))
+    kinds = draw(st.lists(st.sampled_from(sorted(CLOSED_FORMS)), min_size=1, max_size=2, unique=True))
     powers = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
     near, box = (st.integers(-8 * p - 4, 8 * p + 4) for p in (min(powers), max(powers)))
     far = st.integers(8 * max(powers) + 5, 10**4).flatmap(lambda d: st.sampled_from((d, -d)))
@@ -408,8 +403,7 @@ def point_queries(draw):
     queries = []
     for _ in range(draw(st.integers(1, 40))):
         kind, p = draw(st.sampled_from(kinds)), draw(st.sampled_from(powers))
-        reading = draw(st.sampled_from(POINT_KINDS[kind]))
-        queries.append((kind, reading, p, draw(st.tuples(coordinates, coordinates))))
+        queries.append((kind, p, draw(st.tuples(coordinates, coordinates))))
     return draw(st.permutations(queries))
 
 
@@ -417,52 +411,37 @@ def point_queries(draw):
 @settings(max_examples=100, deadline=None)
 def test_kept_tables_answer_as_a_fresh_batch(queries):
     fans._POINT_TABLES.clear()
-    for kind, reading, p, point in queries:
-        assert fans.closed_form_point(kind, p, point, reading) == fresh(kind, reading, p, point), (
-            kind,
-            reading,
-            p,
-            point,
-        )
+    for kind, p, point in queries:
+        assert fans.closed_form_point(kind, p, point) == fresh(kind, p, point), (kind, p, point)
 
 
-@pytest.mark.parametrize("order", [POINT_READINGS, POINT_READINGS[::-1]])
-def test_kept_tables_keep_readings_and_powers_apart(order):
-    # at the fan's zero point the readings differ (validated -1, printed 0), and
-    # the first reading asked fills the vectors of both coordinates; at (0, 2)
-    # the validated fan is 1 at p = 2 and 2 at p = 3
-    fans._POINT_TABLES.clear()
-    assert [fresh("fan", r, 2, (0, 0)) for r in POINT_READINGS] == [-1, 0]
-    assert [fresh("fan", "validated", p, (0, 2)) for p in (2, 3)] == [1, 2]
-    for reading in order:
-        assert fans.closed_form_point("fan", 2, (0, 0), reading) == fresh("fan", reading, 2, (0, 0))
+def test_kept_tables_keep_powers_apart():
+    # at (0, 2) the validated fan is 1 at p = 2 and 2 at p = 3
+    assert [fresh("fan", p, (0, 2)) for p in (2, 3)] == [1, 2]
     for p in (2, 3):
-        assert fans.closed_form_point("fan", p, (0, 2)) == fresh("fan", "validated", p, (0, 2))
-    with pytest.raises(ValueError):
-        fans.closed_form_point("spinor", 2, (0, 0), "printed")
+        assert fans.closed_form_point("fan", p, (0, 2)) == fresh("fan", p, (0, 2))
+    assert list(fans._POINT_TABLES.entries) == [("fan", 2), ("fan", 3)]
 
 
 def test_kept_tables_stay_within_their_bound():
     tables = fans._POINT_TABLES
-    tables.clear()
     bound = fans.FACTOR_CHARGE
     # each far point adds two zero vectors, each charged p + 2 = 32 at p = 30;
     # the first table is asked again midway, so it is not the least recently used
-    queries = [("fan", "validated", 30, (0, 0))]
-    queries += [(kind, "validated", 30, (2 * i, -2 * i)) for i in range(300, 500) for kind in ("fan", "vector")]
-    queries += [("fan", "validated", 30, (0, 0))]
-    queries += [("spinor", "validated", 30, (2 * i, -2 * i)) for i in range(300, 600)]
-    queries += [("vector", "printed", 29, (4, -2))]
+    queries = [("fan", 30, (0, 0))]
+    queries += [(kind, 30, (2 * i, -2 * i)) for i in range(300, 500) for kind in ("fan", "vector")]
+    queries += [("fan", 30, (0, 0))]
+    queries += [("spinor", 30, (2 * i, -2 * i)) for i in range(300, 600)]
+    queries += [("vector", 29, (4, -2))]
     evicted = False
-    for kind, reading, p, point in queries:
-        assert fans.closed_form_point(kind, p, point, reading) == fresh(kind, reading, p, point)
-        charged = sum((len(f) + len(s)) * (key[2] + 2) for key, (f, s, _) in tables.tables.items())
+    for kind, p, point in queries:
+        assert fans.closed_form_point(kind, p, point) == fresh(kind, p, point)
+        charged = sum((len(f) + len(s)) * (q + 2) for (_, q), (f, s) in tables.entries.items())
         assert tables.charged == charged <= bound
-        evicted = evicted or ("vector", "validated", 30) not in tables.tables
+        evicted = evicted or ("vector", 30) not in tables.entries
     assert evicted
-    assert list(tables.tables) == [("fan", "validated", 30), ("spinor", "validated", 30), ("vector", "printed", 29)]
-    assert fans.closed_form_point("fan", 30, (0, 0), "validated") == -1
-    tables.clear()
+    assert list(tables.entries) == [("fan", 30), ("spinor", 30), ("vector", 29)]
+    assert fans.closed_form_point("fan", 30, (0, 0)) == -1
 
 
 @pytest.mark.parametrize("module", ["vector", "spinor"])
