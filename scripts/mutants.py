@@ -228,13 +228,19 @@ MUTANTS = [
         "",
         "BoundedLRU keeps an entry charged above the bound, which evicts the rest",
     ),
-    # proof mutants: the fan-solve cut-off, the power the alternating sum
+    # proof mutants: the fan-solve cut, the power the alternating sum
     # reads, the vector band's depth and the folded window's chamber filter
     (
         "fans.py",
-        "if g1 > last:",
-        "if g1 >= last:",
-        "the fan solve stops at the first shift with g1 = last",
+        "cap = min(top1, top - x)",
+        "cap = min(top1, top - x) - 1",
+        "the fan solve's cap one too small",
+    ),
+    (
+        "fans.py",
+        "if x > top1:",
+        "if x >= top1:",
+        "the fan solve skips the rows with x = l1 + r1 as dead",
     ),
     (
         "engine.py",
@@ -266,6 +272,19 @@ MUTANTS = [
         "        if ok:\n",
         "        if True:\n",
         "the child's error tag ignored",
+    ),
+    (
+        "verify.py",
+        "        except OSError:  # EAGAIN or ENOMEM at a process or memory limit\n            return None\n",
+        "",
+        "a failed fork ends the run instead of running every check in order",
+    ),
+    # python -m b2tensor freezes the collector before its exit, and only there
+    (
+        "cli.py",
+        "def main(argv=None) -> int:\n",
+        'def main(argv=None) -> int:\n    __import__("gc").freeze()\n',
+        "cli.main freezes the collector, as the entry point does before its exit",
     ),
 ]
 

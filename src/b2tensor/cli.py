@@ -62,7 +62,7 @@ def _directory(text: str) -> str:
 # Cost grows steeply with p, as the coefficients of the p-th power grow
 # exponentially; at the highest values one cold answer took at most about
 # 2 s on a 2-core Linux VM with Python 3.11 (closed-form --kind spinor
-# --diff-printed at 30 1.8 s, verify at 22 0.36 s, every other command 0.7 s
+# --diff-printed at 30 1.8 s, verify at 22 0.64 s, every other command 0.7 s
 # or less; fit at 150 0.1 s, as its recursion runs only on the band of the
 # weights it reads). fan and closed-form start at 1, as the fan of p factors
 # is R^(p-1), and fit and verify at closed_forms.PMAX_MIN, the first fit window.

@@ -30,7 +30,8 @@ vectors and ints; a batch builds its own and keeps nothing.
 
 from __future__ import annotations
 
-from functools import partial
+from bisect import bisect_left, bisect_right
+from functools import lru_cache, partial
 from math import comb
 from operator import mul
 from typing import Callable, NamedTuple
@@ -442,6 +443,22 @@ def closed_form_window(kind: str, p: int) -> tuple:
 # the fan recursion of the worked example
 
 
+@lru_cache(maxsize=1)
+def _fan_rows(p: int) -> tuple:
+    """The shifts g != 0 of gamma_p(g) = -R^(p-1)(-g) (p >= 1) as rows
+    (g1, g2s, cs): g1 ascending, and in each row the g2 ascending, with their
+    coefficients. The rows of the last p are kept, so the solves of both
+    modules at one p build them once."""
+    fan = fan_power_direct(p).by_tuple()
+    if fan.get((0, 0)) != 1:
+        raise RuntimeError("degenerate leading fan coefficient")
+    rows: dict = {}
+    for (e1, e2), c in fan.items():
+        if (e1, e2) != (0, 0):
+            rows.setdefault(-e1, []).append((-e2, -c))
+    return tuple((g1, *zip(*sorted(rows[g1]))) for g1 in sorted(rows))
+
+
 def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
     """Solve for the multiplicity function from the fan relation.
 
@@ -458,39 +475,42 @@ def fan_recursion_solve(module: str, p: int) -> MultiplicityFunction:
         raise ValueError("negative power")
     if p == 0:
         return MultiplicityFunction(module, 0, {(0, 0): 1})
-    # gamma_p(g) = -R^(p-1)(-g): read the fan at negated points, no reflected copy
-    fan = fan_power_direct(p).by_tuple()
-    if fan.get((0, 0)) != 1:
-        raise RuntimeError("degenerate leading fan coefficient")
-    shifts = sorted((-e1, -e2, -c) for (e1, e2), c in fan.items() if (e1, e2) != (0, 0))
+    rows = _fan_rows(p)
     r1, r2 = RHO.d1, RHO.d2
+    # The cut. Fix nu, with n = nu + rho, and a row g1; write x = |n1 + g1|
+    # and y = |n2 + g2|. A shift off the walls reflects onto the chamber
+    # point (max(x, y), min(x, y)), so it reads a point rep = (max(x, y) - r1,
+    # min(x, y) - r2) below p*omega, rep1 <= l1 and rep1 + rep2 <= l1 + l2,
+    # exactly when max(x, y) <= l1 + r1 = top1 and x + y <= top = l1 + l2 +
+    # r1 + r2. For a fixed x both are upper bounds on y: y <= cap =
+    # min(top1, top - x). So the row is dead when x > top1; otherwise
+    # top - x >= l2 + r2 > 0, so cap >= 0, and the live g2 are the one
+    # interval |n2 + g2| <= cap, found by two bisections in the sorted row.
+    # Every pair outside it reads a point beyond the support of the p-th
+    # power, which a full scan would skip; wall points inside it are skipped
+    # by their sign 0.
+    top1, top = l1 + r1, l1 + l2 + r1 + r2
     pi = _PROJECTED[module].at
 
     known: dict = {}  # (d1, d2) -> M, dominant points solved so far
     for nu in reversed(band(module, p, None)):
         n1, n2 = nu[0] + r1, nu[1] + r2
-        # Shifts ascend in g1, so the loop may stop at the first one with
-        # nu[0] + g1 > l1: the chamber representative of (n1 + g1, n2 + g2)
-        # has a = max(|n1 + g1|, |n2 + g2|) >= n1 + g1, hence
-        # rep[0] = a - r1 >= nu[0] + g1 > l1, and that shift and every later
-        # one would fail the rep[0] > l1 test below anyway.
-        last = l1 - nu[0]
         val = pi(p, *nu)  # the source term
-        for g1, g2, c in shifts:
-            if g1 > last:
-                break
-            a, b, sign = reflect_to_chamber(n1 + g1, n2 + g2)
-            if sign == 0:
+        for g1, g2s, cs in rows:
+            x = abs(n1 + g1)
+            if x > top1:
                 continue
-            rep = (a - r1, b - r2)
-            if rep[0] > l1 or rep[0] + rep[1] > l1 + l2:
-                continue  # not below p*omega_i: beyond the support of the p-th power
-            try:
-                val += sign * c * known[rep]
-            except KeyError:
-                raise RuntimeError(
-                    f"fan solve order broke at dependency {Weight(*rep).text()}"
-                ) from None
+            cap = min(top1, top - x)
+            for j in range(bisect_left(g2s, -cap - n2), bisect_right(g2s, cap - n2)):
+                a, b, sign = reflect_to_chamber(n1 + g1, n2 + g2s[j])
+                if sign == 0:
+                    continue
+                try:
+                    val += sign * cs[j] * known[a - r1, b - r2]
+                except KeyError:
+                    raise RuntimeError(
+                        f"fan solve order broke at dependency {Weight(a - r1, b - r2).text()}"
+                    ) from None
         known[nu] = val
     return MultiplicityFunction(module, p, {w: m for w, m in known.items() if m})
 

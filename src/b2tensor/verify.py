@@ -119,11 +119,12 @@ def check_four_routes(pmax: int) -> CheckResult:
     repeated single-step products must produce identical decompositions."""
     name = "four-routes-agree"
     n = 0
-    for mod in FUNDAMENTAL:
-        recs = recur_multiplicity(mod, pmax)
-        for p in range(pmax + 1):
+    recs = {mod: recur_multiplicity(mod, pmax) for mod in FUNDAMENTAL}
+    # p outside the modules, so both fan solves at one p share its fan rows
+    for p in range(pmax + 1):
+        for mod in FUNDAMENTAL:
             a = decomposition(mod, p)
-            if not a == recs[p] == fan_recursion_solve(mod, p) == iterate_single_step(mod, p):
+            if not a == recs[mod][p] == fan_recursion_solve(mod, p) == iterate_single_step(mod, p):
                 return _fail(name, f"module={mod} p={p}")
             n += 1
     return CheckResult(
@@ -599,11 +600,19 @@ SUITES = {
 }
 
 
-# The checks that fill the fan and singular chains: run_suite runs them in one
-# forked child while the caller runs the rest. Membership is by function, so a
-# check rebound from outside (as the benchmark's tracer rebinds every check in
-# SUITES) runs in the caller.
-CHILD_CHECKS = frozenset(SUITES["closed-forms"] + [check_fan_identity, check_singular_contribution])
+# The checks run_suite runs in one forked child while the caller runs the
+# rest: the checks that fill the fan and singular chains, less
+# printed-formula-diffs. The rule: the two sides' in-process totals about
+# equal at pmax 10, which verify-all runs, and at no pmax up to 22 a longer
+# side than with printed-formula-diffs in the child. That check reads only
+# p <= 4, so its few ms weigh the same at every pmax; in the caller it evens
+# pmax 10 and shortens the child, the longer side from pmax 14 up.
+# Membership is by function, so a check rebound from outside (as the
+# benchmark's tracer rebinds every check in SUITES) runs in the caller.
+CHILD_CHECKS = frozenset(
+    [fn for fn in SUITES["closed-forms"] if fn is not check_diff_reports]
+    + [check_fan_identity, check_singular_contribution]
+)
 
 
 def _run(indexed, pmax: int) -> list:
@@ -648,9 +657,9 @@ def _serve(write: int, indexed: list, pmax: int) -> None:
         os._exit(0)
 
 
-def _run_split(checks: list, pmax: int) -> list:
+def _run_split(checks: list, pmax: int) -> list | None:
     """The entries of _run for every check: CHILD_CHECKS in a forked child, the
-    rest here at the same time."""
+    rest here at the same time. None, having run nothing, when the fork fails."""
     mine = [(i, fn) for i, fn in enumerate(checks) if fn not in CHILD_CHECKS]
     theirs = [(i, fn) for i, fn in enumerate(checks) if fn in CHILD_CHECKS]
     read, write = os.pipe()
@@ -660,6 +669,8 @@ def _run_split(checks: list, pmax: int) -> list:
             pid = os.fork()
             if pid == 0:
                 _serve(write, theirs, pmax)
+        except OSError:  # EAGAIN or ENOMEM at a process or memory limit
+            return None
         finally:
             gc.unfreeze()
             os.close(write)
@@ -685,10 +696,10 @@ def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
     """Run the checks of suite (or of every suite, for "all") in SUITES order.
 
     When the checks include CHILD_CHECKS and others, and the process may run on
-    more than one CPU, the two sets run at the same time in two processes; the
-    report is the same either way, and an exception is that of the first check
-    in SUITES order that raised. Each result's seconds is its check's wall time
-    in its own process.
+    more than one CPU, the two sets run at the same time in two processes, or
+    in order here should the fork fail; the report is the same either way, and
+    an exception is that of the first check in SUITES order that raised. Each
+    result's seconds is its check's wall time in its own process.
     """
     if pmax < cf.PMAX_MIN:
         raise ValueError(f"pmax {pmax} is below {cf.PMAX_MIN}, the first pmax with a fit window")
@@ -699,7 +710,9 @@ def run_suite(suite: str, pmax: int = 10) -> VerificationReport:
     else:
         raise KeyError(f"unknown suite {suite!r}")
     split = 0 < sum(fn in CHILD_CHECKS for fn in checks) < len(checks) and _may_fork()
-    entries = _run_split(checks, pmax) if split else _run(enumerate(checks), pmax)
+    entries = _run_split(checks, pmax) if split else None
+    if entries is None:
+        entries = _run(enumerate(checks), pmax)
     results = []
     for _, ok, value in sorted(entries, key=lambda entry: entry[0]):
         if not ok:

@@ -2,7 +2,7 @@
 points near the highest weight, the Fraction references of the weight text and
 of its parse, properties of a LatticeSeries read from its terms (its support
 among them), the references for its powers and for the support-plus-halo
-window, and a fresh CLI answer memo and closed-form factor tables for every
+window, the full-scan fan solve, and a fresh CLI answer memo and closed-form factor tables for every
 test."""
 
 from fractions import Fraction
@@ -10,7 +10,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import strategies as st
 
-from b2tensor import WEYL_GROUP, LatticeSeries, Weight, cli, fans
+from b2tensor import RHO, WEYL_GROUP, LatticeSeries, Weight, cli, fans
+from b2tensor.engine import MultiplicityFunction
+from b2tensor.lattice import band, power_highest_weight, reflect_to_chamber
 
 
 @pytest.fixture(autouse=True)
@@ -75,6 +77,31 @@ def _support_halo(series: LatticeSeries, step: int = 2) -> list:
         for db in (-step, 0, step):
             pts.update(zip(shifted, map(db.__add__, d2s)))
     return sorted(pts)
+
+
+def full_scan_fan_solve(module: str, p: int) -> MultiplicityFunction:
+    """fan_recursion_solve visiting every (nu, shift) pair: the reference for
+    its cut, which visits only the shifts that read a point below p*omega."""
+    l1, l2 = power_highest_weight(module, p)
+    if p == 0:
+        return MultiplicityFunction(module, 0, {(0, 0): 1})
+    fan = fans.fan_power_direct(p).by_tuple()
+    shifts = [(-e1, -e2, -c) for (e1, e2), c in fan.items() if (e1, e2) != (0, 0)]
+    r1, r2 = RHO.d1, RHO.d2
+    known = {}
+    for nu in reversed(band(module, p, None)):
+        n1, n2 = nu[0] + r1, nu[1] + r2
+        val = fans.projected_at(module, p, Weight(*nu))
+        for g1, g2, c in shifts:
+            a, b, sign = reflect_to_chamber(n1 + g1, n2 + g2)
+            if sign == 0:
+                continue
+            rep = (a - r1, b - r2)
+            if rep[0] > l1 or rep[0] + rep[1] > l1 + l2:
+                continue  # not below p*omega
+            val += sign * c * known[rep]
+        known[nu] = val
+    return MultiplicityFunction(module, p, {w: m for w, m in known.items() if m})
 
 
 def halo_weights(series):

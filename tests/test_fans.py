@@ -42,6 +42,7 @@ from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
 from b2tensor.series import ChamberChain
 from conftest import (
     _support_halo,
+    full_scan_fan_solve,
     halo_weights,
     mass,
     repeated_product,
@@ -503,9 +504,22 @@ def test_a_negative_power_is_an_error(route, module):
         ROUTES_BY_POWER[route]("adjoint", -1)
 
 
+@given(st.sampled_from(["vector", "spinor"]), st.integers(0, 14))
+@settings(max_examples=25, deadline=None)
+def test_fan_solve_cut_equals_the_full_scan(module, p):
+    assert fan_recursion_solve(module, p) == full_scan_fan_solve(module, p)
+
+
+def test_fan_solve_cut_equals_the_full_scan_to_the_verify_limit():
+    # p outside the modules, as four-routes-agree runs, so one p's rows serve both
+    for p in range(15, 23):
+        for module in ("vector", "spinor"):
+            assert fan_recursion_solve(module, p) == full_scan_fan_solve(module, p), (module, p)
+
+
 @pytest.mark.parametrize("module,powers", [("vector", range(11, 15)), ("spinor", range(11, 17))])
 def test_bounded_fan_solve_beyond_verify_range(module, powers):
-    # past verify's default pmax, where the g1 cut-off skips the most shifts
+    # past verify's default pmax, where the cut skips the most shifts
     for p in powers:
         assert fan_recursion_solve(module, p).to_result() == decomposition(module, p), p
 

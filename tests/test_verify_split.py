@@ -52,6 +52,7 @@ def in_order(monkeypatch, capsys, *argv):
 def test_the_split_has_checks_on_both_sides():
     assert CHILD_CHECKS < set(EVERY_CHECK)
     assert verify.check_character_product not in CHILD_CHECKS
+    assert verify.check_diff_reports not in CHILD_CHECKS
 
 
 def test_it_forks_only_with_two_cpus_and_one_thread(monkeypatch):
@@ -91,12 +92,26 @@ def test_forked_runs_leave_nothing_frozen(forks):
     assert gc.get_freeze_count() == 0
 
 
-def test_a_single_suite_never_forks(monkeypatch):
+@pytest.mark.parametrize("suite", ["all", *SUITES])
+def test_a_suite_forks_exactly_when_its_checks_sit_on_both_sides(forks, suite):
+    checks = EVERY_CHECK if suite == "all" else SUITES[suite]
+    both = len({fn in CHILD_CHECKS for fn in checks}) == 2
+    assert run_suite(suite, 4).ok
+    assert len(forks) == both
+    assert both == (suite in ("all", "closed-forms", "fan-singular"))
+
+
+def test_a_failed_fork_runs_every_check_in_order(monkeypatch, capsys, forks):
     def no_fork():
-        raise AssertionError("forked")
+        raise BlockingIOError(11, "Resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", no_fork)
-    assert run_suite("closed-forms", 6).ok
+    argv = ("verify", "--pmax", "4")
+    failed = run_cli(capsys, *argv)
+    assert failed[0] == 0
+    assert failed == in_order(monkeypatch, capsys, *argv)
+    assert fields(run_suite("all", 4).checks) == fields(fn(4) for fn in EVERY_CHECK)
+    assert gc.get_freeze_count() == 0
 
 
 def _raise_in(monkeypatch, owner, name, exc):
