@@ -279,6 +279,32 @@ MUTANTS = [
         "",
         "a failed fork ends the run instead of running every check in order",
     ),
+    # cold verify: plain command lines read from a recorded table, one
+    # single-step pass per module, Kronecker slots written as array items
+    (
+        "cli.py",
+        "return _Recorded(list(names), dest, 0, True, False, None, None, required)",
+        "return _Recorded(list(names), dest, 0, True, None, None, None, required)",
+        "the recorder's store_true default None, not False",
+    ),
+    (
+        "verify.py",
+        "fan_recursion_solve(mod, p) == steps[mod][p]:",
+        "fan_recursion_solve(mod, p) == steps[mod][p - 1]:",
+        "four-routes-agree reads the single-step record of p - 1",
+    ),
+    (
+        "series.py",
+        "size = (bound.bit_length() + 8) // 8",
+        "size = (bound.bit_length() + 7) // 8",
+        "is_product's slot without its sign bit",
+    ),
+    (
+        "series.py",
+        "_WIDTHS = (0, 1, 2, 4, 4,",
+        "_WIDTHS = (0, 1, 2, 2, 4,",
+        "a 3-byte slot written as a 2-byte array item",
+    ),
     # python -m b2tensor freezes the collector before its exit, and only there
     (
         "cli.py",

@@ -6,13 +6,13 @@ computation cannot complete, 2 for usage errors.
 
 from __future__ import annotations
 
-import argparse
 import re
 import sys
 from functools import lru_cache
 from itertools import starmap
 from operator import itemgetter
-from typing import NamedTuple
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, NamedTuple
 
 from . import closed_forms as cfm
 from .cache import BoundedLRU, cached, canonical_json
@@ -31,29 +31,41 @@ from .lattice import FUNDAMENTAL, Weight, is_dominant
 from .series import series_json_obj
 from .verify import SUITES, run_suite
 
+if TYPE_CHECKING:
+    import argparse
+
+
+def _argparse():
+    """The argparse module, imported on first use: a plain command line never
+    needs it, and importing it (with gettext and locale) costs a cold start
+    about 4 ms."""
+    import argparse
+
+    return argparse
+
 
 def _weight_arg(text: str) -> Weight:
     try:
         return Weight.parse(text)
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+        raise _argparse().ArgumentTypeError(str(exc)) from None
     except ZeroDivisionError:
-        raise argparse.ArgumentTypeError(f"{text} has a zero denominator") from None
+        raise _argparse().ArgumentTypeError(f"{text} has a zero denominator") from None
 
 
 def _positive_int(text: str) -> int:
     try:
         n = int(text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        raise _argparse().ArgumentTypeError(f"{text!r} is not an integer") from None
     if n < 0:
-        raise argparse.ArgumentTypeError(f"{n} is negative")
+        raise _argparse().ArgumentTypeError(f"{n} is negative")
     return n
 
 
 def _directory(text: str) -> str:
     if not text:  # an empty name would put the cache files in the working directory
-        raise argparse.ArgumentTypeError("the directory name is empty")
+        raise _argparse().ArgumentTypeError("the directory name is empty")
     return text
 
 
@@ -79,14 +91,17 @@ LIMITS = {
 
 
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers()[0]
+    return _build_parsers(_argparse().ArgumentParser)[0]
 
 
-def _build_parsers() -> tuple:
+def _build_parsers(parser_class) -> tuple:
     """The top-level parser, the map from each command to its own parser, the
     map from each command to the Actions add_argument returned for it, in the
-    order added, and the map from a command to its mutually exclusive Actions."""
-    top = argparse.ArgumentParser(
+    order added, and the map from a command to its mutually exclusive Actions.
+
+    parser_class is argparse.ArgumentParser, or _Recorder, which builds the
+    table _read reads without importing argparse."""
+    top = parser_class(
         prog="b2tensor",
         description="Exact decomposition of tensor powers of the so(5) vector and spinor modules",
     )
@@ -393,7 +408,8 @@ _DISPATCH = {
 
 
 class _Options(NamedTuple):
-    """What _read knows of one command's options, taken from their Actions."""
+    """What _read knows of one command's options, taken from their Actions or
+    from _Recorder's records of them."""
 
     actions: dict  # each option string of an Action with nargs None or 0 -> the Action
     defaults: dict  # dest -> default, in the order the options were added
@@ -401,14 +417,67 @@ class _Options(NamedTuple):
     exclusive: frozenset  # the dests of the mutually exclusive options
 
 
-@lru_cache(maxsize=1)
-def _parsers() -> tuple:
-    """The top-level parser, each command's parser and each command's _Options.
+class _Recorded(NamedTuple):
+    """The fields of an argparse Action that _read and _parse read."""
 
-    Parsing leaves the parsers unchanged, so one instance serves every call.
+    option_strings: list
+    dest: str
+    nargs: int | None
+    const: object
+    default: object
+    type: object
+    choices: object
+    required: bool
+
+
+class _Recorder:
+    """A stand-in for argparse.ArgumentParser that records each option.
+
+    _build_parsers calls it as it calls argparse: the top-level parser, its
+    subparsers, each command's parser and the exclusive group are each a
+    _Recorder, and add_argument returns the fields of the Action argparse
+    builds for the two kinds of option here: a value (nargs None) and a
+    store_true flag (nargs 0, const True, default False). Another action is
+    a ValueError and another keyword a TypeError, so no option is recorded
+    as something it is not. The commands are its choices, as for argparse's
+    subparsers Action.
     """
-    top, commands, options, exclusive = _build_parsers()
-    table = {
+
+    def __init__(self, **_):
+        self.choices = {}
+
+    def add_subparsers(self, **_):
+        return self
+
+    def add_parser(self, name, **_):
+        parser = self.choices[name] = _Recorder()
+        return parser
+
+    def add_mutually_exclusive_group(self):
+        return self
+
+    def add_argument(
+        self,
+        *names,
+        action=None,
+        type=None,
+        choices=None,
+        required=False,
+        default=None,
+        metavar=None,
+        help=None,
+    ) -> _Recorded:
+        dest = names[0].lstrip("-").replace("-", "_")
+        if action == "store_true":
+            return _Recorded(list(names), dest, 0, True, False, None, None, required)
+        if action is not None:
+            raise ValueError(f"action {action!r} is not recorded")
+        return _Recorded(list(names), dest, None, None, default, type, choices, required)
+
+
+def _options(options: dict, exclusive: dict) -> dict:
+    """Each command's _Options, from the last two maps of _build_parsers."""
+    return {
         name: _Options(
             {s: a for a in actions if a.nargs in (None, 0) for s in a.option_strings},
             {a.dest: a.default for a in actions},
@@ -417,10 +486,24 @@ def _parsers() -> tuple:
         )
         for name, actions in options.items()
     }
-    return top, commands, table
 
 
-# Why _read gives argparse's Namespace: argparse classifies each token that
+@lru_cache(maxsize=1)
+def _table() -> dict:
+    """Each command's _Options, from _build_parsers run against _Recorder."""
+    return _options(*_build_parsers(_Recorder)[2:])
+
+
+@lru_cache(maxsize=1)
+def _parsers() -> tuple:
+    """The top-level parser and each command's parser.
+
+    Parsing leaves the parsers unchanged, so one instance serves every call.
+    """
+    return _build_parsers(_argparse().ArgumentParser)[:2]
+
+
+# Why _read gives what argparse gives: argparse classifies each token that
 # starts with '-' as an option and every other token as an argument. On a
 # plain command line each option is an exact option string, or one before
 # '=', and a value token never starts with '-', so each option takes the
@@ -434,9 +517,12 @@ def _parsers() -> tuple:
 # apart: it drops an argument '--' as the end of the options, so an '=' text
 # of '--' is left to it, and it passes a str default through the option's
 # type, which no option here needs, as every str default belongs to an
-# option with no type.
-def _read(argv: list) -> argparse.Namespace | None:
-    """The Namespace argparse gives for argv when it is a plain command line, else None.
+# option with no type. The table _read looks options up in comes from the
+# same _build_parsers as the parsers, run against _Recorder, so a plain
+# command line is read without importing argparse; a test checks that the
+# records equal argparse's Actions, field by field.
+def _read(argv: list) -> SimpleNamespace | None:
+    """The attributes argparse gives for argv when it is a plain command line, else None.
 
     A plain command line is a command and then options of it: each token is
     an exact long option of that command, no option is given twice, and an
@@ -444,9 +530,10 @@ def _read(argv: list) -> argparse.Namespace | None:
     the next token, which does not start with '-'. Every value passes its
     option's type and choices, every required option is given and at most
     one of the exclusive options. Any other argv is left to argparse, so
-    every help text, usage error and exit code is its own.
+    every help text, usage error and exit code is its own. The answer is a
+    SimpleNamespace whose vars() equal those of argparse's Namespace.
     """
-    spec = _parsers()[2].get(argv[0]) if argv else None
+    spec = _table().get(argv[0]) if argv else None
     if spec is None:
         return None
     values = {}
@@ -471,17 +558,19 @@ def _read(argv: list) -> argparse.Namespace | None:
         else:
             try:
                 value = text if action.type is None else action.type(text)
-            except (argparse.ArgumentTypeError, TypeError, ValueError):
+            # the tuple is built only when a type raises, and the refused line
+            # goes to argparse next, so importing it here costs nothing extra
+            except (_argparse().ArgumentTypeError, TypeError, ValueError):
                 return None
             if action.choices is not None and value not in action.choices:
                 return None
         values[action.dest] = value
     if not values.keys() >= spec.required or len(spec.exclusive & values.keys()) > 1:
         return None
-    return argparse.Namespace(**{**spec.defaults, **values, "command": argv[0]})
+    return SimpleNamespace(**{**spec.defaults, **values, "command": argv[0]})
 
 
-def _parse(argv: list) -> argparse.Namespace:
+def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
     """Parse argv with its command's own parser, as the top-level parser would.
 
     A plain command line is read by _read. Any other goes to the command's
@@ -493,7 +582,7 @@ def _parse(argv: list) -> argparse.Namespace:
     args = _read(argv)
     if args is not None:
         return args
-    top, commands, table = _parsers()
+    top, commands = _parsers()
     parser = commands.get(argv[0]) if argv else None
     if parser is None:
         return top.parse_args(argv)
@@ -502,7 +591,7 @@ def _parse(argv: list) -> argparse.Namespace:
         top.error(f"unrecognized arguments: {' '.join(extras)}")
     # argparse drops an '=' text of '--' as the end of the options and stores
     # [] for the option, without calling its type
-    for action in table[argv[0]].actions.values():
+    for action in _table()[argv[0]].actions.values():
         if getattr(args, action.dest) == []:
             parser.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
     args.command = argv[0]
@@ -525,8 +614,10 @@ def _parse(argv: list) -> argparse.Namespace:
 # abbreviation such as --cach bypasses as the full option does. Three kinds of
 # query bypass the memo, and each pays for its parse: _read takes 2-4 us on a
 # plain command line (every token an exact option of the command, given once,
-# each value after '=' or in the next token, which does not start with '-');
-# any other command line goes to argparse, which takes 13-21 us.
+# each value after '=' or in the next token, which does not start with '-'),
+# looked up in the table _Recorder records from _build_parsers, and gives a
+# SimpleNamespace, so argparse is never imported for it; any other command
+# line goes to argparse, which takes 13-21 us once imported and built.
 # - verify, as a self-check must recompute and --timings reports live numbers;
 # - any query with --cache, whose load, digest check and store stay as they
 #   are: 23 us a query in query-mix;

@@ -7,8 +7,9 @@ Three engines live here:
   * recur_multiplicity: the module-weight-shift recursion in p, on the band
     of dominant points below p*omega that lattice.band gives: the whole
     cone or, for band_values, the small deficit a list of reads needs,
-  * single_step_decompose / iterate_single_step: reduce one tensor factor
-    at a time.
+  * single_step_decompose / single_step_chain: reduce one tensor factor
+    at a time, p = 0..p_max in one pass; iterate_single_step is its last
+    record.
 A fourth, driven by the fan of the p-fold diagonal injection, lives in
 b2tensor.fans. Each route answers with one MultiplicityFunction record, and
 all four must be equal.
@@ -236,19 +237,26 @@ def single_step_decompose(mu: Weight, module: str) -> dict:
     return {Weight(d1, d2): m for (d1, d2), m in step.items()}
 
 
-def iterate_single_step(module: str, p: int) -> MultiplicityFunction:
-    """p-fold repetition of single_step_decompose starting from the trivial module."""
+def single_step_chain(module: str, p_max: int) -> list:
+    """The records of iterate_single_step for p = 0..p_max, from one pass of p_max steps."""
     shifts = _step_shifts(module)
-    if p < 0:
+    if p_max < 0:
         raise ValueError("negative power")
     acc = {(0, 0): 1}
-    for _ in range(p):
+    out = [MultiplicityFunction(module, 0, acc)]
+    for p in range(1, p_max + 1):
         nxt = {}
         for (d1, d2), m in acc.items():
             for nu, k in _single_step(d1, d2, shifts).items():
                 nxt[nu] = nxt.get(nu, 0) + m * k
         acc = {w: m for w, m in nxt.items() if m}
-    return MultiplicityFunction(module, p, acc)
+        out.append(MultiplicityFunction(module, p, acc))
+    return out
+
+
+def iterate_single_step(module: str, p: int) -> MultiplicityFunction:
+    """p-fold repetition of single_step_decompose starting from the trivial module."""
+    return single_step_chain(module, p)[-1]
 
 
 def tensor_with_vector(mu: Weight):

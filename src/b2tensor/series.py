@@ -17,6 +17,8 @@ written from the tuples (series_json_obj).
 
 from __future__ import annotations
 
+import sys
+from array import array
 from types import MappingProxyType
 
 from .lattice import (
@@ -164,7 +166,10 @@ def is_product(c: LatticeSeries, a: LatticeSeries, b: LatticeSeries) -> bool:
     every digit under z/2 in absolute value. Two base-z expansions whose
     digits are all under z/2 in absolute value are equal only digit by
     digit: the digits of their difference are under z, so its lowest
-    nonzero digit, at z^k, leaves it nonzero mod z^(k+1).
+    nonzero digit, at z^k, leaves it nonzero mod z^(k+1). A size of at
+    most 8 bytes is rounded up to the width of an array item, 1, 2, 4 or 8
+    bytes (_WIDTHS); a wider slot keeps 2^(8*width - 1) above the bound, so
+    the argument holds for it unchanged.
     """
     at, bt, ct = a._terms, b._terms, c._terms
     if not at or not bt:
@@ -190,21 +195,46 @@ def is_product(c: LatticeSeries, a: LatticeSeries, b: LatticeSeries) -> bool:
         max(map(abs, ct.values())),
     )
     size = (bound.bit_length() + 8) // 8  # bytes per slot: bound plus one sign bit
+    if size < len(_WIDTHS):
+        size = _WIDTHS[size]
     x = _encode(at, alo1, alo2, ahi1, step, width, size)
     y = _encode(bt, blo1, blo2, bhi1, step, width, size)
     return x * y == _encode(ct, lo1, lo2, hi1, step, width, size)
 
 
+# The slot width of each size of 1 to 8 bytes: the smallest array item size,
+# 1, 2, 4 or 8 bytes, that holds it.
+_WIDTHS = (0, 1, 2, 4, 4, 8, 8, 8, 8)
+# The unsigned array type code of each item size. A slot written as one item
+# lies in the array's bytes in native order, which int.from_bytes reads as
+# "little" only on a little-endian machine; a big-endian one has no codes here
+# and writes every slot as a byte slice.
+_UNSIGNED = {array(code).itemsize: code for code in "BHILQ"} if sys.byteorder == "little" else {}
+
+
 def _encode(terms: dict, lo1: int, lo2: int, hi1: int, step: int, width: int, size: int) -> int:
-    # sum of coeff * 2^(8 * size * slot), with corner (lo1, lo2) and last row at hi1
-    pos = bytearray(((hi1 - lo1) // step + 1) * width * size)
-    neg = bytearray(len(pos))
-    for (d1, d2), c in terms.items():
-        i = ((d1 - lo1) // step * width + (d2 - lo2) // step) * size
-        if c > 0:
-            pos[i : i + size] = c.to_bytes(size, "little")
-        else:
-            neg[i : i + size] = (-c).to_bytes(size, "little")
+    # sum of coeff * 2^(8 * size * slot), with corner (lo1, lo2) and last row at hi1:
+    # each coefficient one array item when size is an item size, else a byte slice
+    slots = ((hi1 - lo1) // step + 1) * width
+    code = _UNSIGNED.get(size)
+    if code is None:
+        pos = bytearray(slots * size)
+        neg = bytearray(len(pos))
+        for (d1, d2), c in terms.items():
+            i = ((d1 - lo1) // step * width + (d2 - lo2) // step) * size
+            if c > 0:
+                pos[i : i + size] = c.to_bytes(size, "little")
+            else:
+                neg[i : i + size] = (-c).to_bytes(size, "little")
+    else:
+        pos = array(code, bytes(slots * size))
+        neg = array(code, bytes(slots * size))
+        for (d1, d2), c in terms.items():
+            i = (d1 - lo1) // step * width + (d2 - lo2) // step
+            if c > 0:
+                pos[i] = c
+            else:
+                neg[i] = -c
     return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
 

@@ -30,9 +30,9 @@ from . import closed_forms as cf
 from .engine import (
     band_values,
     decomposition,
-    iterate_single_step,
     m_extended,
     recur_multiplicity,
+    single_step_chain,
     single_step_decompose,
     tensor_with_vector,
 )
@@ -120,11 +120,12 @@ def check_four_routes(pmax: int) -> CheckResult:
     name = "four-routes-agree"
     n = 0
     recs = {mod: recur_multiplicity(mod, pmax) for mod in FUNDAMENTAL}
+    steps = {mod: single_step_chain(mod, pmax) for mod in FUNDAMENTAL}
     # p outside the modules, so both fan solves at one p share its fan rows
     for p in range(pmax + 1):
         for mod in FUNDAMENTAL:
             a = decomposition(mod, p)
-            if not a == recs[mod][p] == fan_recursion_solve(mod, p) == iterate_single_step(mod, p):
+            if not a == recs[mod][p] == fan_recursion_solve(mod, p) == steps[mod][p]:
                 return _fail(name, f"module={mod} p={p}")
             n += 1
     return CheckResult(

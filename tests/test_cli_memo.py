@@ -80,8 +80,8 @@ def command_lines(draw):
     then one of them twice, each given exact or as an abbreviation, with '='
     or not, a value or none, and now and then -h, --help or a stray value,
     in any order."""
-    command = draw(st.sampled_from(sorted(cli._parsers()[2])))
-    actions = cli._parsers()[2][command].actions
+    command = draw(st.sampled_from(sorted(cli._table())))
+    actions = cli._table()[command].actions
 
     def value(option):
         action = actions[option]
@@ -118,6 +118,36 @@ def command_lines(draw):
 @settings(max_examples=600, deadline=None)
 def test_reader_reads_only_what_argparse_reads_the_same(argv):
     read_as_argparse(argv)
+
+
+RECORDED_FIELDS = ("option_strings", "dest", "nargs", "const", "default", "type", "choices", "required")
+
+
+def test_recorded_options_equal_argparse_actions():
+    # _read's table is recorded without argparse; for every option of every
+    # command the record holds what argparse's Action holds
+    import argparse
+
+    want = cli._options(*cli._build_parsers(argparse.ArgumentParser)[2:])
+    got = cli._table()
+    assert list(got) == list(want) == list(cli._DISPATCH)
+    for command, options in want.items():
+        recorded = got[command]
+        assert list(recorded.actions) == list(options.actions), command
+        for option, action in options.actions.items():
+            record = recorded.actions[option]
+            for field in RECORDED_FIELDS:
+                assert getattr(record, field) == getattr(action, field), (option, field)
+        assert list(recorded.defaults.items()) == list(options.defaults.items()), command
+        assert recorded.required == options.required and recorded.exclusive == options.exclusive
+
+
+def test_recorder_refuses_what_it_cannot_record():
+    recorder = cli._Recorder()
+    with pytest.raises(ValueError):
+        recorder.add_argument("--count", action="count")
+    with pytest.raises(TypeError):
+        recorder.add_argument("--points", nargs="+")
 
 
 def test_reader_reads_golden_argvs_as_argparse():
@@ -374,6 +404,40 @@ print(code, before, cached, out.getvalue().startswith("vector^(x2) ="))
 """
     assert fresh_python(script) == ["0", "False", "0", "True"]
     assert json.loads((tmp_path / "decompose-vector-2.json").read_text())["payload"]["power"] == 2
+
+
+def argparse_loaded(*argvs):
+    """For each argv in turn, in one new interpreter: its exit code and
+    whether argparse is loaded after it."""
+    script = f"""
+import contextlib, io, sys
+from b2tensor import cli
+for argv in {[list(argv) for argv in argvs]!r}:
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    print(code, "argparse" in sys.modules)
+"""
+    words = fresh_python(script)
+    return list(zip(words[::2], words[1::2]))
+
+
+def test_plain_command_lines_never_import_argparse(tmp_path):
+    cache = ["--cache", str(tmp_path)]
+    plain = (
+        ["verify", "--pmax", "4", "--format", "json"],
+        ["multiplicity", "--module", "vector", "--power", "4", "--weight", "-1,0", "--extended"],
+        ["decompose", "--module", "vector", "--power", "2", *cache],  # a miss, which stores
+        ["decompose", "--module", "vector", "--power", "2", *cache],  # a hit
+    )
+    assert argparse_loaded(*plain) == [("0", "False")] * 4
+    # what a plain line is not goes to argparse, which is imported then;
+    # the bytes of these answers are pinned by the golden digests
+    assert argparse_loaded(["verify", "--help"]) == [("0", "True")]
+    assert argparse_loaded(["verify", "--pma", "4"]) == [("0", "True")]
+    assert argparse_loaded(["decompose", "--module", "tensor", "--power", "2"]) == [("2", "True")]
 
 
 def test_no_query_imports_dataclasses_or_inspect():

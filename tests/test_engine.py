@@ -20,7 +20,12 @@ from b2tensor import (
     to_dominant_regular,
 )
 from b2tensor import engine
-from b2tensor.engine import NegativeMultiplicityError, band_values, iterate_single_step
+from b2tensor.engine import (
+    NegativeMultiplicityError,
+    band_values,
+    iterate_single_step,
+    single_step_chain,
+)
 from b2tensor.lattice import deficit, reflect_to_chamber
 from conftest import dominant_weights, mass, near_top, small_powers, weights
 
@@ -74,6 +79,18 @@ def test_routes_agree_small():
             a = decomposition(mod, p)
             assert a == recs[p].to_result()
             assert a == iterate_single_step(mod, p)
+
+
+@pytest.mark.parametrize("mod", ["vector", "spinor"])
+def test_single_step_chain_holds_each_power_of_its_pass(mod):
+    # one pass to p_max gives, at each p, what a separate pass to p gives
+    for p_max in range(13):
+        chain = single_step_chain(mod, p_max)
+        assert [r.power for r in chain] == list(range(p_max + 1))
+        assert all(chain[p] == iterate_single_step(mod, p) for p in range(p_max + 1)), p_max
+    assert chain == [decomposition(mod, p) for p in range(13)]
+    with pytest.raises(ValueError, match="negative power"):
+        single_step_chain(mod, -1)
 
 
 def test_extended_multiplicity_spot():

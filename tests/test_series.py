@@ -248,7 +248,10 @@ def assert_is_product_decides(a: dict, b: dict, pick: int = 0):
             sum(map(abs, a.values())) * max(map(abs, b.values())),
             sum(map(abs, b.values())) * max(map(abs, a.values())),
         )
-        z = 256 ** ((bound.bit_length() + 8) // 8)  # the slot base of a and b alone
+        # the slot base of a and b alone: bound plus a sign bit, in whole bytes,
+        # and up to 8 bytes rounded up to an array item of 1, 2, 4 or 8 bytes
+        size = (bound.bit_length() + 8) // 8
+        z = 256 ** (size if size > 8 else 1 << (size - 1).bit_length())
         # slots in order on the grid: halved when each operand lies on one coset
         step = 2 if all(len({d1 % 2 for d1, _ in t}) == 1 for t in (a, b)) else 1
         slots = [(x, y) for x in range(lo1, hi1 + 1, step) for y in range(lo2, hi2 + 1, step)]
@@ -311,6 +314,41 @@ def test_is_product_at_the_coefficient_bound(k, m, sign, shift, gap):
     assert plain_convolution(a, b)[(s1, s2)] == sign * 2 * k * m
     assert_is_product_decides(a, b)
     assert_is_product_decides({(s1, s2): k}, {(0, 0): sign * m})
+
+
+def edge_coefficients():
+    # within 2 of 2^(8k - 1), k = 1..9: with its sign bit a value below the
+    # edge fits k bytes and one from it on needs k + 1, so every slot size
+    # is met on both sides, and every array item width (1, 2, 4 and 8 bytes)
+    # at both of its ends; from 2^63 on the slots are byte slices
+    edges = st.sampled_from([2 ** (8 * k - 1) for k in range(1, 10)])
+    return st.builds(
+        lambda edge, d, sign: sign * (edge + d), edges, st.integers(-2, 2), st.sampled_from((1, -1))
+    )
+
+
+def unit_operand(cosets):
+    # one or two terms of +-1: with it the slot bound is that of the other operand
+    box = [(d1 + half, d2 + half) for half in cosets for d1, d2 in ((0, 0), (2, 0), (0, 2))]
+    return st.dictionaries(st.sampled_from(box), st.sampled_from((1, -1)), min_size=1, max_size=2)
+
+
+def edge_operand(cosets):
+    box = [(2 * d1 + half, 2 * d2 + half) for half in cosets for d1 in (0, 1) for d2 in (-1, 0, 1)]
+    return st.dictionaries(st.sampled_from(box), edge_coefficients(), min_size=1, max_size=4)
+
+
+COSETS = st.sampled_from([(0,), (1,), (0, 1)])
+
+
+@given(COSETS.flatmap(edge_operand), COSETS.flatmap(unit_operand), st.integers(0, 10**6))
+@example({(0, 0): 2**15}, {(0, 0): 1}, 0)  # 16 bits and a sign bit: 3 bytes, a 4-byte item
+@example({(0, 0): 2**23 - 1}, {(0, 0): -1}, 0)  # the largest value in 3 bytes
+@example({(0, 0): 2**63 - 1, (2, 0): 1}, {(0, 0): 1}, 0)  # the largest 8-byte item
+@example({(0, 0): 2**64 + 1}, {(0, 0): 1, (0, 2): -1}, 0)  # past 2^64: byte slices
+@settings(max_examples=150, deadline=None)
+def test_is_product_at_the_slot_width_edges(a, b, pick):
+    assert_is_product_decides(a, b, pick)
 
 
 def test_dense_operands_are_decided_without_the_dict_product(monkeypatch):
