@@ -100,7 +100,7 @@ MUTANTS = [
     ),
     (
         "cache.py",
-        "if _sha256(data) != body[end + len(_MID) : -len(_END)]:",
+        "if _sha256(data) != digest:",
         "if False:",
         "the cache digest comparison skipped",
     ),
@@ -305,12 +305,37 @@ MUTANTS = [
         "_WIDTHS = (0, 1, 2, 2, 4,",
         "a 3-byte slot written as a 2-byte array item",
     ),
-    # python -m b2tensor freezes the collector before its exit, and only there
+    # cli.main, which a long-lived process calls again and again, leaves the
+    # collector as it found it
     (
         "cli.py",
         "def main(argv=None) -> int:\n",
         'def main(argv=None) -> int:\n    __import__("gc").freeze()\n',
-        "cli.main freezes the collector, as the entry point does before its exit",
+        "cli.main freezes the collector",
+    ),
+    # a verified --cache hit is printed from the memo under its digest; a
+    # refused command line is read again once its weight is rewritten
+    (
+        "cli.py",
+        "memo_key = (digest, key, args.format)",
+        "memo_key = (key, args.format)",
+        "the memo key of a cache hit without the payload's digest",
+    ),
+    (
+        "cache.py",
+        "    if _sha256(data) != digest:\n        return None\n"
+        "    if known is not None:\n        value = known(digest)\n"
+        "        if value is not None:\n            return value, None\n",
+        "    if known is not None:\n        value = known(digest)\n"
+        "        if value is not None:\n            return value, None\n"
+        "    if _sha256(data) != digest:\n        return None\n",
+        "the memo read before the digest check",
+    ),
+    (
+        "cli.py",
+        "        argv = _attach_weight_values(argv)\n",
+        "        _attach_weight_values(argv)\n",
+        "_parse reads a refused line again without its weight rewrite",
     ),
 ]
 

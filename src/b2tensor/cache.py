@@ -9,7 +9,9 @@ schema and the digest. load reads the file once, checks the head and the
 tail, hashes the payload's bytes as they stand and parses only them; any
 other file, a wrong schema or digest included, is a miss, and the value is
 recomputed. A hit returns the payload with its text, which the CLI prints
-as its JSON answer without serializing the payload again.
+as its JSON answer without serializing the payload again; or, when the
+caller already holds what it made of a payload with the same digest, that,
+without decoding the payload at all.
 
 BoundedLRU is the in-process store of a long-lived process: the CLI's memo
 of answer texts and the factor tables of fans.closed_form_point.
@@ -71,9 +73,16 @@ def store(cache_dir, key: str, text: str) -> Path:
     return path
 
 
-def load(cache_dir, key: str):
+def load(cache_dir, key: str, known=None):
     """(payload, its canonical text) from <key>.json, or None when absent,
-    unreadable, corrupt or not as store writes it."""
+    unreadable, corrupt or not as store writes it.
+
+    known, when given, is called once the file has passed every check, with
+    the payload's sha256 as the file holds it (64 hex digits, bytes). A value
+    it returns other than None was derived from a payload with that digest,
+    so from these very bytes: load then returns (that value, None) and
+    decodes nothing.
+    """
     try:
         with io.open(os.path.join(cache_dir, key + ".json"), "rb") as f:
             body = f.read()
@@ -85,30 +94,18 @@ def load(cache_dir, key: str):
     if not body.startswith(_MID, end) or not body.endswith(_END):
         return None
     data = body[len(_HEAD) : end]
-    if _sha256(data) != body[end + len(_MID) : -len(_END)]:
+    digest = body[end + len(_MID) : -len(_END)]
+    if _sha256(data) != digest:
         return None
+    if known is not None:
+        value = known(digest)
+        if value is not None:
+            return value, None
     try:
         text = data.decode("ascii")
         return json.loads(text), text
     except (ValueError, RecursionError):  # ValueError covers JSON and decode errors
         return None
-
-
-def cached(cache_dir, key: str, compute):
-    """(payload, its canonical text) of compute(), through the JSON cache.
-
-    cache_dir=None disables the cache; the text is then None, as nothing
-    serialized the payload.
-    """
-    if cache_dir is None:
-        return compute(), None
-    hit = load(cache_dir, key)
-    if hit is not None:
-        return hit
-    payload = compute()
-    text = canonical_json(payload)
-    store(cache_dir, key, text)
-    return payload, text
 
 
 class BoundedLRU:

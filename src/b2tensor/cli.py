@@ -15,7 +15,8 @@ from types import SimpleNamespace
 from typing import TYPE_CHECKING, NamedTuple
 
 from . import closed_forms as cfm
-from .cache import BoundedLRU, cached, canonical_json
+from . import cache
+from .cache import BoundedLRU, canonical_json
 from .diagram import to_dot
 from .engine import band_values, decomposition, m_extended
 from .fans import (
@@ -208,11 +209,12 @@ def _build_parsers(parser_class) -> tuple:
 # of stdout and of stderr, which main prints. Every answer but a fit or a
 # diagram is one JSON object rendered by _render; its CSV columns are the
 # keys its rows are read at. A series or decomposition is rendered from its
-# payload, the object that cached() stores: canonical, sorted by point, every
-# coefficient a decimal string. The formats only rearrange those strings, so
-# nothing is parsed back. With --cache, cached() also returns the payload's
-# canonical text, which a hit read from the file and a miss serialized once
-# to store; the JSON answer is that text, not a second serialization.
+# payload, the object that the disk cache stores: canonical, sorted by point,
+# every coefficient a decimal string. The formats only rearrange those
+# strings, so nothing is parsed back. With --cache, _cached_answer also has
+# the payload's canonical text, which a hit read from the file and a miss
+# serialized once to store; the JSON answer is that text, not a second
+# serialization.
 
 
 class Answer(NamedTuple):
@@ -277,15 +279,56 @@ def _point(args, label: str, key: str, value: int) -> str:
     )
 
 
+def _cached_answer(args, key: str, compute, keys: tuple, pretty, entries=None) -> Answer:
+    """The answer rendered by _render from compute(), the payload of a
+    decompose or singular query, or with --cache from the payload stored
+    under key.
+
+    Every hit reads and checks its file in cache.load. The text rendered
+    from a hit is kept in _ANSWERS under (the payload's digest, key,
+    --format), so a later hit on a payload with that digest prints it
+    without decoding or rendering anything: the digest fixes the payload's
+    bytes, and key and --format how they are rendered. The digest is bytes,
+    and the key of a command line is a tuple of str, so no argv can equal
+    it. A payload that cannot be rendered raises, so only an answer that
+    exits 0 with nothing on stderr is kept.
+    """
+
+    def render(payload, canonical=None) -> str:
+        return _render(args.format, payload, keys, pretty, entries, canonical=canonical)
+
+    if args.cache is None:
+        return Answer(0, render(compute()))
+    memo_key = None
+
+    def rendered(digest):
+        nonlocal memo_key
+        memo_key = (digest, key, args.format)
+        return _ANSWERS.get(memo_key)
+
+    hit = cache.load(args.cache, key, rendered)
+    if hit is None:
+        payload = compute()
+        canonical = canonical_json(payload)
+        cache.store(args.cache, key, canonical)
+        return Answer(0, render(payload, canonical))
+    payload, canonical = hit
+    if canonical is None:  # the text rendered from these very bytes before
+        return Answer(0, payload)
+    text = render(payload, canonical)
+    _ANSWERS.put(memo_key, text)
+    return Answer(0, text)
+
+
 def _cmd_decompose(args) -> Answer:
-    payload, canonical = cached(
-        args.cache,
+    return _cached_answer(
+        args,
         f"decompose-{args.module}-{args.power}",
         lambda: decomposition(args.module, args.power).to_json_obj(),
+        ("weight", "mult", "dim"),
+        _decomposition_pretty,
+        _terms,
     )
-    keys = ("weight", "mult", "dim")
-    text = _render(args.format, payload, keys, _decomposition_pretty, _terms, canonical=canonical)
-    return Answer(0, text)
 
 
 def _cmd_multiplicity(args) -> Answer:
@@ -307,12 +350,13 @@ def _cmd_fan(args) -> Answer:
 def _cmd_singular(args) -> Answer:
     which = "projected" if args.projected else "direct"
     fn = singular_power_projected if args.projected else singular_power_direct
-    payload, canonical = cached(
-        args.cache,
+    return _cached_answer(
+        args,
         f"singular-{which}-{args.module}-{args.power}",
         lambda: fn(args.module, args.power).to_json_obj(),
+        _SERIES_KEYS,
+        _series_pretty,
     )
-    return Answer(0, _render(args.format, payload, _SERIES_KEYS, _series_pretty, canonical=canonical))
 
 
 def _diff_pretty(_, rows) -> str:
@@ -580,6 +624,18 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
     --help still go through the top-level parser.
     """
     args = _read(argv)
+    if args is None:
+        # Only a line _read refuses is rewritten, and then read again. The
+        # rewrite changes argv only where a token of _WEIGHT_OPTIONS is
+        # followed by a token that starts with '-', and _read refuses every
+        # line with such a pair. It would read the pair's first token as the
+        # command, and none is named so; or as an option, and it is then no
+        # exact option of the command, or --weight, whose separate value may
+        # not start with '-'; or as the value of the option before it, which
+        # may not start with '-' either. So the rewrite leaves every line
+        # _read takes as it is, and each line parses as its rewrite did.
+        argv = _attach_weight_values(argv)
+        args = _read(argv)
     if args is not None:
         return args
     top, commands = _parsers()
@@ -612,15 +668,21 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
 # benchmark/run.py; python -m b2tensor answers one query and never hits.
 # Whether a miss is stored is decided from the parsed query, so an
 # abbreviation such as --cach bypasses as the full option does. Three kinds of
-# query bypass the memo, and each pays for its parse: _read takes 2-4 us on a
+# query are not looked up by their command line, and each pays for its parse
+# (a weight given as `--weight -1,0` is rewritten and read again by _parse
+# only when _read refuses it as it stands): _read takes 2-4 us on a
 # plain command line (every token an exact option of the command, given once,
 # each value after '=' or in the next token, which does not start with '-'),
 # looked up in the table _Recorder records from _build_parsers, and gives a
 # SimpleNamespace, so argparse is never imported for it; any other command
 # line goes to argparse, which takes 13-21 us once imported and built.
 # - verify, as a self-check must recompute and --timings reports live numbers;
-# - any query with --cache, whose load, digest check and store stay as they
-#   are: 23 us a query in query-mix;
+# - any query with --cache, as every hit must open, read and check its file
+#   in cache.load. The answer is then looked up under (the verified digest
+#   as bytes, the cache key, --format), see _cached_answer, and only a
+#   lookup that misses decodes and renders the payload. A query in
+#   query-mix took 36 us, where it took 52 us when every hit decoded and
+#   rendered (medians, in one slow phase of a 2-core VM);
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
 #   a single number and its keys are every lattice point. Kept, they filled
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
@@ -669,7 +731,7 @@ def main(argv=None) -> int:
     if text is not None:
         sys.stdout.write(text)
         return 0
-    args = _parse(_attach_weight_values(argv))
+    args = _parse(argv)
     option, low, high = LIMITS[args.command]
     value = getattr(args, option)
     if not low <= value <= high:

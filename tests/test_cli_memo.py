@@ -1,5 +1,6 @@
 """The warm CLI: the reader of plain command lines, dispatch on the command's
-own parser, and the memo of answer texts that repeated queries are printed from."""
+own parser, and the memo of answer texts that repeated queries and verified
+--cache hits are printed from."""
 
 import contextlib
 import importlib.util
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from b2tensor import cli
+from b2tensor import cache, cli
 from b2tensor.cache import BoundedLRU
 from b2tensor.cli import MEMO_CHARS, Answer, _parse, _read, build_parser, main
 from test_cli_golden import golden_argvs
@@ -38,7 +39,7 @@ def parsed(parse, argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         try:
-            return vars(parse(cli._attach_weight_values(argv)))
+            return vars(parse(argv))
         except SystemExit as exc:
             return exc.code, out.getvalue(), err.getvalue()
 
@@ -47,7 +48,7 @@ def test_dispatch_parses_as_the_top_level_parser(monkeypatch):
     monkeypatch.setenv("COLUMNS", "80")
     top = build_parser()
     for argv in golden_argvs():
-        assert parsed(_parse, argv) == parsed(top.parse_args, argv), argv
+        assert parsed(_parse, argv) == parsed(top.parse_args, cli._attach_weight_values(argv)), argv
 
 
 def read_as_argparse(argv) -> bool:
@@ -169,12 +170,18 @@ def load_benchmark_run(monkeypatch):
 
 
 def test_query_mix_traffic_is_read_without_argparse(monkeypatch):
-    # the query-mix workload times the reader: none of its argvs may fall back
+    # the query-mix workload times the reader: none of its argvs may fall back,
+    # and only the KNOWN_FAULT lines need the weight rewrite first
     bench = load_benchmark_run(monkeypatch)
     argvs = [argv for seed in (1, 2, 3) for r in range(50) for argv, _ in bench.query_round(seed, r)]
     assert len(argvs) == 3 * 50 * (7 * bench.PER_KIND + len(bench.KNOWN_FAULT))
-    unread = [argv for argv in argvs if _read(cli._attach_weight_values(argv)) is None]
-    assert unread == []
+    faults = [argv for argv in argvs if tuple(argv) in bench.KNOWN_FAULT]
+    assert len(faults) == 3 * 50 * len(bench.KNOWN_FAULT)
+    plain = [argv for argv in argvs if tuple(argv) not in bench.KNOWN_FAULT]
+    assert [argv for argv in plain if _read(argv) is None] == []
+    assert all(cli._attach_weight_values(argv) == argv for argv in plain)
+    for argv in map(list, bench.KNOWN_FAULT):
+        assert _read(argv) is None and _read(cli._attach_weight_values(argv)) is not None
 
 
 def test_memo_bound_is_a_mebibyte_of_characters():
@@ -361,14 +368,17 @@ def test_verify_bypasses_the_memo(monkeypatch):
 
 
 @pytest.mark.parametrize("option", ["--cache", "--cach", "--ca"])
-def test_cache_queries_bypass_the_memo_in_any_spelling(option, tmp_path, monkeypatch):
+def test_cache_queries_read_their_file_in_any_spelling(option, tmp_path, monkeypatch):
+    # no command line with --cache is kept, so every query reads its file;
+    # the one text kept is keyed by the payload's digest
     loads = []
-    real = cli.cached
-    monkeypatch.setattr(cli, "cached", lambda *a: loads.append(a[1]) or real(*a))
+    real = cache.load
+    monkeypatch.setattr(cache, "load", lambda *a: loads.append(a[1]) or real(*a))
     argv = ["singular", "--module", "spinor", "--power", "2", option, str(tmp_path)]
     first = run(argv)
-    assert first[0] == 0 and run(argv) == first
-    assert loads == ["singular-direct-spinor-2"] * 2 and not cli._ANSWERS.entries
+    assert first[0] == 0 and run(argv) == first and run(argv) == first
+    assert loads == ["singular-direct-spinor-2"] * 3
+    assert [type(key[0]) for key in cli._ANSWERS.entries] == [bytes]
 
 
 def test_cache_query_after_a_memo_answer_still_writes_its_file(tmp_path):
@@ -378,6 +388,92 @@ def test_cache_query_after_a_memo_answer_still_writes_its_file(tmp_path):
     assert run(argv + ["--cache", str(tmp_path)]) == plain
     assert (tmp_path / "decompose-vector-4.json").is_file()
     assert len(cli._ANSWERS.entries) == 1  # the --cache query is not stored
+
+
+def cache_query(tmp_path, p=3, fmt="json"):
+    """A decompose --cache query and the path of its cache file."""
+    argv = ["decompose", "--module", "vector", "--power", str(p), "--format", fmt, "--cache", str(tmp_path)]
+    return argv, tmp_path / f"decompose-vector-{p}.json"
+
+
+def counted_decompositions(monkeypatch):
+    """The (module, p) of each decomposition the CLI computes from now on."""
+    calls = []
+    real = cli.decomposition
+    monkeypatch.setattr(cli, "decomposition", lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+def test_a_cache_file_replaced_by_another_payload_prints_the_new_answer(tmp_path, fmt):
+    argv, path = cache_query(tmp_path, 3, fmt)
+    other, other_path = cache_query(tmp_path, 2, fmt)
+    first = run(argv)
+    assert run(argv) == first and len(cli._ANSWERS.entries) == 1  # a hit, rendered and kept
+    want = run(other)
+    assert want[0] == 0 and want != first
+    os.replace(other_path, path)  # a valid file, with another digest
+    assert run(argv) == want
+
+
+def test_a_cache_file_corrupted_after_a_kept_hit_is_recomputed(tmp_path, monkeypatch):
+    argv, path = cache_query(tmp_path)
+    first = run(argv)
+    assert run(argv) == first and len(cli._ANSWERS.entries) == 1
+    stored = path.read_bytes()
+    path.write_bytes(stored.replace(b'"power":3', b'"power":4'))  # the digest now stale
+    calls = counted_decompositions(monkeypatch)
+    assert run(argv) == first
+    assert calls == [("vector", 3)] and path.read_bytes() == stored
+
+
+def test_a_cache_file_deleted_after_a_kept_hit_is_stored_again(tmp_path, monkeypatch):
+    argv, path = cache_query(tmp_path)
+    first = run(argv)
+    assert run(argv) == first and len(cli._ANSWERS.entries) == 1
+    stored = path.read_bytes()
+    path.unlink()
+    calls = counted_decompositions(monkeypatch)
+    assert run(argv) == first
+    assert calls == [("vector", 3)] and path.read_bytes() == stored
+
+
+def test_a_command_line_of_a_kept_keys_parts_is_still_parsed(tmp_path):
+    argv, path = cache_query(tmp_path)
+    run(argv)
+    answer = run(argv)
+    [(digest, key, fmt)] = cli._ANSWERS.entries
+    assert (key, fmt) == ("decompose-vector-3", "json") and isinstance(digest, bytes)
+    for parts in ([digest.decode(), key, fmt], ["decompose", fmt, answer[1]], [key, fmt, digest.decode()]):
+        code, out, err = run(parts)
+        assert (code, out) == (2, "") and err.startswith("usage:"), parts
+        assert list(cli._ANSWERS.entries) == [(digest, key, fmt)]
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "pretty"])
+@pytest.mark.parametrize(
+    "query",
+    [
+        ["decompose", "--module", "spinor", "--power", "5"],
+        ["singular", "--module", "vector", "--power", "3"],
+        ["singular", "--module", "spinor", "--power", "3", "--projected"],
+    ],
+)
+def test_cache_hits_print_the_bytes_of_a_run_without_cache(tmp_path, monkeypatch, query, fmt):
+    argv = query + ["--format", fmt]
+    want = run(argv)
+    assert want[0] == 0
+    cached = argv + ["--cache", str(tmp_path)]
+    assert run(cached) == want  # a miss, computed and stored
+    assert run(cached) == want  # a hit, decoded, rendered and kept
+    assert sum(isinstance(key[0], bytes) for key in cli._ANSWERS.entries) == 1
+
+    def fail(*_, **__):
+        raise AssertionError("decoded or rendered again")
+
+    monkeypatch.setattr(cli, "_render", fail)
+    monkeypatch.setattr(cache.json, "loads", fail)
+    assert run(cached) == want  # a hit on the same digest, printed from the memo
 
 
 def fresh_python(script):

@@ -1,7 +1,8 @@
-"""`python -m b2tensor`: the entry point freezes the collector after cli.main
-returns, so the collections at interpreter shutdown skip every object. A run
-answers as cli.main does in process, with the same exit code, stdout and
-stderr, and cli.main itself leaves nothing frozen."""
+"""`python -m b2tensor`: once cli.main returns, the entry point flushes stdout
+and stderr and ends the process with os._exit, skipping the interpreter's
+teardown. A run answers as cli.main does in process, with the same exit code,
+stdout and stderr; a flush that fails exits as sys.exit did; and cli.main
+itself leaves nothing frozen."""
 
 import gc
 import os
@@ -43,6 +44,31 @@ def test_a_module_run_answers_as_cli_main(capsys, argv, code, flags):
         cwd=ROOT, env=env, capture_output=True, text=True, timeout=120,
     )
     assert (child.returncode, child.stdout, child.stderr) == in_process
+
+
+def test_a_closed_stdout_exits_as_sys_exit_did():
+    # the reader of stdout is gone before the process starts, so the flush
+    # before os._exit fails; the run then exits through sys.exit, whose flush
+    # at shutdown reports the broken pipe with exit code 120. Unbuffered, the
+    # write inside cli.main would fail first, so the buffer is left on.
+    argv = ["multiplicity", "--module", "vector", "--power", "2", "--weight", "1,0"]
+    through_sys_exit = f"import sys; from b2tensor.cli import main; sys.exit(main({argv!r}))"
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    ends = []
+    for program in (["-m", "b2tensor", *argv], ["-c", through_sys_exit]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            child = subprocess.run(
+                [sys.executable, *program],
+                cwd=ROOT, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(write)
+        ends.append((child.returncode, child.stderr))
+    assert ends[0] == ends[1]
+    assert ends[0][0] == 120 and "BrokenPipeError" in ends[0][1]
 
 
 def test_cli_main_leaves_nothing_frozen(capsys):

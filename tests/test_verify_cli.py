@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recur_multiplicity
 from b2tensor import LatticeSeries, decomposition, dim_irrep, singular_power_direct, singular_power_projected
 from b2tensor import cache
-from b2tensor.cache import cached, canonical_json, load, store
+from b2tensor.cache import canonical_json, load, store
 from b2tensor import cli
 from b2tensor.cli import LIMITS, _diagonal_values, _parsers, build_parser, main
 from conftest import text_by_fractions
@@ -401,7 +401,7 @@ def test_diagram_respects_bounds():
 
 
 def _hit(payload):
-    """What load and cached return for payload: it and its canonical text."""
+    """What load returns for payload: it and its canonical text."""
     return payload, canonical_json(payload)
 
 
@@ -424,15 +424,26 @@ def test_cache_rejects_corruption(tmp_path):
     path.write_bytes(path.read_bytes().replace(b'{"v":1}', b'{"v":2}'))  # digest now stale
     assert path.read_bytes() == _well_formed(b'{"v":2}', digest_of=b'{"v":1}')
     assert load(tmp_path, "k") is None
-    calls = []
-
-    def compute():
-        calls.append(1)
-        return {"v": 3}
-
-    assert cached(tmp_path, "k", compute) == _hit({"v": 3})
-    assert calls == [1]
+    store(tmp_path, "k", canonical_json({"v": 3}))
     assert load(tmp_path, "k") == _hit({"v": 3})
+
+
+def test_cache_load_asks_known_only_after_every_check(tmp_path):
+    # known gets the digest of a file that passed its checks; what it holds
+    # is returned without decoding, and None from it decodes the payload
+    path = store(tmp_path, "k", canonical_json({"v": 1}))
+    digest = hashlib.sha256(b'{"v":1}').hexdigest().encode()
+    asked = []
+
+    def known(d):
+        asked.append(d)
+        return "text" if len(asked) == 1 else None
+
+    assert load(tmp_path, "k", known) == ("text", None)
+    assert load(tmp_path, "k", known) == _hit({"v": 1})
+    assert asked == [digest, digest]
+    path.write_bytes(path.read_bytes().replace(b'{"v":1}', b'{"v":2}'))  # digest now stale
+    assert load(tmp_path, "k", known) is None and len(asked) == 2
 
 
 def test_cache_schema_gate(tmp_path):
@@ -443,8 +454,8 @@ def test_cache_schema_gate(tmp_path):
 
 
 def test_cache_file_is_canonical(tmp_path):
-    cached(tmp_path, "k1", lambda: {"b": 1, "a": 2})
-    cached(tmp_path, "k2", lambda: {"a": 2, "b": 1})
+    store(tmp_path, "k1", canonical_json({"b": 1, "a": 2}))
+    store(tmp_path, "k2", canonical_json({"a": 2, "b": 1}))
     assert (tmp_path / "k1.json").read_bytes() == (tmp_path / "k2.json").read_bytes()
 
 
