@@ -162,7 +162,7 @@ MUTANTS = [
     # plain command lines are read without argparse; halves skip Fraction
     (
         "cli.py",
-        "if action.choices is not None and value not in action.choices:",
+        "if choices is not None and value not in choices:",
         "if False:",
         "_read takes a value outside the option's choices",
     ),
@@ -186,13 +186,13 @@ MUTANTS = [
     ),
     (
         "cli.py",
-        'if action is None or action.nargs == 0 or text == "--":',
-        "if action is None or action.nargs == 0:",
+        'if action is None or action[1] or text == "--":',
+        "if action is None or action[1]:",
         "_read takes an '=' text of '--', which argparse drops",
     ),
     (
         "cli.py",
-        'if action is None or action.nargs == 0 or text == "--":',
+        'if action is None or action[1] or text == "--":',
         'if action is None or text == "--":',
         "_read takes an '=' text on a flag",
     ),
@@ -244,8 +244,8 @@ MUTANTS = [
     ),
     (
         "engine.py",
-        "return _alternating_sum(chain.chamber(p).get, mu.d1, mu.d2)",
-        "return _alternating_sum(chain.chamber(p - 1).get, mu.d1, mu.d2)",
+        "return _alternating_sum(chain.chamber_dict(p).get, mu.d1, mu.d2)",
+        "return _alternating_sum(chain.chamber_dict(p - 1).get, mu.d1, mu.d2)",
         "m_extended reads ch^(p-1)",
     ),
     (
@@ -317,8 +317,8 @@ MUTANTS = [
     # refused command line is read again once its weight is rewritten
     (
         "cli.py",
-        "memo_key = (digest, key, args.format)",
-        "memo_key = (key, args.format)",
+        "        memo_key = (digest, key, args.format)\n        return _ANSWERS.get(memo_key)\n",
+        "        memo_key = (key, args.format)\n        return _ANSWERS.get(memo_key)\n",
         "the memo key of a cache hit without the payload's digest",
     ),
     (
@@ -336,6 +336,40 @@ MUTANTS = [
         "        argv = _attach_weight_values(argv)\n",
         "        _attach_weight_values(argv)\n",
         "_parse reads a refused line again without its weight rewrite",
+    ),
+    # two proof mutants that tier-1 already killed when tried by hand: the
+    # y bound of the dominant points below a weight, and the reflection sign
+    (
+        "lattice.py",
+        "top - 2 * y_max",
+        "top + 2 * y_max",
+        "dominated's y bound two rows too far down",
+    ),
+    (
+        "engine.py",
+        "return sign * self.values.get((a - _R1, b - _R2), 0)",
+        "return self.values.get((a - _R1, b - _R2), 0)",
+        "MultiplicityFunction.at without the reflection sign",
+    ),
+    # one-weight answers on a short path: the kept builders and vectors of
+    # closed_form_point, the direct point render, the unbuffered cache read
+    (
+        "fans.py",
+        "u, v = firsts.get(x), seconds.get(y)",
+        "u, v = firsts.get(x), firsts.get(y)",
+        "closed_form_point reads the firsts table for the second coordinate",
+    ),
+    (
+        "cli.py",
+        'return canonical_json(obj) + "\\n"',
+        'return __import__("json").dumps(obj, separators=(",", ":")) + "\\n"',
+        "the json point answer without sort_keys",
+    ),
+    (
+        "cache.py",
+        "body = os.read(fd, os.fstat(fd).st_size)",
+        "body = os.read(fd, os.fstat(fd).st_size - 1)",
+        "cache.load reads its file one byte short",
     ),
 ]
 

@@ -22,7 +22,6 @@ it, which turns every older file into a miss (tests pin a few digests to it).
 
 from __future__ import annotations
 
-import io
 import json
 import os
 from collections import OrderedDict
@@ -47,9 +46,15 @@ def _sha256(data: bytes) -> bytes:
     return hashlib.sha256(data).hexdigest().encode("ascii")
 
 
-def store(cache_dir, key: str, text: str) -> Path:
+def digest(text: str) -> bytes:
+    """The digest store writes for text and load passes to known: the sha256
+    of its ASCII bytes, 64 hex digits."""
+    return _sha256(text.encode("ascii"))
+
+
+def store(cache_dir, key: str, text: str, sha256: bytes | None = None) -> Path:
     """Write <key>.json, holding text (a payload's canonical_json), atomically
-    and return its path.
+    and return its path. sha256 is digest(text), when the caller has it.
 
     The body goes to a temporary file in the same directory, which then
     replaces <key>.json in one os.replace: a concurrent load sees the old
@@ -60,7 +65,7 @@ def store(cache_dir, key: str, text: str) -> Path:
     path = Path(cache_dir) / f"{key}.json"
     path.parent.mkdir(parents=True, exist_ok=True)
     data = text.encode("ascii")
-    body = b"".join((_HEAD, data, _MID, _sha256(data), _END))
+    body = b"".join((_HEAD, data, _MID, _sha256(data) if sha256 is None else sha256, _END))
     tmp = path.with_name(f".{key}.{os.getpid()}.{os.urandom(8).hex()}.tmp")
     f = open(tmp, "xb")
     try:
@@ -84,10 +89,18 @@ def load(cache_dir, key: str, known=None):
     decodes nothing.
     """
     try:
-        with io.open(os.path.join(cache_dir, key + ".json"), "rb") as f:
-            body = f.read()
+        fd = os.open(os.path.join(cache_dir, key + ".json"), os.O_RDONLY)
     except OSError:
         return None
+    try:
+        # one unbuffered read of the whole file: store never writes a file
+        # in place, so its size holds while it is open, and a short read
+        # fails the checks below as a truncated file does
+        body = os.read(fd, os.fstat(fd).st_size)
+    except OSError:  # a directory under the name, or a failed read
+        return None
+    finally:
+        os.close(fd)
     end = len(body) - _TAIL  # where the tail starts
     if end <= len(_HEAD) or not body.startswith(_HEAD):
         return None

@@ -271,12 +271,16 @@ def _decomposition_pretty(payload, rows) -> str:
 
 
 def _point(args, label: str, key: str, value: int) -> str:
-    # one value at one weight: multiplicity and closed-form --weight
+    # one value at one weight: multiplicity and closed-form --weight. The
+    # object has one row, itself, of four keys, so pretty and json need none
+    # of _render's rows; csv renders its header and row through _render.
+    if args.format == "pretty":
+        return f"{value}\n"
     obj = {label: getattr(args, label), "power": args.power, "weight": args.weight.text()}
     obj[key] = str(value)
-    return _render(
-        args.format, obj, tuple(obj), lambda o, _: o[key] + "\n", entries=lambda o: [o], quoted=2
-    )
+    if args.format == "json":
+        return canonical_json(obj) + "\n"
+    return _render("csv", obj, tuple(obj), None, entries=lambda o: [o], quoted=2)
 
 
 def _cached_answer(args, key: str, compute, keys: tuple, pretty, entries=None) -> Answer:
@@ -285,13 +289,14 @@ def _cached_answer(args, key: str, compute, keys: tuple, pretty, entries=None) -
     under key.
 
     Every hit reads and checks its file in cache.load. The text rendered
-    from a hit is kept in _ANSWERS under (the payload's digest, key,
-    --format), so a later hit on a payload with that digest prints it
-    without decoding or rendering anything: the digest fixes the payload's
-    bytes, and key and --format how they are rendered. The digest is bytes,
-    and the key of a command line is a tuple of str, so no argv can equal
-    it. A payload that cannot be rendered raises, so only an answer that
-    exits 0 with nothing on stderr is kept.
+    from a hit, or from a miss once its payload is stored, is kept in
+    _ANSWERS under (the payload's digest, key, --format), so a later hit on
+    a payload with that digest prints it without decoding or rendering
+    anything: the digest fixes the payload's bytes, and key and --format how
+    they are rendered. The digest is bytes, and the key of a command line is
+    a tuple of str, so no argv can equal it. A payload that cannot be
+    rendered raises, so only an answer that exits 0 with nothing on stderr
+    is kept.
     """
 
     def render(payload, canonical=None) -> str:
@@ -310,11 +315,13 @@ def _cached_answer(args, key: str, compute, keys: tuple, pretty, entries=None) -
     if hit is None:
         payload = compute()
         canonical = canonical_json(payload)
-        cache.store(args.cache, key, canonical)
-        return Answer(0, render(payload, canonical))
-    payload, canonical = hit
-    if canonical is None:  # the text rendered from these very bytes before
-        return Answer(0, payload)
+        digest = cache.digest(canonical)
+        cache.store(args.cache, key, canonical, digest)
+        memo_key = (digest, key, args.format)
+    else:
+        payload, canonical = hit
+        if canonical is None:  # the text rendered from these very bytes before
+            return Answer(0, payload)
     text = render(payload, canonical)
     _ANSWERS.put(memo_key, text)
     return Answer(0, text)
@@ -455,7 +462,9 @@ class _Options(NamedTuple):
     """What _read knows of one command's options, taken from their Actions or
     from _Recorder's records of them."""
 
-    actions: dict  # each option string of an Action with nargs None or 0 -> the Action
+    # each option string of an Action with nargs None or 0 -> (dest, whether
+    # it is a flag (nargs 0), const, type, frozenset of the choices or None)
+    actions: dict
     defaults: dict  # dest -> default, in the order the options were added
     required: frozenset  # the dests of the required options
     exclusive: frozenset  # the dests of the mutually exclusive options
@@ -523,7 +532,18 @@ def _options(options: dict, exclusive: dict) -> dict:
     """Each command's _Options, from the last two maps of _build_parsers."""
     return {
         name: _Options(
-            {s: a for a in actions if a.nargs in (None, 0) for s in a.option_strings},
+            {
+                s: (
+                    a.dest,
+                    a.nargs == 0,
+                    a.const,
+                    a.type,
+                    None if a.choices is None else frozenset(a.choices),
+                )
+                for a in actions
+                if a.nargs in (None, 0)
+                for s in a.option_strings
+            },
             {a.dest: a.default for a in actions},
             frozenset(a.dest for a in actions if a.required),
             frozenset(a.dest for a in exclusive.get(name, ())),
@@ -553,9 +573,11 @@ def _parsers() -> tuple:
 # '=', and a value token never starts with '-', so each option takes the
 # one argument that follows it, or its '=' text, as argparse's nargs None
 # takes it. argparse then calls the option's type on that text and checks
-# its choices on the result, in the order the options come, as _read does;
-# it turns the exceptions _read catches into usage errors and lets any other
-# one through, as _read does. It stores the const of an option with nargs 0,
+# its choices on the result, in the order the options come, as _read does
+# (in a frozenset of them, which holds a hashable value exactly when the
+# choices do; an unhashable one is left to argparse); it turns the
+# exceptions _read catches into usage errors and lets any other one
+# through, as _read does. It stores the const of an option with nargs 0,
 # checks the required options and the exclusive group, and keeps the
 # defaults of the options not given. Two more rules of argparse are kept
 # apart: it drops an argument '--' as the end of the options, so an '=' text
@@ -580,35 +602,37 @@ def _read(argv: list) -> SimpleNamespace | None:
     spec = _table().get(argv[0]) if argv else None
     if spec is None:
         return None
-    values = {}
+    actions, values = spec.actions, {}
     tokens = iter(argv[1:])
     for token in tokens:
-        action = spec.actions.get(token)
+        action = actions.get(token)
         if action is None:
             option, _, text = token.partition("=")
-            action = spec.actions.get(option)
-            if action is None or action.nargs == 0 or text == "--":
+            action = actions.get(option)
+            if action is None or action[1] or text == "--":
                 return None
-        elif action.nargs == 0:
+        elif action[1]:
             text = None
         else:
             text = next(tokens, "-")  # a missing value is refused as a leading '-'
             if text.startswith("-"):
                 return None
-        if action.dest in values:
+        dest, _, const, kind, choices = action
+        if dest in values:
             return None
         if text is None:
-            value = action.const
+            value = const
         else:
             try:
-                value = text if action.type is None else action.type(text)
-            # the tuple is built only when a type raises, and the refused line
-            # goes to argparse next, so importing it here costs nothing extra
+                value = text if kind is None else kind(text)
+                if choices is not None and value not in choices:
+                    return None
+            # the tuple is built only when a type raises (or an unhashable
+            # value meets the frozenset of choices), and the refused line goes
+            # to argparse next, so importing it here costs nothing extra
             except (_argparse().ArgumentTypeError, TypeError, ValueError):
                 return None
-            if action.choices is not None and value not in action.choices:
-                return None
-        values[action.dest] = value
+        values[dest] = value
     if not values.keys() >= spec.required or len(spec.exclusive & values.keys()) > 1:
         return None
     return SimpleNamespace(**{**spec.defaults, **values, "command": argv[0]})
@@ -646,10 +670,11 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
     if extras:
         top.error(f"unrecognized arguments: {' '.join(extras)}")
     # argparse drops an '=' text of '--' as the end of the options and stores
-    # [] for the option, without calling its type
-    for action in _table()[argv[0]].actions.values():
-        if getattr(args, action.dest) == []:
-            parser.error(f"argument {'/'.join(action.option_strings)}: expected one argument")
+    # [] for the option, without calling its type; every option here has one
+    # option string, which argparse names in its error
+    for option, (dest, *_) in _table()[argv[0]].actions.items():
+        if getattr(args, dest) == []:
+            parser.error(f"argument {option}: expected one argument")
     args.command = argv[0]
     return args
 
@@ -680,16 +705,21 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
 # - any query with --cache, as every hit must open, read and check its file
 #   in cache.load. The answer is then looked up under (the verified digest
 #   as bytes, the cache key, --format), see _cached_answer, and only a
-#   lookup that misses decodes and renders the payload. A query in
-#   query-mix took 36 us, where it took 52 us when every hit decoded and
-#   rendered (medians, in one slow phase of a 2-core VM);
+#   lookup that misses decodes and renders the payload; a miss keeps the
+#   text it rendered under the digest of the file it stored. A query in
+#   query-mix takes 43 us (the median of three runs' medians, 28-45, with
+#   the output capture of benchmark/worker.py timed, 2-core VM), where it
+#   took 52 us (37-52) when a miss kept nothing and the file was read
+#   through a buffered open;
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
 #   a single number and its keys are every lattice point. Kept, they filled
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
 #   by 7 MB; charging each entry 700 characters for its key still let up to
 #   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
-#   Bypassing, multiplicity takes 12-13 us and closed-form --weight 14 us,
-#   as fans keeps the factor vectors of closed_form_point in bounded tables.
+#   Bypassing, multiplicity takes 31 us (23-34) and closed-form --weight
+#   35 us (25-36), measured as the --cache query above, where they took 37
+#   and 45 us before fans kept the builders of closed_form_point with its
+#   factor vectors in bounded tables and _point rendered without _render.
 MEMO_CHARS = 1 << 20
 
 

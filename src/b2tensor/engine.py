@@ -199,7 +199,7 @@ def m_extended(module: str, p: int, mu: Weight) -> int:
         raise ValueError("negative power")
     if reflect_to_chamber(mu.d1 + _R1, mu.d2 + _R2)[2] == 0:
         return 0  # mu + rho on a wall: no power of the diagram needed
-    return _alternating_sum(chain.chamber(p).get, mu.d1, mu.d2)
+    return _alternating_sum(chain.chamber_dict(p).get, mu.d1, mu.d2)
 
 
 def _single_step(d1: int, d2: int, shifts) -> dict:

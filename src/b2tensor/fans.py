@@ -23,9 +23,10 @@ of the published index formula, and a validated evaluator that matches the
 direct convolution exactly. CLOSED_FORMS holds both as batch evaluators, one
 entry per kind; closed_form_window reads the direct values they are checked
 against off the chamber chains, and diff_report exposes their disagreements.
-closed_form_point answers one point of a validated form from the factor
-vectors its earlier calls built, kept in tables of at most FACTOR_CHARGE
-vectors and ints; a batch builds its own and keeps nothing.
+closed_form_point answers one point of a validated form from the builders
+and factor vectors its earlier calls made, kept per (kind, p) in tables of
+at most FACTOR_CHARGE vectors and ints; a batch builds its own and keeps
+nothing.
 """
 
 from __future__ import annotations
@@ -97,45 +98,54 @@ def _nonzero_range(first: int, last: int, offset: int, step: int, width: int) ->
 # depends on k and the first coordinate only and one that depends on k and
 # the second coordinate only (the sign splits the same way). So for a fixed
 # p every coordinate value gets one vector over k, and each point is one dot
-# product of its two vectors. A batch builds each vector once and drops its
-# tables when it returns; closed_form_point keeps the tables of its (kind, p)
-# across calls, under the bound FACTOR_CHARGE. This only reorders the
-# published sums; they share no code with the convolutions they are checked
-# against.
+# product of its two vectors. The builders of a (kind, p) give the coset and
+# a point's two coordinates on it, and build each vector. A batch builds each vector once and
+# drops its tables when it returns; closed_form_point keeps the builders and
+# the tables of its (kind, p) across calls, under the bound FACTOR_CHARGE.
+# This only reorders the published sums; they share no code with the
+# convolutions they are checked against.
 
 
-def _factored(pairs, first, second, kept=None) -> list:
-    """[first(x) . second(y) for (x, y) in pairs], each vector built once.
+class Builders(NamedTuple):
+    """The factored form of one closed form at one p.
 
-    A pair of None (a point off the coset) gives 0, as does a zero vector.
-    kept, when given, is the pair of tables (x -> first(x), y -> second(y))
-    to read and fill; by default both are new and dropped on return.
+    A doubled point (d1, d2) lies on the coset when d1 and d2 both have the
+    parity parity; its factor coordinates are then (d1 >> shift, d2 >> shift),
+    and its value first(x) . second(y). Off the coset the value is 0.
     """
-    firsts, seconds = ({}, {}) if kept is None else kept
+
+    parity: int
+    shift: int
+    first: Callable  # x -> the vector over k of the factors of x
+    second: Callable  # y -> the vector over k of the factors of y
+
+
+def _nonzero(u: list):
+    # a vector of zeros is kept as (), so its dot products end at once
+    return u if any(u) else ()
+
+
+def _factored(points, builders: Builders) -> list:
+    """The value of builders at each doubled point, each vector built once."""
+    parity, shift, first, second = builders
+    firsts, seconds = {}, {}
     out = []
-    for pair in pairs:
-        if pair is None:
+    for d1, d2 in points:
+        if ((d1 ^ parity) | (d2 ^ parity)) & 1:  # off the coset
             out.append(0)
             continue
-        x, y = pair
+        x, y = d1 >> shift, d2 >> shift
         u = firsts.get(x)
         if u is None:
-            u = first(x)
-            u = firsts[x] = u if any(u) else ()
+            u = firsts[x] = _nonzero(first(x))
         v = seconds.get(y)
         if v is None:
-            v = second(y)
-            v = seconds[y] = v if any(v) else ()
+            v = seconds[y] = _nonzero(second(y))
         out.append(sum(map(mul, u, v)))
     return out
 
 
-def _halved(points) -> list:
-    # (d1, d2) -> (d1/2, d2/2) on the even coset, None elsewhere
-    return [None if (d1 | d2) & 1 else (d1 >> 1, d2 >> 1) for d1, d2 in points]
-
-
-def _fan_many(p: int, points, tb, kept=None) -> list:
+def _fan_builders(p: int, tb) -> Builders:
     # the fan closed form at doubled points (2a, 2b), 0 off the even coset:
     # gamma_p(a,b) = (-1)^(a+b) sum_k (-1)^k tb(p-1,k-1) M_k(a) L_k(b), with the
     # m-sum M_k(a) depending on (k, a) only and the l-sum L_k(b) on (k, b) only
@@ -161,7 +171,11 @@ def _fan_many(p: int, points, tb, kept=None) -> list:
             out.append(-total if (k + b) % 2 else total)
         return out
 
-    return _factored(_halved(points), first, second, kept)
+    return Builders(0, 1, first, second)  # (2a, 2b) -> (a, b)
+
+
+def _fan_many(p: int, points, tb) -> list:
+    return _factored(points, _fan_builders(p, tb))
 
 
 def fan_closed_form(p: int, a: int, b: int) -> int:
@@ -208,7 +222,7 @@ def projected_at(module: str, p: int, mu: Weight) -> int:
     return _PROJECTED[module].at(p, mu.d1, mu.d2)
 
 
-def _vector_many(p: int, points, tb, kept=None) -> list:
+def _vector_builders(p: int, tb) -> Builders:
     # the vector closed form at doubled points (2c, 2d), 0 off the even coset:
     # Pi_vector(c,d) = (-1)^c sum_k (-1)^(k+p+1+d) tb(p,k-1) M_k(c) L_k(d): the
     # printed sign exponent k-d-c+p-4(l+m)+7 has the parity of k+d+c+p+1
@@ -234,7 +248,11 @@ def _vector_many(p: int, points, tb, kept=None) -> list:
             out.append(-total if (k + p + 1 + d) % 2 else total)
         return out
 
-    return _factored(_halved(points), first, second, kept)
+    return Builders(0, 1, first, second)  # (2c, 2d) -> (c, d)
+
+
+def _vector_many(p: int, points, tb) -> list:
+    return _factored(points, _vector_builders(p, tb))
 
 
 def vector_singular_closed(p: int, weight: Weight) -> int:
@@ -242,7 +260,7 @@ def vector_singular_closed(p: int, weight: Weight) -> int:
     return _vector_many(p, [(weight.d1, weight.d2)], _tb_lax)[0]
 
 
-def _spinor_many(p: int, points, kept=None) -> list:
+def _spinor_builders(p: int) -> Builders:
     # the spinor closed form at doubled points (d1, d2), 0 off the p-th spinor coset:
     # Pi_spinor = sum_k (-1)^k C(p,k) A_k(d1) B_k(d2), where the (i, j) block
     # A_k depends on (k, d1) only and the (n, m) block B_k on (k, d2) only
@@ -276,9 +294,7 @@ def _spinor_many(p: int, points, kept=None) -> list:
             out.append(total)
         return out
 
-    r = p % 2
-    pairs = [pt if pt[0] % 2 == r and pt[1] % 2 == r else None for pt in points]
-    return _factored(pairs, first, second, kept)
+    return Builders(p % 2, 0, first, second)
 
 
 def spinor_singular_closed(p: int, weight: Weight) -> int:
@@ -290,7 +306,7 @@ def spinor_singular_closed(p: int, weight: Weight) -> int:
     Y = (p + 2k) - d2 = 8n + 4m, the coefficient is
     sum (-1)^(k+i+j+m+n) C(p,k) C(p-k,i) C(k,j) C(p-k,m) C(k,n).
     """
-    return _spinor_many(p, [(weight.d1, weight.d2)])[0]
+    return _factored([(weight.d1, weight.d2)], _spinor_builders(p))[0]
 
 
 def _spinor_printed_many(p: int, points) -> list:
@@ -349,33 +365,39 @@ class ClosedForm(NamedTuple):
 
     validated and printed take (p, points) with points a list of doubled
     (d1, d2) pairs and give one integer per point; validated gives 0 off
-    the coset its truth lives on.
+    the coset its truth lives on. builders(p) are those of the validated
+    reading.
     """
 
-    validated: Callable[[int, list], list]
+    builders: Callable[[int], Builders]
     printed: Callable[[int, list], list]
+
+    def validated(self, p: int, points) -> list:
+        return _factored(points, self.builders(p))
 
 
 CLOSED_FORMS = {
     "fan": ClosedForm(
-        partial(_fan_many, tb=_tb_lax),
+        partial(_fan_builders, tb=_tb_lax),
         partial(_fan_many, tb=_tb_strict),
     ),
     "vector": ClosedForm(
-        partial(_vector_many, tb=_tb_lax),
+        partial(_vector_builders, tb=_tb_lax),
         partial(_vector_many, tb=_tb_strict),
     ),
     "spinor": ClosedForm(
-        _spinor_many,
+        _spinor_builders,
         _spinor_printed_many,
     ),
 }
 
 
-# The tables of closed_form_point, one pair of dicts per (kind, p), in one
-# BoundedLRU. A vector is charged p + 2, itself and at most p + 1 ints (an
-# all-zero vector, kept as (), is charged the same), and while the tables are
-# charged more than FACTOR_CHARGE the least recently used table is dropped.
+# The tables of closed_form_point, one entry (builders, firsts, seconds) per
+# (kind, p), in one BoundedLRU. A vector is charged p + 2, itself and at most
+# p + 1 ints (an all-zero vector, kept as (), is charged the same); the
+# builders, about 550 bytes (tracemalloc, p <= 12), are not charged. While
+# the tables are charged more than FACTOR_CHARGE the least recently used
+# entry is dropped.
 # query-mix (seed 1, 300 rounds, 4 500 closed-form --weight queries) filled 36
 # tables with 1 803 vectors and 15 082 ints, charged 18 145. The worst case is
 # at the LIMITS top, where the ints are largest: every kind at p = 30 down
@@ -385,8 +407,8 @@ CLOSED_FORMS = {
 FACTOR_CHARGE = 1 << 15
 
 
-def _table_charge(key, tables) -> int:
-    (_, p), (firsts, seconds) = key, tables
+def _table_charge(key, entry) -> int:
+    (_, p), (_, firsts, seconds) = key, entry
     return (len(firsts) + len(seconds)) * (p + 2)
 
 
@@ -394,17 +416,27 @@ _POINT_TABLES = BoundedLRU(FACTOR_CHARGE, _table_charge)
 
 
 def closed_form_point(kind: str, p: int, point) -> int:
-    """The validated closed form of kind at one doubled point, from factor
-    vectors kept across calls."""
+    """The validated closed form of kind at one doubled point, from the
+    builders and factor vectors of (kind, p) kept across calls."""
     key = (kind, p)
-    tables = _POINT_TABLES.get(key)
-    if tables is None:
-        tables = ({}, {})
-        _POINT_TABLES.put(key, tables)
-    held = _table_charge(key, tables)
-    value = CLOSED_FORMS[kind].validated(p, [point], kept=tables)[0]
-    _POINT_TABLES.add(_table_charge(key, tables) - held)
-    return value
+    entry = _POINT_TABLES.get(key)
+    if entry is None:
+        entry = (CLOSED_FORMS[kind].builders(p), {}, {})
+        _POINT_TABLES.put(key, entry)
+    (parity, shift, first, second), firsts, seconds = entry
+    d1, d2 = point
+    if ((d1 ^ parity) | (d2 ^ parity)) & 1:  # off the coset, as in _factored
+        return 0
+    x, y = d1 >> shift, d2 >> shift
+    u, v = firsts.get(x), seconds.get(y)
+    if u is None or v is None:
+        held = _table_charge(key, entry)
+        if u is None:
+            u = firsts[x] = _nonzero(first(x))
+        if v is None:
+            v = seconds[y] = _nonzero(second(y))
+        _POINT_TABLES.add(_table_charge(key, entry) - held)
+    return sum(map(mul, u, v))
 
 
 def diff_report(kind: str, p: int) -> list:

@@ -355,6 +355,11 @@ class ChamberChain:
 
     def chamber(self, n: int) -> MappingProxyType:
         """Read-only view of G^n on the closed chamber: (d1, d2) -> nonzero value."""
+        return MappingProxyType(self.chamber_dict(n))
+
+    def chamber_dict(self, n: int) -> dict:
+        """The dict that chamber(n) views, itself: for a caller that reads it
+        and never writes it, so no view is built for each read."""
         if n < 0:
             raise ValueError("negative power")
         chambers, terms = self._chambers, self._terms
@@ -389,21 +394,21 @@ class ChamberChain:
                 if v:
                     nxt[y1, y2] = v
             chambers.append(nxt)
-        return MappingProxyType(chambers[n])
+        return chambers[n]
 
     def at(self, n: int, d1: int, d2: int) -> int:
         """F^n at the doubled point (d1, d2), without unfolding."""
         s = n if self._signed else 0
-        return _chamber_read(self.chamber(n), self._flip(n), d1 + s * RHO.d1, d2 + s * RHO.d2)
+        return _chamber_read(self.chamber_dict(n), self._flip(n), d1 + s * RHO.d1, d2 + s * RHO.d2)
 
     def unfold(self, n: int) -> LatticeSeries:
         """F^n as a full series, a new one per call."""
         s = n if self._signed else 0
-        return _unfold(self.chamber(n), self._flip(n), s * RHO.d1, s * RHO.d2)
+        return _unfold(self.chamber_dict(n), self._flip(n), s * RHO.d1, s * RHO.d2)
 
     def window(self, n: int) -> tuple:
         """(points, values): F^n on its support plus a halo of 2; points ascend, 0 on the halo."""
-        chamber, flip = self.chamber(n), self._flip(n)
+        chamber, flip = self.chamber_dict(n), self._flip(n)
         s1, s2 = (n * RHO.d1, n * RHO.d2) if self._signed else (0, 0)
         # F^n(x) = G^n(x + s) with G^n W-symmetric, so supp F^n = W.C - s, C
         # the chamber keys, and supp + K = W.(C + K) - s for the W-invariant

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from b2tensor import cache, cli
 from b2tensor.cache import BoundedLRU
 from b2tensor.cli import MEMO_CHARS, Answer, _parse, _read, build_parser, main
+from b2tensor.fans import CLOSED_FORMS
 from test_cli_golden import golden_argvs
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -82,15 +83,16 @@ def command_lines(draw):
     or not, a value or none, and now and then -h, --help or a stray value,
     in any order."""
     command = draw(st.sampled_from(sorted(cli._table())))
-    actions = cli._table()[command].actions
+    spec = cli._table()[command]
+    actions = spec.actions
 
     def value(option):
-        action = actions[option]
-        good = action.choices or (_TYPED if action.type else ("DIR", "a b", "0"))
+        _, _, _, kind, choices = actions[option]
+        good = sorted(choices) if choices else (_TYPED if kind else ("DIR", "a b", "0"))
         return draw(st.sampled_from(tuple(good) if draw(st.integers(0, 7)) else _BAD_VALUES))
 
     def piece(option):
-        kind, flag = draw(st.sampled_from(_PIECES)), actions[option].nargs == 0
+        kind, flag = draw(st.sampled_from(_PIECES)), actions[option][1]
         if kind == "equals":
             return [f"{option}={value(option)}"]
         if kind == "help":
@@ -101,7 +103,7 @@ def command_lines(draw):
         return [given] if flag or kind == "bare" else [given, value(option)]
 
     options = sorted(actions)
-    required = [o for o in options if actions[o].required]
+    required = [o for o in options if actions[o][0] in spec.required]
     more = draw(st.lists(st.sampled_from(options), max_size=4, unique=True))
     twice = draw(st.lists(st.sampled_from(options), max_size=1))
     given = list(dict.fromkeys(required + more)) + twice
@@ -121,26 +123,22 @@ def test_reader_reads_only_what_argparse_reads_the_same(argv):
     read_as_argparse(argv)
 
 
-RECORDED_FIELDS = ("option_strings", "dest", "nargs", "const", "default", "type", "choices", "required")
-
-
 def test_recorded_options_equal_argparse_actions():
     # _read's table is recorded without argparse; for every option of every
-    # command the record holds what argparse's Action holds
+    # command it holds what the table taken from argparse's Actions holds
     import argparse
 
-    want = cli._options(*cli._build_parsers(argparse.ArgumentParser)[2:])
+    _, _, actions, exclusive = cli._build_parsers(argparse.ArgumentParser)
+    want = cli._options(actions, exclusive)
     got = cli._table()
     assert list(got) == list(want) == list(cli._DISPATCH)
     for command, options in want.items():
         recorded = got[command]
-        assert list(recorded.actions) == list(options.actions), command
-        for option, action in options.actions.items():
-            record = recorded.actions[option]
-            for field in RECORDED_FIELDS:
-                assert getattr(record, field) == getattr(action, field), (option, field)
+        assert list(recorded.actions.items()) == list(options.actions.items()), command
         assert list(recorded.defaults.items()) == list(options.defaults.items()), command
         assert recorded.required == options.required and recorded.exclusive == options.exclusive
+    # every option has one option string, the one _parse names in its error
+    assert all(len(action.option_strings) == 1 for kept in actions.values() for action in kept)
 
 
 def test_recorder_refuses_what_it_cannot_record():
@@ -182,6 +180,38 @@ def test_query_mix_traffic_is_read_without_argparse(monkeypatch):
     assert all(cli._attach_weight_values(argv) == argv for argv in plain)
     for argv in map(list, bench.KNOWN_FAULT):
         assert _read(argv) is None and _read(cli._attach_weight_values(argv)) is not None
+
+
+def render_point(args, label, key, value) -> str:
+    """A one-weight answer as _render prints it: its object is its one row."""
+    obj = {label: getattr(args, label), "power": args.power, "weight": args.weight.text()}
+    obj[key] = str(value)
+    return cli._render(
+        args.format, obj, tuple(obj), lambda o, _: o[key] + "\n", entries=lambda o: [o], quoted=2
+    )
+
+
+def test_point_answers_print_what_render_prints(monkeypatch):
+    # every multiplicity and closed-form --weight query of query-mix, in every
+    # format, prints the text _render gives for its object
+    bench = load_benchmark_run(monkeypatch)
+    rounds = [bench.query_round(seed, r) for seed in (1, 2, 3) for r in range(50)]
+    points = [argv for queries in rounds for argv, _ in queries if "--weight" in " ".join(argv)]
+    assert len(points) == 3 * 50 * (2 * bench.PER_KIND + len(bench.KNOWN_FAULT))
+    for argv in points:
+        if "--format" in argv:
+            at = argv.index("--format")
+            argv = argv[:at] + argv[at + 2 :]
+        for fmt in ("json", "csv", "pretty"):
+            line = [*argv, "--format", fmt]
+            args = _parse(line)
+            if args.command == "multiplicity":
+                value = cli.m_extended(args.module, args.power, args.weight)
+                want = render_point(args, "module", "multiplicity", value)
+            else:
+                value = CLOSED_FORMS[args.kind].validated(args.power, [(args.weight.d1, args.weight.d2)])[0]
+                want = render_point(args, "kind", "coeff", value)
+            assert run(line) == (0, want, ""), line
 
 
 def test_memo_bound_is_a_mebibyte_of_characters():
@@ -387,7 +417,8 @@ def test_cache_query_after_a_memo_answer_still_writes_its_file(tmp_path):
     assert run(argv) == plain and len(cli._ANSWERS.entries) == 1
     assert run(argv + ["--cache", str(tmp_path)]) == plain
     assert (tmp_path / "decompose-vector-4.json").is_file()
-    assert len(cli._ANSWERS.entries) == 1  # the --cache query is not stored
+    # the --cache command line is not stored; its text is kept under the payload's digest
+    assert [type(key[0]) for key in cli._ANSWERS.entries] == [str, bytes]
 
 
 def cache_query(tmp_path, p=3, fmt="json"):
@@ -409,7 +440,7 @@ def test_a_cache_file_replaced_by_another_payload_prints_the_new_answer(tmp_path
     argv, path = cache_query(tmp_path, 3, fmt)
     other, other_path = cache_query(tmp_path, 2, fmt)
     first = run(argv)
-    assert run(argv) == first and len(cli._ANSWERS.entries) == 1  # a hit, rendered and kept
+    assert run(argv) == first and len(cli._ANSWERS.entries) == 1  # a hit, printed from the memo
     want = run(other)
     assert want[0] == 0 and want != first
     os.replace(other_path, path)  # a valid file, with another digest
@@ -464,8 +495,7 @@ def test_cache_hits_print_the_bytes_of_a_run_without_cache(tmp_path, monkeypatch
     want = run(argv)
     assert want[0] == 0
     cached = argv + ["--cache", str(tmp_path)]
-    assert run(cached) == want  # a miss, computed and stored
-    assert run(cached) == want  # a hit, decoded, rendered and kept
+    assert run(cached) == want  # a miss, computed, stored and kept
     assert sum(isinstance(key[0], bytes) for key in cli._ANSWERS.entries) == 1
 
     def fail(*_, **__):
@@ -473,7 +503,8 @@ def test_cache_hits_print_the_bytes_of_a_run_without_cache(tmp_path, monkeypatch
 
     monkeypatch.setattr(cli, "_render", fail)
     monkeypatch.setattr(cache.json, "loads", fail)
-    assert run(cached) == want  # a hit on the same digest, printed from the memo
+    assert run(cached) == want  # the first hit: the digest the miss stored, printed from the memo
+    assert run(cached) == want
 
 
 def fresh_python(script):

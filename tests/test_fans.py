@@ -3,6 +3,7 @@
 import sys
 from fractions import Fraction
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -38,6 +39,7 @@ from b2tensor.fans import (
     fan_line_structure,
 )
 from b2tensor import diagram, engine, fans, verify
+from b2tensor.cache import BoundedLRU
 from b2tensor.lattice import FUNDAMENTAL_WEIGHTS
 from b2tensor.series import ChamberChain
 from conftest import (
@@ -390,13 +392,14 @@ def fresh(kind, p, point):
 
 
 @st.composite
-def point_queries(draw):
-    """A shuffled list of (kind, p, doubled point) for one or two kinds and
-    one to three powers, whose points take their coordinates from a few
+def point_queries(draw, most_kinds=2):
+    """A shuffled list of (kind, p, doubled point) for one to most_kinds kinds
+    and one to three powers, whose points take their coordinates from a few
     values, so that kinds, powers and coordinates repeat: values on and near
     the supports, which lie in |d| <= 8p, and far off them, of both
     parities."""
-    kinds = draw(st.lists(st.sampled_from(sorted(CLOSED_FORMS)), min_size=1, max_size=2, unique=True))
+    kinds = st.lists(st.sampled_from(sorted(CLOSED_FORMS)), min_size=1, max_size=most_kinds, unique=True)
+    kinds = draw(kinds)
     powers = draw(st.lists(st.integers(1, 30), min_size=1, max_size=3, unique=True))
     near, box = (st.integers(-8 * p - 4, 8 * p + 4) for p in (min(powers), max(powers)))
     far = st.integers(8 * max(powers) + 5, 10**4).flatmap(lambda d: st.sampled_from((d, -d)))
@@ -414,6 +417,18 @@ def test_kept_tables_answer_as_a_fresh_batch(queries):
     fans._POINT_TABLES.clear()
     for kind, p, point in queries:
         assert fans.closed_form_point(kind, p, point) == fresh(kind, p, point), (kind, p, point)
+
+
+@given(point_queries(most_kinds=3), st.integers(0, 400))
+@settings(max_examples=100, deadline=None)
+def test_kept_tables_answer_as_a_fresh_batch_under_a_small_bound(queries, bound):
+    # a bound of a few vectors evicts the entries, builders and all, now and then
+    tables = BoundedLRU(bound, fans._table_charge)
+    with mock.patch.object(fans, "_POINT_TABLES", tables):
+        for kind, p, point in queries:
+            assert fans.closed_form_point(kind, p, point) == fresh(kind, p, point), (kind, p, point)
+            charged = sum(fans._table_charge(*entry) for entry in tables.entries.items())
+            assert tables.charged == charged <= bound
 
 
 def test_kept_tables_keep_powers_apart():
@@ -437,7 +452,7 @@ def test_kept_tables_stay_within_their_bound():
     evicted = False
     for kind, p, point in queries:
         assert fans.closed_form_point(kind, p, point) == fresh(kind, p, point)
-        charged = sum((len(f) + len(s)) * (q + 2) for (_, q), (f, s) in tables.entries.items())
+        charged = sum((len(f) + len(s)) * (q + 2) for (_, q), (_, f, s) in tables.entries.items())
         assert tables.charged == charged <= bound
         evicted = evicted or ("vector", 30) not in tables.entries
     assert evicted

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from b2tensor import Weight, closed_forms as cf, fan_with_zero, m_extended, recur_multiplicity
 from b2tensor import LatticeSeries, decomposition, dim_irrep, singular_power_direct, singular_power_projected
 from b2tensor import cache
-from b2tensor.cache import canonical_json, load, store
+from b2tensor.cache import canonical_json, digest, load, store
 from b2tensor import cli
 from b2tensor.cli import LIMITS, _diagonal_values, _parsers, build_parser, main
 from conftest import text_by_fractions
@@ -444,6 +444,18 @@ def test_cache_load_asks_known_only_after_every_check(tmp_path):
     assert asked == [digest, digest]
     path.write_bytes(path.read_bytes().replace(b'{"v":1}', b'{"v":2}'))  # digest now stale
     assert load(tmp_path, "k", known) is None and len(asked) == 2
+
+
+def test_cache_store_given_the_digest_writes_the_same_file(tmp_path):
+    # the digest a miss hashed once, passed to store, is the one store would take
+    text = canonical_json({"v": 1})
+    assert digest(text) == hashlib.sha256(b'{"v":1}').hexdigest().encode()
+    assert store(tmp_path, "k", text, digest(text)).read_bytes() == _well_formed(b'{"v":1}')
+
+
+def test_cache_load_misses_on_a_directory_under_the_name(tmp_path):
+    (tmp_path / "k.json").mkdir()
+    assert load(tmp_path, "k") is None
 
 
 def test_cache_schema_gate(tmp_path):
