@@ -279,14 +279,27 @@ MUTANTS = [
         "",
         "a failed fork ends the run instead of running every check in order",
     ),
-    # cold verify: plain command lines read from a recorded table, one
-    # single-step pass per module, Kronecker slots written as array items
+    # argparse and _read both take the options from cli.COMMANDS
     (
         "cli.py",
-        "return _Recorded(list(names), dest, 0, True, False, None, None, required)",
-        "return _Recorded(list(names), dest, 0, True, None, None, None, required)",
-        "the recorder's store_true default None, not False",
+        "{o.dest: False if o.flag else o.default for o in options}",
+        "{o.dest: None if o.flag else o.default for o in options}",
+        "_read's default for a flag None, not False",
     ),
+    (
+        "cli.py",
+        "group = parser.add_mutually_exclusive_group()",
+        "group = parser",
+        "the exclusive group not built",
+    ),
+    (
+        "cli.py",
+        "add_argument(o.name, required=o.required, help=o.help, **kwargs)",
+        "add_argument(o.name, help=o.help, **kwargs)",
+        "required not passed to argparse",
+    ),
+    # cold verify: one single-step pass per module, Kronecker slots written
+    # as array items
     (
         "verify.py",
         "fan_recursion_solve(mod, p) == steps[mod][p]:",

@@ -11,22 +11,34 @@ def _stdout_gone() -> int:
     return 1
 
 
-# The process exit frees the memory and closes the files, so the interpreter's
-# teardown only costs time: once stdout and stderr are flushed, os._exit ends
-# the process without it. Only here, never in cli.main, which a long-lived
-# caller runs again and again. A closed stdout raises BrokenPipeError at the
-# write in cli.main (a large answer, or any answer unbuffered) or at the
-# flush here. A flush that fails otherwise leaves the exit to sys.exit, whose
-# own flush at shutdown reports the failure.
-try:
-    code = main()
-except BrokenPipeError:
-    code = _stdout_gone()
-try:
-    sys.stdout.flush()
-    sys.stderr.flush()
-except BrokenPipeError:
-    code = _stdout_gone()
-except (OSError, ValueError):
-    sys.exit(code)
-os._exit(code)
+def run():
+    """Answer the command line in sys.argv and end the process: the entry
+    point of `python -m b2tensor` and of the b2tensor script.
+
+    The process exit frees the memory and closes the files, so the
+    interpreter's teardown only costs time: once stdout and stderr are
+    flushed, os._exit ends the process without it. Only here, never in
+    cli.main, which a long-lived caller runs again and again. A stdout that
+    cannot take the answer raises at the write in cli.main (a large answer,
+    or any answer unbuffered) or at the flush here: a closed one exits 1
+    quietly, any other failure, such as a full disk, exits 1 with one
+    `error:` line. A stderr flush that fails leaves the exit to sys.exit,
+    whose own flush at shutdown reports the failure.
+    """
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        code = _stdout_gone()
+    except OSError as exc:
+        sys.stderr.write(f"error: {exc}\n")
+        code = 1
+    try:
+        sys.stderr.flush()
+    except (OSError, ValueError):
+        sys.exit(code)
+    os._exit(code)
+
+
+if __name__ == "__main__":
+    run()

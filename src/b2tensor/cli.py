@@ -91,118 +91,144 @@ LIMITS = {
 }
 
 
+class Option(NamedTuple):
+    """One option of a command, from which both argparse and _read take it.
+
+    A flag is argparse's store_true: no value, True when given, else False.
+    The options marked exclusive form the command's one mutually exclusive
+    group."""
+
+    name: str
+    type: object = None
+    choices: tuple | None = None
+    default: object = None
+    required: bool = False
+    flag: bool = False
+    metavar: str | None = None
+    help: str | None = None
+    exclusive: bool = False
+
+    @property
+    def dest(self) -> str:
+        return self.name[2:].replace("-", "_")
+
+
+def _size(command: str, default=None) -> Option:
+    """The size option of the command, with its limits from LIMITS in its help."""
+    option, low, high = LIMITS[command]
+    what = "the tensor power p" if option == "power" else "the largest power"
+    least = f"at least {low} and " if low else ""
+    help = f"{what}, {least}at most {high}"
+    return Option(f"--{option}", _positive_int, default=default, required=default is None, help=help)
+
+
+_MODULE = Option("--module", choices=tuple(FUNDAMENTAL), required=True)
+_CACHE = Option("--cache", _directory, metavar="DIR")
+_FORMAT = Option("--format", choices=("json", "csv", "pretty"), default="pretty")
+
+# Each command: its summary and its options, in the order argparse adds them.
+COMMANDS = {
+    "decompose": (
+        "decompose the p-th tensor power into irreducibles",
+        (_MODULE, _size("decompose"), _CACHE, _FORMAT),
+    ),
+    "multiplicity": (
+        "multiplicity of one weight in the p-th power",
+        (
+            _MODULE,
+            _size("multiplicity"),
+            Option("--weight", _weight_arg, required=True, metavar="V1,V2"),
+            Option(
+                "--extended",
+                flag=True,
+                help="evaluate the antisymmetric extension at non-dominant weights",
+            ),
+            _FORMAT,
+        ),
+    ),
+    "fan": ("fan coefficients of the p-fold diagonal injection", (_size("fan"), _FORMAT)),
+    "singular": (
+        "singular element of the p-th power",
+        (
+            _MODULE,
+            _size("singular"),
+            Option(
+                "--projected",
+                flag=True,
+                help="the p-th power of the one-factor singular element instead of ch^p * R",
+            ),
+            _CACHE,
+            _FORMAT,
+        ),
+    ),
+    "closed-form": (
+        "closed-form coefficients and printed-formula diffs",
+        (
+            Option("--kind", choices=tuple(CLOSED_FORMS), required=True),
+            _size("closed-form"),
+            Option("--weight", _weight_arg, metavar="V1,V2", exclusive=True),
+            Option(
+                "--diff-printed",
+                flag=True,
+                help="emit points where the verbatim published formula disagrees",
+                exclusive=True,
+            ),
+            _FORMAT,
+        ),
+    ),
+    "fit": (
+        "fit a polynomial in p along a diagonal family",
+        (
+            Option("--s", int, required=True, metavar="S", help="family index 1..6"),
+            Option("--t", _positive_int, required=True, metavar="T"),
+            _size("fit", default=10),
+            _FORMAT,
+        ),
+    ),
+    "verify": (
+        "run a verification suite",
+        (
+            Option("--suite", choices=(*SUITES, "all"), default="all"),
+            _size("verify", default=10),
+            Option(
+                "--timings",
+                flag=True,
+                help="write each check's name, seconds and point count to stderr",
+            ),
+            _FORMAT,
+        ),
+    ),
+    "diagram": ("growth diagram of tensor powers as DOT", (_MODULE, _size("diagram"))),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
-    return _build_parsers(_argparse().ArgumentParser)[0]
+    return _new_parsers()[0]
 
 
-def _build_parsers(parser_class) -> tuple:
-    """The top-level parser, the map from each command to its own parser, the
-    map from each command to the Actions add_argument returned for it, in the
-    order added, and the map from a command to its mutually exclusive Actions.
-
-    parser_class is argparse.ArgumentParser, or _Recorder, which builds the
-    table _read reads without importing argparse."""
-    top = parser_class(
+def _new_parsers() -> tuple:
+    """The top-level parser and the map from each command to its own parser."""
+    top = _argparse().ArgumentParser(
         prog="b2tensor",
         description="Exact decomposition of tensor powers of the so(5) vector and spinor modules",
     )
     sub = top.add_subparsers(dest="command", required=True)
-    options, exclusive = {}, {}
+    for command, (summary, options) in COMMANDS.items():
+        parser = group = sub.add_parser(command, help=summary)
+        for o in options:
+            if o.exclusive and group is parser:
+                group = parser.add_mutually_exclusive_group()
+            if o.flag:
+                kwargs = {"action": "store_true"}
+            else:
+                kwargs = dict(type=o.type, choices=o.choices, default=o.default, metavar=o.metavar)
+            container = group if o.exclusive else parser
+            container.add_argument(o.name, required=o.required, help=o.help, **kwargs)
+    return top, sub.choices
 
-    def command(name, summary):
-        """The command's parser and the function that adds one option to it."""
-        parser = sub.add_parser(name, help=summary)
-        kept = options[name] = []
 
-        def add(*names, container=parser, **kwargs):
-            kept.append(container.add_argument(*names, **kwargs))
-            return kept[-1]
-
-        return parser, add
-
-    def add_format(add):
-        add("--format", choices=("json", "csv", "pretty"), default="pretty")
-
-    def add_size(add, name, default=None):
-        option, low, high = LIMITS[name]
-        what = "the tensor power p" if option == "power" else "the largest power"
-        least = f"at least {low} and " if low else ""
-        add(
-            f"--{option}",
-            type=_positive_int,
-            required=default is None,
-            default=default,
-            help=f"{what}, {least}at most {high}",
-        )
-
-    _, add = command("decompose", "decompose the p-th tensor power into irreducibles")
-    add("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(add, "decompose")
-    add("--cache", type=_directory, metavar="DIR", default=None)
-    add_format(add)
-
-    _, add = command("multiplicity", "multiplicity of one weight in the p-th power")
-    add("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(add, "multiplicity")
-    add("--weight", type=_weight_arg, required=True, metavar="V1,V2")
-    add(
-        "--extended",
-        action="store_true",
-        help="evaluate the antisymmetric extension at non-dominant weights",
-    )
-    add_format(add)
-
-    _, add = command("fan", "fan coefficients of the p-fold diagonal injection")
-    add_size(add, "fan")
-    add_format(add)
-
-    _, add = command("singular", "singular element of the p-th power")
-    add("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(add, "singular")
-    add(
-        "--projected",
-        action="store_true",
-        help="the p-th power of the one-factor singular element instead of ch^p * R",
-    )
-    add("--cache", type=_directory, metavar="DIR", default=None)
-    add_format(add)
-
-    p, add = command("closed-form", "closed-form coefficients and printed-formula diffs")
-    add("--kind", choices=tuple(CLOSED_FORMS), required=True)
-    add_size(add, "closed-form")
-    one = p.add_mutually_exclusive_group()
-    exclusive["closed-form"] = (
-        add("--weight", container=one, type=_weight_arg, default=None, metavar="V1,V2"),
-        add(
-            "--diff-printed",
-            container=one,
-            action="store_true",
-            help="emit points where the verbatim published formula disagrees",
-        ),
-    )
-    add_format(add)
-
-    _, add = command("fit", "fit a polynomial in p along a diagonal family")
-    add("--s", type=int, required=True, metavar="S", help="family index 1..6")
-    add("--t", type=_positive_int, required=True, metavar="T")
-    add_size(add, "fit", default=10)
-    add_format(add)
-
-    _, add = command("verify", "run a verification suite")
-    add("--suite", choices=tuple(SUITES) + ("all",), default="all")
-    add_size(add, "verify", default=10)
-    add(
-        "--timings",
-        action="store_true",
-        help="write each check's name, seconds and point count to stderr",
-    )
-    add_format(add)
-
-    _, add = command("diagram", "growth diagram of tensor powers as DOT")
-    add("--module", choices=tuple(FUNDAMENTAL), required=True)
-    add_size(add, "diagram")
-
-    return top, sub.choices, options, exclusive
+# Parsing leaves the parsers unchanged, so one instance serves every call.
+_parsers = lru_cache(maxsize=1)(_new_parsers)
 
 
 # Rendering. A handler returns its Answer: the exit code and the whole text
@@ -459,112 +485,28 @@ _DISPATCH = {
 
 
 class _Options(NamedTuple):
-    """What _read knows of one command's options, taken from their Actions or
-    from _Recorder's records of them."""
+    """What _read knows of one command's options, taken from COMMANDS."""
 
-    # each option string of an Action with nargs None or 0 -> (dest, whether
-    # it is a flag (nargs 0), const, type, frozenset of the choices or None)
+    # option string -> (dest, whether it is a flag, type, frozenset of the
+    # choices or None)
     actions: dict
-    defaults: dict  # dest -> default, in the order the options were added
+    defaults: dict  # dest -> default, in the order of the options
     required: frozenset  # the dests of the required options
     exclusive: frozenset  # the dests of the mutually exclusive options
 
 
-class _Recorded(NamedTuple):
-    """The fields of an argparse Action that _read and _parse read."""
-
-    option_strings: list
-    dest: str
-    nargs: int | None
-    const: object
-    default: object
-    type: object
-    choices: object
-    required: bool
-
-
-class _Recorder:
-    """A stand-in for argparse.ArgumentParser that records each option.
-
-    _build_parsers calls it as it calls argparse: the top-level parser, its
-    subparsers, each command's parser and the exclusive group are each a
-    _Recorder, and add_argument returns the fields of the Action argparse
-    builds for the two kinds of option here: a value (nargs None) and a
-    store_true flag (nargs 0, const True, default False). Another action is
-    a ValueError and another keyword a TypeError, so no option is recorded
-    as something it is not. The commands are its choices, as for argparse's
-    subparsers Action.
-    """
-
-    def __init__(self, **_):
-        self.choices = {}
-
-    def add_subparsers(self, **_):
-        return self
-
-    def add_parser(self, name, **_):
-        parser = self.choices[name] = _Recorder()
-        return parser
-
-    def add_mutually_exclusive_group(self):
-        return self
-
-    def add_argument(
-        self,
-        *names,
-        action=None,
-        type=None,
-        choices=None,
-        required=False,
-        default=None,
-        metavar=None,
-        help=None,
-    ) -> _Recorded:
-        dest = names[0].lstrip("-").replace("-", "_")
-        if action == "store_true":
-            return _Recorded(list(names), dest, 0, True, False, None, None, required)
-        if action is not None:
-            raise ValueError(f"action {action!r} is not recorded")
-        return _Recorded(list(names), dest, None, None, default, type, choices, required)
-
-
-def _options(options: dict, exclusive: dict) -> dict:
-    """Each command's _Options, from the last two maps of _build_parsers."""
-    return {
-        name: _Options(
-            {
-                s: (
-                    a.dest,
-                    a.nargs == 0,
-                    a.const,
-                    a.type,
-                    None if a.choices is None else frozenset(a.choices),
-                )
-                for a in actions
-                if a.nargs in (None, 0)
-                for s in a.option_strings
-            },
-            {a.dest: a.default for a in actions},
-            frozenset(a.dest for a in actions if a.required),
-            frozenset(a.dest for a in exclusive.get(name, ())),
-        )
-        for name, actions in options.items()
-    }
-
-
-@lru_cache(maxsize=1)
-def _table() -> dict:
-    """Each command's _Options, from _build_parsers run against _Recorder."""
-    return _options(*_build_parsers(_Recorder)[2:])
-
-
-@lru_cache(maxsize=1)
-def _parsers() -> tuple:
-    """The top-level parser and each command's parser.
-
-    Parsing leaves the parsers unchanged, so one instance serves every call.
-    """
-    return _build_parsers(_argparse().ArgumentParser)[:2]
+_OPTIONS = {
+    command: _Options(
+        {
+            o.name: (o.dest, o.flag, o.type, None if o.choices is None else frozenset(o.choices))
+            for o in options
+        },
+        {o.dest: False if o.flag else o.default for o in options},
+        frozenset(o.dest for o in options if o.required),
+        frozenset(o.dest for o in options if o.exclusive),
+    )
+    for command, (_, options) in COMMANDS.items()
+}
 
 
 # Why _read gives what argparse gives: argparse classifies each token that
@@ -577,16 +519,15 @@ def _parsers() -> tuple:
 # (in a frozenset of them, which holds a hashable value exactly when the
 # choices do; an unhashable one is left to argparse); it turns the
 # exceptions _read catches into usage errors and lets any other one
-# through, as _read does. It stores the const of an option with nargs 0,
-# checks the required options and the exclusive group, and keeps the
-# defaults of the options not given. Two more rules of argparse are kept
-# apart: it drops an argument '--' as the end of the options, so an '=' text
-# of '--' is left to it, and it passes a str default through the option's
-# type, which no option here needs, as every str default belongs to an
-# option with no type. The table _read looks options up in comes from the
-# same _build_parsers as the parsers, run against _Recorder, so a plain
-# command line is read without importing argparse; a test checks that the
-# records equal argparse's Actions, field by field.
+# through, as _read does. It stores True for a flag, checks the required
+# options and the exclusive group, and keeps the defaults of the options not
+# given. Two more rules of argparse are kept apart: it drops an argument
+# '--' as the end of the options, so an '=' text of '--' is left to it, and
+# it passes a str default through the option's type, which no option here
+# needs, as every str default belongs to an option with no type. _read and
+# the parsers both take the options from COMMANDS, so a plain command line is
+# read without importing argparse; a test checks that argparse's Actions
+# equal the table, field by field.
 def _read(argv: list) -> SimpleNamespace | None:
     """The attributes argparse gives for argv when it is a plain command line, else None.
 
@@ -599,7 +540,7 @@ def _read(argv: list) -> SimpleNamespace | None:
     every help text, usage error and exit code is its own. The answer is a
     SimpleNamespace whose vars() equal those of argparse's Namespace.
     """
-    spec = _table().get(argv[0]) if argv else None
+    spec = _OPTIONS.get(argv[0]) if argv else None
     if spec is None:
         return None
     actions, values = spec.actions, {}
@@ -617,11 +558,11 @@ def _read(argv: list) -> SimpleNamespace | None:
             text = next(tokens, "-")  # a missing value is refused as a leading '-'
             if text.startswith("-"):
                 return None
-        dest, _, const, kind, choices = action
+        dest, _, kind, choices = action
         if dest in values:
             return None
-        if text is None:
-            value = const
+        if text is None:  # a flag
+            value = True
         else:
             try:
                 value = text if kind is None else kind(text)
@@ -672,7 +613,7 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
     # argparse drops an '=' text of '--' as the end of the options and stores
     # [] for the option, without calling its type; every option here has one
     # option string, which argparse names in its error
-    for option, (dest, *_) in _table()[argv[0]].actions.items():
+    for option, (dest, *_) in _OPTIONS[argv[0]].actions.items():
         if getattr(args, dest) == []:
             parser.error(f"argument {option}: expected one argument")
     args.command = argv[0]
@@ -698,8 +639,8 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
 # only when _read refuses it as it stands): _read takes 2-4 us on a
 # plain command line (every token an exact option of the command, given once,
 # each value after '=' or in the next token, which does not start with '-'),
-# looked up in the table _Recorder records from _build_parsers, and gives a
-# SimpleNamespace, so argparse is never imported for it; any other command
+# looked up in the table taken from COMMANDS, and gives a SimpleNamespace,
+# so argparse is never imported for it; any other command
 # line goes to argparse, which takes 13-21 us once imported and built.
 # - verify, as a self-check must recompute and --timings reports live numbers;
 # - any query with --cache, as every hit must open, read and check its file
@@ -708,18 +649,14 @@ def _parse(argv: list) -> argparse.Namespace | SimpleNamespace:
 #   lookup that misses decodes and renders the payload; a miss keeps the
 #   text it rendered under the digest of the file it stored. A query in
 #   query-mix takes 43 us (the median of three runs' medians, 28-45, with
-#   the output capture of benchmark/worker.py timed, 2-core VM), where it
-#   took 52 us (37-52) when a miss kept nothing and the file was read
-#   through a buffered open;
+#   the output capture of benchmark/worker.py timed, 2-core VM);
 # - an answer at one weight (multiplicity, closed-form --weight): its text is
 #   a single number and its keys are every lattice point. Kept, they filled
 #   the memo with 10 644 entries in 600 query-mix rounds and raised peak RSS
 #   by 7 MB; charging each entry 700 characters for its key still let up to
 #   1 MiB / 700 = 1 500 of them in, and query-mix peak RSS rose by 1.2 MB.
 #   Bypassing, multiplicity takes 31 us (23-34) and closed-form --weight
-#   35 us (25-36), measured as the --cache query above, where they took 37
-#   and 45 us before fans kept the builders of closed_form_point with its
-#   factor vectors in bounded tables and _point rendered without _render.
+#   35 us (25-36), measured as the --cache query above.
 MEMO_CHARS = 1 << 20
 
 
@@ -780,7 +717,3 @@ def main(argv=None) -> int:
     if code == 0 and not err and _memoizable(args):
         _ANSWERS.put(key, out)
     return code
-
-
-if __name__ == "__main__":
-    sys.exit(main())

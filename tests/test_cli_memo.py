@@ -82,12 +82,12 @@ def command_lines(draw):
     then one of them twice, each given exact or as an abbreviation, with '='
     or not, a value or none, and now and then -h, --help or a stray value,
     in any order."""
-    command = draw(st.sampled_from(sorted(cli._table())))
-    spec = cli._table()[command]
+    command = draw(st.sampled_from(sorted(cli.COMMANDS)))
+    spec = cli._OPTIONS[command]
     actions = spec.actions
 
     def value(option):
-        _, _, _, kind, choices = actions[option]
+        _, _, kind, choices = actions[option]
         good = sorted(choices) if choices else (_TYPED if kind else ("DIR", "a b", "0"))
         return draw(st.sampled_from(tuple(good) if draw(st.integers(0, 7)) else _BAD_VALUES))
 
@@ -123,30 +123,27 @@ def test_reader_reads_only_what_argparse_reads_the_same(argv):
     read_as_argparse(argv)
 
 
-def test_recorded_options_equal_argparse_actions():
-    # _read's table is recorded without argparse; for every option of every
-    # command it holds what the table taken from argparse's Actions holds
-    import argparse
-
-    _, _, actions, exclusive = cli._build_parsers(argparse.ArgumentParser)
-    want = cli._options(actions, exclusive)
-    got = cli._table()
-    assert list(got) == list(want) == list(cli._DISPATCH)
-    for command, options in want.items():
-        recorded = got[command]
-        assert list(recorded.actions.items()) == list(options.actions.items()), command
-        assert list(recorded.defaults.items()) == list(options.defaults.items()), command
-        assert recorded.required == options.required and recorded.exclusive == options.exclusive
-    # every option has one option string, the one _parse names in its error
-    assert all(len(action.option_strings) == 1 for kept in actions.values() for action in kept)
-
-
-def test_recorder_refuses_what_it_cannot_record():
-    recorder = cli._Recorder()
-    with pytest.raises(ValueError):
-        recorder.add_argument("--count", action="count")
-    with pytest.raises(TypeError):
-        recorder.add_argument("--points", nargs="+")
+def test_table_options_equal_argparse_actions():
+    # _read reads each option from COMMANDS without argparse; every Action
+    # argparse builds from the same table holds what _read looks up
+    _, parsers = cli._new_parsers()
+    assert list(parsers) == list(cli.COMMANDS) == list(cli._OPTIONS) == list(cli._DISPATCH)
+    for command, (_, options) in cli.COMMANDS.items():
+        parser, spec = parsers[command], cli._OPTIONS[command]
+        actions = parser._actions[1:]  # after -h/--help
+        assert len(actions) == len(options), command
+        for action, o in zip(actions, options):
+            # one option string each, the one _parse names in its error
+            assert action.option_strings == [o.name], command
+            flag = 0 if o.flag else None
+            want = (o.dest, flag, o.flag or None, spec.defaults[o.dest], o.type, o.choices, o.required)
+            got = action.dest, action.nargs, action.const, action.default, action.type, action.choices
+            assert (*got, action.required) == want, (command, o.name)
+            assert spec.actions[o.name] == (o.dest, o.flag, o.type, o.choices and frozenset(o.choices))
+            assert (o.dest in spec.required) == o.required
+        assert list(spec.defaults) == [a.dest for a in actions], command
+        groups = [[a.dest for a in group._group_actions] for group in parser._mutually_exclusive_groups]
+        assert [set(group) for group in groups] == ([spec.exclusive] if spec.exclusive else []), command
 
 
 def test_reader_reads_golden_argvs_as_argparse():

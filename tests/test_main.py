@@ -1,8 +1,9 @@
-"""`python -m b2tensor`: once cli.main returns, the entry point flushes stdout
-and stderr and ends the process with os._exit, skipping the interpreter's
-teardown. A run answers as cli.main does in process, with the same exit code,
-stdout and stderr; a closed stdout ends it with exit 1 and nothing on stderr;
-and cli.main itself leaves nothing frozen."""
+"""`python -m b2tensor` and the b2tensor script: once cli.main returns, the
+entry point flushes stdout and stderr and ends the process with os._exit,
+skipping the interpreter's teardown. A run answers as cli.main does in
+process, with the same exit code, stdout and stderr; a closed stdout ends it
+with exit 1 and nothing on stderr, and a full one with exit 1 and one error
+line; and cli.main itself leaves nothing frozen."""
 
 import gc
 import os
@@ -13,6 +14,11 @@ from pathlib import Path
 import pytest
 
 from b2tensor import cli
+
+try:
+    import tomllib
+except ModuleNotFoundError:  # Python 3.10: the runs of the script are skipped
+    tomllib = None
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,24 +60,61 @@ CLOSED_STDOUT_RUNS = [
 ]
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
-@pytest.mark.parametrize("argv", CLOSED_STDOUT_RUNS, ids=["large", "small"])
-def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered):
-    # the reader of stdout is gone before the process starts
+def script_call() -> list:
+    """The interpreter arguments that call the b2tensor script's target, as
+    the script installed from pyproject.toml calls it."""
+    with open(ROOT / "pyproject.toml", "rb") as f:
+        module, _, function = tomllib.load(f)["project"]["scripts"]["b2tensor"].partition(":")
+    return ["-c", f"import sys, {module} as m; sys.exit(m.{function}())"]
+
+
+def run_to(stdout, entry, argv, unbuffered):
+    """The exit code and stderr of a child run of entry with stdout at the
+    file descriptor stdout, with or without PYTHONUNBUFFERED."""
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     env.pop("PYTHONUNBUFFERED", None)
     if unbuffered:
         env["PYTHONUNBUFFERED"] = "1"
+    child = subprocess.run(
+        [sys.executable, *entry, *argv],
+        cwd=ROOT, env=env, stdout=stdout, stderr=subprocess.PIPE, text=True, timeout=120,
+    )
+    return child.returncode, child.stderr
+
+
+ENTRIES = [
+    pytest.param(["-m", "b2tensor"], id="module"),
+    pytest.param(
+        script_call() if tomllib else [],
+        id="script",
+        marks=pytest.mark.skipif(tomllib is None, reason="tomllib is new in Python 3.11"),
+    ),
+]
+
+
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", CLOSED_STDOUT_RUNS, ids=["large", "small"])
+def test_a_closed_stdout_exits_1_without_a_traceback(argv, unbuffered, entry):
+    # the reader of stdout is gone before the process starts
     read, write = os.pipe()
     os.close(read)
     try:
-        child = subprocess.run(
-            [sys.executable, "-m", "b2tensor", *argv],
-            cwd=ROOT, env=env, stdout=write, stderr=subprocess.PIPE, text=True, timeout=120,
-        )
+        assert run_to(write, entry, argv, unbuffered) == (1, "")
     finally:
         os.close(write)
-    assert (child.returncode, child.stderr) == (1, "")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("entry", ENTRIES)
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+def test_a_full_stdout_exits_1_with_one_error_line(unbuffered, entry):
+    fd = os.open("/dev/full", os.O_WRONLY)
+    try:
+        got = run_to(fd, entry, CLOSED_STDOUT_RUNS[1], unbuffered)
+    finally:
+        os.close(fd)
+    assert got == (1, "error: [Errno 28] No space left on device\n")
 
 
 def test_cli_main_leaves_nothing_frozen(capsys):
